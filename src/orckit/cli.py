@@ -143,9 +143,23 @@ def _worker_record(payload) -> dict:
     return _record_row(*payload)
 
 
+def _worker_count() -> int:
+    """RICCI_THREADS as a positive integer; unset or empty means 1."""
+    raw = os.environ.get("RICCI_THREADS", "")
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RICCI_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def _profile_rows(g: Graph, alphas: list[Fraction]) -> list[dict]:
     edges = g.edges()
-    workers = int(os.environ.get("RICCI_THREADS", "1") or "1")
+    workers = _worker_count()
     if workers > 1 and len(edges) > 1:
         import multiprocessing
 

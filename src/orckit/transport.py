@@ -80,7 +80,7 @@ class _MinCostFlow:
         total_cost = 0
         while need > 0:
             dist = [_INT_INF] * self.n
-            prev: list[Optional[tuple[int, int]]] = [None] * self.n
+            prev: list[Optional[tuple[int, list[int]]]] = [None] * self.n
             in_queue = [False] * self.n
             dist[s] = 0
             queue = deque([s])
@@ -88,25 +88,27 @@ class _MinCostFlow:
                 u = queue.popleft()
                 in_queue[u] = False
                 du = dist[u]
-                for i, (v, cap, cost, _) in enumerate(arcs[u]):
-                    if cap > 0 and du + cost < dist[v]:
-                        dist[v] = du + cost
-                        prev[v] = (u, i)
-                        if not in_queue[v]:
-                            in_queue[v] = True
-                            queue.append(v)
+                for arc in arcs[u]:
+                    if arc[1] > 0:
+                        v = arc[0]
+                        dv = du + arc[2]
+                        if dv < dist[v]:
+                            dist[v] = dv
+                            prev[v] = (u, arc)
+                            if not in_queue[v]:
+                                in_queue[v] = True
+                                queue.append(v)
             if dist[t] >= _INT_INF:
                 break
             push = need
             v = t
             while v != s:
-                u, i = prev[v]
-                push = min(push, arcs[u][i][1])
+                u, arc = prev[v]
+                push = min(push, arc[1])
                 v = u
             v = t
             while v != s:
-                u, i = prev[v]
-                arc = arcs[u][i]
+                u, arc = prev[v]
                 arc[1] -= push
                 arcs[v][arc[3]][1] += push
                 v = u
@@ -155,27 +157,39 @@ def wasserstein1(g: Graph, mu: Measure, nu: Measure, fix_shared_mass: bool = Tru
                      *(m.denominator for m in sinks.values()))
     supply = _scaled_supplies(sources, scale)
     demand = _scaled_supplies(sinks, scale)
-    total = sum(supply.values())
-    assert total == sum(demand.values())
+    assert sum(supply.values()) == sum(demand.values())
 
     src = sorted(supply)
     snk = sorted(demand)
-    n_nodes = len(src) + len(snk) + 2
+    cost = []
+    for u in src:
+        dist = distances_from(g, u)
+        cost.append([None if dist[v] is INFINITY else dist[v] for v in snk])
+    value = _transport_cost([supply[u] for u in src], [demand[v] for v in snk], cost)
+    if value is None:
+        raise ValueError("supports are not mutually reachable (infinite distance)")
+    return Fraction(value, scale)
+
+
+def _transport_cost(supply: list[int], demand: list[int],
+                    cost: list[list[Optional[int]]]) -> Optional[int]:
+    """Minimum cost of moving integer supplies to integer demands of the
+    same total, at cost[i][j] per unit from source i to sink j (None: no
+    route), by exact min-cost flow; None when the demand cannot be met."""
+    total = sum(supply)
+    ns = len(supply)
+    n_nodes = ns + len(demand) + 2
     s, t = n_nodes - 2, n_nodes - 1
     net = _MinCostFlow(n_nodes)
-    for i, u in enumerate(src):
-        net.add_arc(s, i, supply[u], 0)
-        dist = distances_from(g, u)
-        for j, v in enumerate(snk):
-            d = dist[v]
-            if d is not INFINITY:
-                net.add_arc(i, len(src) + j, total, d)
-    for j, v in enumerate(snk):
-        net.add_arc(len(src) + j, t, demand[v], 0)
-    sent, cost = net.run(s, t, total)
-    if sent < total:
-        raise ValueError("supports are not mutually reachable (infinite distance)")
-    return Fraction(cost, scale)
+    for i, (amount, row) in enumerate(zip(supply, cost)):
+        net.add_arc(s, i, amount, 0)
+        for j, c in enumerate(row):
+            if c is not None:
+                net.add_arc(i, ns + j, total, c)
+    for j, amount in enumerate(demand):
+        net.add_arc(ns + j, t, amount, 0)
+    sent, value = net.run(s, t, total)
+    return value if sent == total else None
 
 
 def wasserstein1_oracle(g: Graph, mu: Measure, nu: Measure, max_tokens: int = 8) -> Fraction:

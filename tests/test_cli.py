@@ -204,6 +204,19 @@ def test_threads_env_gives_identical_output(tmp_path):
     assert runs["1"] == runs["2"]
 
 
+def test_threads_env_rejects_bad_values(tmp_path, capsys, monkeypatch):
+    graph_file = tmp_path / "k3.g6"
+    graph_file.write_text(write_graph6(complete(3)))
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("RICCI_THREADS", bad)
+        code, stdout, stderr = run_cli(["curvature", str(graph_file)], capsys)
+        assert code == 2 and stdout == ""
+        assert "RICCI_THREADS" in stderr and repr(bad) in stderr
+    monkeypatch.setenv("RICCI_THREADS", "")  # empty means serial, like unset
+    code, stdout, _ = run_cli(["curvature", str(graph_file)], capsys)
+    assert code == 0 and len(json.loads(stdout)) == 3
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["curvature"])  # missing input

@@ -4,8 +4,10 @@ from itertools import permutations
 
 import pytest
 
-from orckit.curvature import (ConsistencyError, curvature_gap, curvature_profile,
-                              equality_holds, is_bone_idle,
+from orckit import curvature, graphs, transport
+from orckit.curvature import (ConsistencyError, assignment_instance, curvature_gap,
+                              curvature_profile, edge_record, equality_holds,
+                              idleness_function, is_bone_idle,
                               is_bone_idle_edge, is_ricci_flat, is_zero_ricci_flat,
                               kappa_alpha, kappa_lly, kappa_lly_assignment, kappa_zero,
                               kappa_zero_assignment, local_structure,
@@ -13,7 +15,8 @@ from orckit.curvature import (ConsistencyError, curvature_gap, curvature_profile
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle,
                              dodecahedral, hypercube, icosidodecahedron, near_cocktail,
                              path, petersen, random_regular, star, torus_grid)
-from orckit.graphs import Graph
+from orckit.graphs import Graph, distances_from
+from orckit.transport import mu_alpha, wasserstein1
 
 
 def test_kappa_alpha_examples():
@@ -24,6 +27,9 @@ def test_kappa_alpha_examples():
     assert kappa_alpha(complete(2), 0, 1, 0) == 0
     with pytest.raises(ValueError):
         kappa_alpha(cycle(6), 0, 2, 0)  # not an edge
+    for a in (F(-1, 3), F(4, 3), 2):
+        with pytest.raises(ValueError, match="idleness"):
+            kappa_alpha(cycle(6), 0, 1, a)
 
 
 def test_kappa_lly_closed_forms():
@@ -220,3 +226,80 @@ def test_corrupted_assignment_is_caught():
             kappa_lly(petersen(), *petersen().edges()[0])
     finally:
         transport.assignment_cost = original
+
+
+def test_local_distances_match_bfs_oracle():
+    # kappa_alpha and the assignment instances read distances off adjacency
+    # tests inside B1(x) and B1(y); wasserstein1 and distances_from search
+    # the whole graph, so they check the local rule independently.
+    rng = random.Random(31)
+    corpus = [star(4), path(5), near_cocktail(7), complete(5), cocktail_party(3),
+              complete_bipartite(2, 3), petersen(), cycle(5), random_regular(10, 3, 2)]
+    unequal = triangles = 0
+    for g in corpus:
+        for x, y in g.edges():
+            dx, dy = g.degree(x), g.degree(y)
+            unequal += dx != dy
+            triangles += bool(set(g.adj[x]) & set(g.adj[y]))
+            alphas = {F(0), F(1, max(dx, dy) + 1), F(1, 2), F(1)}
+            for _ in range(3):
+                q = rng.randint(2, 13)
+                alphas.add(F(rng.randint(0, q), q))
+            for a in sorted(alphas):
+                w1 = wasserstein1(g, mu_alpha(g, x, a), mu_alpha(g, y, a))
+                assert kappa_alpha(g, x, y, a) == 1 - w1, (g, x, y, a)
+            for instance in (assignment_instance, zero_assignment_instance):
+                left, right, cost = instance(g, x, y)
+                for z, row in zip(left, cost):
+                    dist = distances_from(g, z)
+                    assert row == [dist[w] for w in right], (g, x, y, z)
+    assert unequal and triangles
+
+
+def test_per_edge_work_runs_no_graph_search(monkeypatch):
+    # Every per-edge quantity depends on B1(x) and B1(y) alone; with the
+    # graph-wide BFS disabled wherever it is bound, the profile and the
+    # idleness reconstruction must still complete.
+    def no_search(*args, **kwargs):
+        raise AssertionError("per-edge curvature searched the whole graph")
+
+    for mod in (graphs, transport, curvature):
+        if hasattr(mod, "distances_from"):
+            monkeypatch.setattr(mod, "distances_from", no_search)
+    p = petersen()
+    with pytest.raises(AssertionError, match="whole graph"):
+        wasserstein1(p, mu_alpha(p, 0, 0), mu_alpha(p, 1, 0))  # the patch is live
+    records = curvature_profile(torus_grid(8, 8))
+    assert len(records) == 128 and all(r.bone_idle for r in records)
+    fn = idleness_function(p, *p.edges()[0])
+    assert fn.values[0] == F(-1, 3) and fn.values[-1] == 0
+
+
+def test_deduplicated_cross_checks_still_fire(monkeypatch):
+    # edge_record solves kappa and kappa_0 once each; the gap formula and the
+    # assignment routes must still be checked against them.
+    p = petersen()
+    x, y = p.edges()[0]
+    exact = curvature.gap_formula
+
+    def off_by_one_over_d(g, u, v):
+        gap, supsup = exact(g, u, v)
+        return gap + F(1, g.degree(u)), supsup
+
+    with monkeypatch.context() as m:
+        m.setattr(curvature, "gap_formula", off_by_one_over_d)
+        with pytest.raises(ConsistencyError, match="gap"):
+            edge_record(p, x, y)
+        with pytest.raises(ConsistencyError, match="gap"):
+            curvature_profile(cycle(6))
+    for route, label in (("kappa_zero_assignment", r"kappa_0\("),
+                         ("kappa_lly_assignment", r"kappa\(")):
+        exact_route = getattr(curvature, route)
+        with monkeypatch.context() as m:
+            m.setattr(curvature, route, lambda g, u, v, f=exact_route: f(g, u, v) + 1)
+            with pytest.raises(ConsistencyError, match=label):
+                curvature_profile(p)
+    exact_cost = transport.assignment_cost
+    monkeypatch.setattr(transport, "assignment_cost", lambda cost: exact_cost(cost) + 1)
+    with pytest.raises(ConsistencyError):
+        curvature_profile(p)
