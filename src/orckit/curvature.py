@@ -191,17 +191,15 @@ def curvature_gap(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
 
 def equality_holds(g: Graph, x: int, y: int) -> bool:
     """Whether kappa == kappa_0, equivalently whether some optimal
-    assignment moves a vertex across distance 3."""
+    assignment moves a vertex across distance 3: read off the optimal-pair
+    support of the assignment instance, as gap_formula does."""
     _require_edge(g, x, y)
     d = _require_equal_degrees(g, x, y)
     nxy = len(set(g.adj[x]) & set(g.adj[y]))
     if nxy == d - 1:
         return False
     _, _, cost = assignment_instance(g, x, y)
-    best = transport.assignment_cost(cost)
-    k = len(cost)
-    return any(cost[i][j] == 3 and transport.forced_assignment_cost(cost, i, j) == best
-               for i in range(k) for j in range(k))
+    return any(cost[i][j] == 3 for i, j in transport.optimal_pair_support(cost))
 
 
 def is_bone_idle_edge(g: Graph, x: int, y: int) -> bool:
@@ -241,6 +239,8 @@ class LocalStructure:
 
 
 def local_structure(g: Graph, x: int, y: int) -> LocalStructure:
+    """Assignment statistics of an equal-degree edge; whether some optimal
+    assignment uses distance 3 is read off the optimal-pair support."""
     _require_edge(g, x, y)
     d = _require_equal_degrees(g, x, y)
     nxy = len(set(g.adj[x]) & set(g.adj[y]))
@@ -248,8 +248,7 @@ def local_structure(g: Graph, x: int, y: int) -> LocalStructure:
     k = len(cost)
     c_star = transport.assignment_cost(cost)
     two_n1 = 3 * k - c_star
-    has3 = any(cost[i][j] == 3 and transport.forced_assignment_cost(cost, i, j) == c_star
-               for i in range(k) for j in range(k))
+    has3 = any(cost[i][j] == 3 for i, j in transport.optimal_pair_support(cost))
     bone = (2 * d - 4 - 3 * nxy == two_n1) and has3
     flat_case = None
     if nxy == 0:

@@ -200,7 +200,7 @@ def diameter(g: Graph):
     return best
 
 
-_PRODUCT_LIMIT = 2_000_000
+VERTEX_LIMIT = 2_000_000  # desk-scale bound on graphs built from products or input files
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -208,7 +208,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     adjacent in the other. Vertex (x, y) maps to index x*h.n + y."""
     if g.n == 0 or h.n == 0:
         raise ValueError("cartesian_product requires non-empty factors")
-    if g.n * h.n > _PRODUCT_LIMIT:
+    if g.n * h.n > VERTEX_LIMIT:
         raise ValueError(f"product on {g.n * h.n} vertices exceeds the desk-scale limit")
     edges = []
     for x in range(g.n):

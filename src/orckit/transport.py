@@ -232,12 +232,12 @@ def _check_square(cost: CostMatrix) -> int:
     return k
 
 
-def assignment_cost(cost: CostMatrix) -> int:
-    """Minimum total cost of a perfect matching (Hungarian algorithm with
-    row/column potentials; exact on integer costs)."""
-    k = _check_square(cost)
-    if k == 0:
-        return 0
+def _hungarian(cost: CostMatrix) -> tuple[list[int], list[int], list[int]]:
+    """Hungarian algorithm with row/column potentials, exact on integer
+    costs. Returns (row_of, u, v): row_of[j] is the row matched to column
+    j, and the potentials satisfy cost[i][j] >= u[i] + v[j] everywhere,
+    with equality on matched pairs, so sum(u) + sum(v) is the optimum."""
+    k = len(cost)
     u = [0] * (k + 1)
     v = [0] * (k + 1)
     match = [0] * (k + 1)  # match[j] = row assigned to column j (1-based)
@@ -275,7 +275,15 @@ def assignment_cost(cost: CostMatrix) -> int:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return sum(cost[match[j] - 1][j - 1] for j in range(1, k + 1))
+    return [r - 1 for r in match[1:]], u[1:], v[1:]
+
+
+def assignment_cost(cost: CostMatrix) -> int:
+    """Minimum total cost of a perfect matching (Hungarian algorithm with
+    row/column potentials; exact on integer costs)."""
+    _check_square(cost)
+    row_of, _, _ = _hungarian(cost)
+    return sum(cost[i][j] for j, i in enumerate(row_of))
 
 
 def _minor(cost: CostMatrix, row: int, col: int) -> CostMatrix:
@@ -301,36 +309,48 @@ class Assignment:
 
 def min_cost_assignment(cost: CostMatrix) -> Assignment:
     """Optimal assignment with a deterministic tie-break: among all optimal
-    permutations, the lexicographically smallest. Built row by row: fix the
-    smallest column whose forced completion still achieves the optimum."""
+    permutations, the lexicographically smallest. Built row by row: give the
+    first row the smallest column some optimal assignment gives it, then
+    continue on the minor without that row and column, whose optimal
+    assignments are exactly the completions of that choice."""
     k = _check_square(cost)
     best = assignment_cost(cost)
     cols = list(range(k))
-    sub = [row[:] for row in cost]
-    target = best
+    sub = cost
     perm = []
-    for i in range(k):
-        for idx in range(len(cols)):
-            rest = [[r[j] for j in range(len(cols)) if j != idx] for r in sub[1:]]
-            if sub[0][idx] + assignment_cost(rest) == target:
-                perm.append(cols[idx])
-                target -= sub[0][idx]
-                cols.pop(idx)
-                sub = [[r[j] for j in range(len(r)) if j != idx] for r in sub[1:]]
-                break
-        else:
-            raise AssertionError("no extendable column; Hungarian result inconsistent")
+    while cols:
+        idx = min(j for i, j in optimal_pair_support(sub) if i == 0)
+        perm.append(cols.pop(idx))
+        sub = _minor(sub, 0, idx)
     result = Assignment(tuple(perm), best)
     assert best == sum(cost[i][result.perm[i]] for i in range(k))
     return result
 
 
 def optimal_pair_support(cost: CostMatrix) -> set[tuple[int, int]]:
-    """All pairs (i, j) used by at least one optimal assignment: forcing
-    i -> j and re-solving must still reach the unforced optimum."""
+    """All pairs (i, j) used by at least one optimal assignment, from one
+    Hungarian solve.
+
+    By complementary slackness, the optimal assignments are exactly the
+    perfect matchings of the tight pairs, those with cost[i][j] equal to
+    u[i] + v[j] under the final potentials. Any two perfect matchings
+    differ by alternating cycles, so a tight pair (i, j) lies in one iff
+    row i can be reached from row_of[j] in zero or more steps, each from a
+    row r along a tight pair (r, c) to row_of[c]; zero steps give the
+    matched pair. That is one search per column, O(k^3) in all, with no
+    further solves.
+    """
     k = _check_square(cost)
-    if k == 0:
-        return set()
-    best = assignment_cost(cost)
-    return {(i, j) for i in range(k) for j in range(k)
-            if forced_assignment_cost(cost, i, j) == best}
+    row_of, u, v = _hungarian(cost)
+    tight = [[j for j in range(k) if cost[i][j] == u[i] + v[j]] for i in range(k)]
+    support = set()
+    for j in range(k):
+        seen = {row_of[j]}
+        stack = [row_of[j]]
+        while stack:
+            for c in tight[stack.pop()]:
+                if row_of[c] not in seen:
+                    seen.add(row_of[c])
+                    stack.append(row_of[c])
+        support.update((i, j) for i in seen if cost[i][j] == u[i] + v[j])
+    return support

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import orckit
+from orckit import formats
 from orckit.cli import main, rational_str
 from orckit.families import bi_antiprism, complete, cycle, petersen
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
@@ -126,6 +127,19 @@ def test_curvature_parse_failure_exits_2(tmp_path, capsys):
     bad.write_text("C")  # truncated body
     code, _, stderr = run_cli(["curvature", str(bad)], capsys)
     assert code == 2 and "error" in stderr
+
+
+def test_curvature_oversized_edge_list_exits_2(tmp_path, capsys, monkeypatch):
+    def no_graph(n, edges):
+        raise AssertionError("an oversized edge list reached Graph")
+
+    monkeypatch.setattr(formats, "Graph", no_graph)
+    big = tmp_path / "big.txt"
+    for text in ("n 1000000000\n0 1\n", "0 999999999\n"):
+        big.write_text(text)
+        code, stdout, stderr = run_cli(["curvature", str(big)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and "limit of 2000000" in stderr
 
 
 def test_idleness_cycle6(tmp_path, capsys):

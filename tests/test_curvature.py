@@ -6,7 +6,7 @@ import pytest
 
 from orckit import curvature, graphs, transport
 from orckit.curvature import (ConsistencyError, assignment_instance, curvature_gap,
-                              curvature_profile, edge_record, equality_holds,
+                              curvature_profile, edge_record, equality_holds, gap_formula,
                               idleness_function, is_bone_idle,
                               is_bone_idle_edge, is_ricci_flat, is_zero_ricci_flat,
                               kappa_alpha, kappa_lly, kappa_lly_assignment, kappa_zero,
@@ -303,3 +303,47 @@ def test_deduplicated_cross_checks_still_fire(monkeypatch):
     monkeypatch.setattr(transport, "assignment_cost", lambda cost: exact_cost(cost) + 1)
     with pytest.raises(ConsistencyError):
         curvature_profile(p)
+
+
+def test_curvature_runs_no_forced_resolve(monkeypatch):
+    # The optimal-pair support comes from one Hungarian solve; with the
+    # forced re-solve disabled, every curvature caller must still complete.
+    def no_forced(*args, **kwargs):
+        raise AssertionError("forced re-solve called")
+
+    monkeypatch.setattr(transport, "forced_assignment_cost", no_forced)
+    records = curvature_profile(complete_bipartite(6, 6))
+    assert len(records) == 36 and all((r.gap_c, r.supsup) == (2, 1) for r in records)
+    for g in (cycle(6), petersen(), torus_grid(6, 6)):
+        for x, y in g.edges():
+            assert equality_holds(g, x, y) == local_structure(g, x, y).has_distance3_optimal
+
+
+def test_equality_holds_matches_gap_formula():
+    corpus = [cycle(5), cycle(6), complete(4), petersen(), hypercube(3), cocktail_party(3),
+              complete_bipartite(3, 3), torus_grid(6, 6), dodecahedral(), icosidodecahedron(),
+              near_cocktail(5), random_regular(12, 3, 1), random_regular(14, 4, 2)]
+    seen = set()
+    for g in corpus:
+        for x, y in g.edges():
+            if g.degree(x) == g.degree(y):
+                holds = equality_holds(g, x, y)
+                assert holds == (gap_formula(g, x, y)[1] == 3), (g, x, y)
+                seen.add(holds)
+    assert seen == {True, False}
+
+
+def test_support_feeds_cross_checked_gap(monkeypatch):
+    # On this torus edge the optimal-pair support holds distance-3 and
+    # distance-1 pairs; a support that loses the distance-3 ones lowers
+    # supsup, and the gap formula's cross-check against kappa - kappa_0
+    # must catch it.
+    g = torus_grid(6, 6)
+    _, _, cost = assignment_instance(g, 0, 1)
+    exact = transport.optimal_pair_support
+    assert {cost[i][j] for i, j in exact(cost)} == {1, 3}
+    assert edge_record(g, 0, 1).supsup == 3
+    monkeypatch.setattr(transport, "optimal_pair_support",
+                        lambda c: {(i, j) for i, j in exact(c) if c[i][j] != 3})
+    with pytest.raises(ConsistencyError, match="gap"):
+        edge_record(g, 0, 1)

@@ -1,9 +1,10 @@
 import pytest
 
+from orckit import formats
 from orckit.families import (complete, cycle, dodecahedral, hypercube,
                              icosidodecahedron, petersen, random_regular, star)
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
-from orckit.graphs import Graph
+from orckit.graphs import VERTEX_LIMIT, Graph
 
 
 def test_graph6_k4_frozen():
@@ -78,6 +79,19 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("n 2\n0 5")
     with pytest.raises(ValueError, match="negative"):
         parse_edge_list("-1 2")
+
+
+def test_edge_list_vertex_count_bound(monkeypatch):
+    # An oversized count is rejected before any Graph is built; with Graph
+    # replaced by a recorder, the count at the limit still reaches it.
+    built = []
+    monkeypatch.setattr(formats, "Graph", lambda n, edges: built.append(n))
+    for text in (f"n {VERTEX_LIMIT + 1}\n0 1", "n 1000000000", "0 999999999"):
+        with pytest.raises(ValueError, match=f"exceed the desk-scale limit of {VERTEX_LIMIT}"):
+            parse_edge_list(text)
+    assert built == []
+    parse_edge_list(f"n {VERTEX_LIMIT}\n0 1")
+    assert built == [VERTEX_LIMIT]
 
 
 def test_formats_round_trip_generator_sweep():

@@ -5,7 +5,7 @@ import pytest
 
 from orckit.families import complete, cycle, path, petersen
 from orckit.graphs import Graph
-from orckit.transport import (Assignment, assignment_cost, forced_assignment_cost,
+from orckit.transport import (Assignment, _hungarian, assignment_cost, forced_assignment_cost,
                               min_cost_assignment, mu_alpha, optimal_pair_support,
                               validate_measure, wasserstein1, wasserstein1_oracle)
 
@@ -153,6 +153,33 @@ def test_forced_cost_definition():
                 forced = forced_assignment_cost(cost, i, j)
                 assert forced >= best
                 assert ((i, j) in support) == (forced == best)
+
+
+def test_support_matches_forced_resolves():
+    # the definition: (i, j) is in the support iff forcing i -> j and
+    # re-solving the minor still reaches the unforced optimum
+    rng = random.Random(41)
+    for _ in range(300):
+        k = rng.randint(0, 8)
+        cost = [[rng.randint(0, 20) for _ in range(k)] for _ in range(k)]
+        best = assignment_cost(cost)
+        expected = {(i, j) for i in range(k) for j in range(k)
+                    if forced_assignment_cost(cost, i, j) == best}
+        assert optimal_pair_support(cost) == expected, cost
+
+
+def test_hungarian_potentials_are_optimal_duals():
+    # feasible potentials that are tight on a perfect matching certify it
+    # optimal by weak duality, with no second solver involved
+    rng = random.Random(43)
+    for _ in range(300):
+        k = rng.randint(0, 8)
+        cost = [[rng.randint(0, 20) for _ in range(k)] for _ in range(k)]
+        row_of, u, v = _hungarian(cost)
+        assert sorted(row_of) == list(range(k))
+        assert all(cost[i][j] >= u[i] + v[j] for i in range(k) for j in range(k))
+        assert all(cost[i][j] == u[i] + v[j] for j, i in enumerate(row_of))
+        assert sum(u) + sum(v) == assignment_cost(cost)
 
 
 def test_assignment_identity_2n1_plus_n2():
