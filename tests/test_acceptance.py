@@ -3,6 +3,8 @@ equality (tolerance zero) unless a runtime budget is stated. Run with
 `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
+import hashlib
+import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -151,6 +153,14 @@ def test_criterion_9_property_suite(edge_report):
                               "bone-idle-local")]
         assert bad == []
         assert edge_report.passed  # nothing else failed either
+
+
+def test_edge_report_bytes(edge_report):
+    # the whole report, pinned like the suites in test_golden.py; it reuses
+    # the session fixture so the ~12 s suite runs once
+    text = json.dumps(edge_report.to_dict(), indent=2)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "8264a4888de88be25a1adee74a365002f207ae852e8f50003102a954fab839b9")
 
 
 def test_criterion_7b_assignment_identity_brute():
