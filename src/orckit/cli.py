@@ -35,23 +35,24 @@ def _parse_alpha(text: str) -> Fraction:
     return a
 
 
+# family name -> (builder, the CLI parameters it takes in order)
 _FAMILIES = {
-    "complete": ("n",),
-    "cycle": ("n",),
-    "path": ("n",),
-    "star": ("n",),
-    "complete-bipartite": ("m", "n"),
-    "hypercube": ("n",),
-    "cocktail-party": ("n",),
-    "near-cocktail": ("n",),
-    "petersen": (),
-    "dodecahedral": (),
-    "icosidodecahedron": (),
-    "bi": ("n",),
-    "torus": ("n", "m"),
-    "twisted-torus": ("n", "m", "l"),
-    "klein-bottle": ("n", "m"),
-    "random-regular": ("n", "d", "seed"),
+    "complete": (families.complete, ("n",)),
+    "cycle": (families.cycle, ("n",)),
+    "path": (families.path, ("n",)),
+    "star": (families.star, ("n",)),
+    "complete-bipartite": (families.complete_bipartite, ("m", "n")),
+    "hypercube": (families.hypercube, ("n",)),
+    "cocktail-party": (families.cocktail_party, ("n",)),
+    "near-cocktail": (families.near_cocktail, ("n",)),
+    "petersen": (families.petersen, ()),
+    "dodecahedral": (families.dodecahedral, ()),
+    "icosidodecahedron": (families.icosidodecahedron, ()),
+    "bi": (families.bi_antiprism, ("n",)),
+    "torus": (families.torus_grid, ("n", "m")),
+    "twisted-torus": (families.twisted_torus, ("n", "m", "l")),
+    "klein-bottle": (families.klein_bottle, ("n", "m")),
+    "random-regular": (families.random_regular, ("n", "d", "seed")),
 }
 
 
@@ -59,40 +60,14 @@ def _build_family(args: argparse.Namespace) -> Graph:
     name = args.family
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; choose from {', '.join(sorted(_FAMILIES))}")
-    need = _FAMILIES[name]
-    params = {}
+    builder, need = _FAMILIES[name]
+    values = []
     for p in need:
         value = getattr(args, p)
         if value is None:
             raise ValueError(f"family {name!r} requires --{p}")
-        params[p] = value
-    builders = {
-        "complete": lambda: families.complete(params["n"]),
-        "cycle": lambda: families.cycle(params["n"]),
-        "path": lambda: families.path(params["n"]),
-        "star": lambda: families.star(params["n"]),
-        "complete-bipartite": lambda: families.complete_bipartite(params["m"], params["n"]),
-        "hypercube": lambda: families.hypercube(params["n"]),
-        "cocktail-party": lambda: families.cocktail_party(params["n"]),
-        "near-cocktail": lambda: families.near_cocktail(params["n"]),
-        "petersen": families.petersen,
-        "dodecahedral": families.dodecahedral,
-        "icosidodecahedron": families.icosidodecahedron,
-        "bi": lambda: families.bi_antiprism(params["n"]),
-        "torus": lambda: families.torus_grid(params["n"], params["m"]),
-        "twisted-torus": lambda: families.twisted_torus(params["n"], params["m"], params["l"]),
-        "klein-bottle": lambda: families.klein_bottle(params["n"], params["m"]),
-        "random-regular": lambda: families.random_regular(params["n"], params["d"], params["seed"]),
-    }
-    return builders[name]()
-
-
-def _looks_like_graph6(text: str) -> bool:
-    try:
-        parse_graph6(text)
-        return True
-    except ValueError:
-        return False
+        values.append(value)
+    return builder(*values)
 
 
 def read_graph(path: str, input_format: str = "auto") -> Graph:
@@ -104,10 +79,10 @@ def read_graph(path: str, input_format: str = "auto") -> Graph:
         return parse_edge_list(text)
     if path.endswith(".g6"):
         return parse_graph6(text)
-    stripped = text.lstrip()
-    if stripped and 63 <= ord(stripped[0]) <= 126 and _looks_like_graph6(text):
+    try:
         return parse_graph6(text)
-    return parse_edge_list(text)
+    except ValueError:
+        return parse_edge_list(text)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -234,35 +209,24 @@ def _cmd_idleness(args: argparse.Namespace) -> int:
     return 0
 
 
-_SUITES = ("main-theorem", "ric-one", "family-values", "bone-idle-families",
-           "no-cubic-bone-idle", "girth5", "product-formula", "edge-properties")
-
-
-def _run_suite(name: str, args: argparse.Namespace) -> verify.VerificationReport:
-    if name == "main-theorem":
-        return verify.check_main_theorem(args.nmax)
-    if name == "ric-one":
-        return verify.check_ric_one_classification()
-    if name == "family-values":
-        return verify.check_family_values()
-    if name == "bone-idle-families":
-        return verify.check_bone_idle_families()
-    if name == "no-cubic-bone-idle":
-        return verify.check_no_cubic_bone_idle(args.seed, args.trials)
-    if name == "girth5":
-        return verify.check_girth5_bone_idle()
-    if name == "product-formula":
-        return verify.check_product_formula()
-    if name == "edge-properties":
-        return verify.check_edge_properties(verify.default_corpus(args.seed))
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or 'all'")
+# suite name -> runner over the parsed `verify` arguments
+_SUITES = {
+    "main-theorem": lambda args: verify.check_main_theorem(args.nmax),
+    "ric-one": lambda args: verify.check_ric_one_classification(),
+    "family-values": lambda args: verify.check_family_values(),
+    "bone-idle-families": lambda args: verify.check_bone_idle_families(),
+    "no-cubic-bone-idle": lambda args: verify.check_no_cubic_bone_idle(args.seed, args.trials),
+    "girth5": lambda args: verify.check_girth5_bone_idle(),
+    "product-formula": lambda args: verify.check_product_formula(),
+    "edge-properties": lambda args: verify.check_edge_properties(verify.default_corpus(args.seed)),
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite != "all" and args.suite not in _SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)} or 'all'")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    reports = [_run_suite(name, args) for name in names]
+    reports = [_SUITES[name](args) for name in names]
     if args.rf72:
         reports.append(verify.check_rf72(read_graph(args.rf72, "auto")))
     for report in reports:

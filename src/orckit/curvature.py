@@ -156,6 +156,13 @@ def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
     return value
 
 
+def _supsup(cost: transport.CostMatrix) -> Optional[int]:
+    """Largest pair distance used by some optimal assignment; None for the
+    empty instance (k = 0: the endpoints share d-1 neighbors)."""
+    support = transport.optimal_pair_support(cost)
+    return max((cost[i][j] for i, j in support), default=None)
+
+
 def gap_formula(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
     """Closed form for kappa - kappa_0 on an equal-degree edge.
 
@@ -166,13 +173,9 @@ def gap_formula(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
     """
     _require_edge(g, x, y)
     d = _require_equal_degrees(g, x, y)
-    nxy = len(set(g.adj[x]) & set(g.adj[y]))
-    if nxy == d - 1:
-        return Fraction(2, d), None
     _, _, cost = assignment_instance(g, x, y)
-    support = transport.optimal_pair_support(cost)
-    supsup = max(cost[i][j] for i, j in support)
-    return Fraction(3 - supsup, d), supsup
+    supsup = _supsup(cost)
+    return Fraction(2 if supsup is None else 3 - supsup, d), supsup
 
 
 def _check_gap(x: int, y: int, value: Fraction, direct: Fraction) -> None:
@@ -191,15 +194,8 @@ def curvature_gap(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
 
 def equality_holds(g: Graph, x: int, y: int) -> bool:
     """Whether kappa == kappa_0, equivalently whether some optimal
-    assignment moves a vertex across distance 3: read off the optimal-pair
-    support of the assignment instance, as gap_formula does."""
-    _require_edge(g, x, y)
-    d = _require_equal_degrees(g, x, y)
-    nxy = len(set(g.adj[x]) & set(g.adj[y]))
-    if nxy == d - 1:
-        return False
-    _, _, cost = assignment_instance(g, x, y)
-    return any(cost[i][j] == 3 for i, j in transport.optimal_pair_support(cost))
+    assignment moves a vertex across distance 3 (supsup == 3)."""
+    return gap_formula(g, x, y)[1] == 3
 
 
 def is_bone_idle_edge(g: Graph, x: int, y: int) -> bool:
@@ -243,12 +239,12 @@ def local_structure(g: Graph, x: int, y: int) -> LocalStructure:
     assignment uses distance 3 is read off the optimal-pair support."""
     _require_edge(g, x, y)
     d = _require_equal_degrees(g, x, y)
-    nxy = len(set(g.adj[x]) & set(g.adj[y]))
     _, _, cost = assignment_instance(g, x, y)
     k = len(cost)
+    nxy = d - 1 - k
     c_star = transport.assignment_cost(cost)
     two_n1 = 3 * k - c_star
-    has3 = any(cost[i][j] == 3 for i, j in transport.optimal_pair_support(cost))
+    has3 = _supsup(cost) == 3
     bone = (2 * d - 4 - 3 * nxy == two_n1) and has3
     flat_case = None
     if nxy == 0:
@@ -321,7 +317,9 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
     structure and raises ConsistencyError.
     """
     _require_edge(g, x, y)
-    cache: dict[Fraction, Fraction] = {}
+    a_star = Fraction(1, max(len(g.adj[x]), len(g.adj[y])) + 1)
+    kap = kappa_lly(g, x, y)
+    cache = {a_star: kap * (1 - a_star)}  # kappa is kappa_alpha(a_star) / (1 - a_star)
 
     def f(a: Fraction) -> Fraction:
         if a not in cache:
@@ -334,9 +332,6 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
     def linear_on(a: Fraction, b: Fraction) -> bool:
         return 2 * f((a + b) / 2) == f(a) + f(b)
 
-    big_d = max(len(g.adj[x]), len(g.adj[y]))
-    a_star = Fraction(1, big_d + 1)
-    kap = kappa_lly(g, x, y)
     zero, one = Fraction(0), Fraction(1)
     f0 = f(zero)
 

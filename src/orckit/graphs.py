@@ -96,26 +96,11 @@ def distances_from(g: Graph, source: int, cap: Optional[int] = None) -> list:
 
 
 def distance(g: Graph, u: int, v: int, cap: Optional[int] = None):
-    """Shortest-path hop count between u and v; INFINITY when disconnected."""
+    """Shortest-path hop count between u and v; INFINITY when disconnected
+    or farther than the optional cap."""
     g.check_vertex(u)
     g.check_vertex(v)
-    if u == v:
-        return 0
-    dist = [-1] * g.n
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        da = dist[a]
-        if cap is not None and da >= cap:
-            continue
-        for w in g.adj[a]:
-            if dist[w] < 0:
-                if w == v:
-                    return da + 1
-                dist[w] = da + 1
-                queue.append(w)
-    return INFINITY
+    return distances_from(g, u, cap)[v]
 
 
 def sphere(g: Graph, x: int, r: int) -> set[int]:

@@ -127,31 +127,26 @@ def _scaled_supplies(masses: dict[int, Fraction], scale: int) -> dict[int, int]:
     return out
 
 
-def wasserstein1(g: Graph, mu: Measure, nu: Measure, fix_shared_mass: bool = True) -> Fraction:
+def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
     """Exact Wasserstein-1 distance between two probability measures.
 
-    Masses are scaled by the common denominator to integer supplies and
-    demands, and the resulting transportation problem is solved by exact
-    integer min-cost flow over hop-distance costs. With fix_shared_mass,
-    mass shared by both measures is fixed in place first; an optimal plan
-    with that property always exists, so the value is unchanged.
+    Mass shared by both measures stays in place, as it does in some
+    optimal plan. The rest is scaled by the common denominator to integer
+    supplies and demands, and the resulting transportation problem is
+    solved by exact integer min-cost flow over hop-distance costs.
     """
     validate_measure(g, mu)
     validate_measure(g, nu)
-    if fix_shared_mass:
-        sources: dict[int, Fraction] = {}
-        sinks: dict[int, Fraction] = {}
-        for v in set(mu) | set(nu):
-            r = mu.get(v, Fraction(0)) - nu.get(v, Fraction(0))
-            if r > 0:
-                sources[v] = r
-            elif r < 0:
-                sinks[v] = -r
-        if not sources:
-            return Fraction(0)
-    else:
-        sources = dict(mu)
-        sinks = dict(nu)
+    sources: dict[int, Fraction] = {}
+    sinks: dict[int, Fraction] = {}
+    for v in set(mu) | set(nu):
+        r = mu.get(v, Fraction(0)) - nu.get(v, Fraction(0))
+        if r > 0:
+            sources[v] = r
+        elif r < 0:
+            sinks[v] = -r
+    if not sources:
+        return Fraction(0)
 
     scale = math.lcm(*(m.denominator for m in sources.values()),
                      *(m.denominator for m in sinks.values()))

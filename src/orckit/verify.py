@@ -86,12 +86,32 @@ class _Run:
             return False
         return True
 
-    def error(self, graph: str, edge, name: str, exc: Exception) -> None:
-        self.failures.append(Failure(graph, edge, name, "no error", f"{type(exc).__name__}: {exc}"))
+    def guard(self, graph: str, edge, name: str) -> "_Guard":
+        return _Guard(self.failures, graph, edge, name)
 
     def report(self) -> VerificationReport:
         return VerificationReport(self.suite, self.instances, self.failures,
                                   time.perf_counter() - self._t0, self.notes)
+
+
+class _Guard:
+    """Context manager that records a ConsistencyError or ValueError raised
+    in its block as a Failure of check `name` and ends the block there;
+    `failed` tells the caller whether it did."""
+
+    def __init__(self, failures: list[Failure], graph: str, edge, name: str) -> None:
+        self.failures, self.graph, self.edge, self.name = failures, graph, edge, name
+        self.failed = False
+
+    def __enter__(self) -> "_Guard":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.failed = isinstance(exc, (ConsistencyError, ValueError))
+        if self.failed:
+            self.failures.append(Failure(self.graph, self.edge, self.name, "no error",
+                                         f"{type(exc).__name__}: {exc}"))
+        return self.failed
 
 
 def _min_edge_kappa_at_least_one(g: Graph) -> bool:
@@ -125,13 +145,10 @@ def check_main_theorem(n_max: int = 6) -> VerificationReport:
         for g in enumerate_graphs(n, connected_only=True):
             run.instances += 1
             rhs = min_degree(g) >= n - 2
-            try:
-                lhs = _min_edge_kappa_at_least_one(g)
-            except (ConsistencyError, ValueError) as exc:
-                run.error(write_graph6(g), None, "min-kappa-scan", exc)
-                continue
-            run.check(write_graph6(g), None, "ric-ge-1-iff-min-degree",
-                      rhs, lhs)
+            label = write_graph6(g)
+            with run.guard(label, None, "min-kappa-scan"):
+                run.check(label, None, "ric-ge-1-iff-min-degree",
+                          rhs, _min_edge_kappa_at_least_one(g))
     return run.report()
 
 
@@ -149,10 +166,8 @@ def check_ric_one_classification() -> VerificationReport:
     for label, g, expected in cases:
         run.instances += 1
         for x, y in g.edges():
-            try:
+            with run.guard(label, (x, y), "kappa-value"):
                 run.check(label, (x, y), "kappa-value", expected, curvature.kappa_lly(g, x, y))
-            except (ConsistencyError, ValueError) as exc:
-                run.error(label, (x, y), "kappa-value", exc)
     return run.report()
 
 
@@ -176,13 +191,11 @@ def check_family_values() -> VerificationReport:
     for label, g, want_kappa, want_kappa0 in table:
         run.instances += 1
         for x, y in g.edges():
-            try:
+            with run.guard(label, (x, y), "family-value"):
                 if want_kappa is not None:
                     run.check(label, (x, y), "kappa", want_kappa, curvature.kappa_lly(g, x, y))
                 if want_kappa0 is not None:
                     run.check(label, (x, y), "kappa0", want_kappa0, curvature.kappa_zero(g, x, y))
-            except (ConsistencyError, ValueError) as exc:
-                run.error(label, (x, y), "family-value", exc)
     return run.report()
 
 
@@ -208,24 +221,20 @@ def check_bone_idle_families() -> VerificationReport:
     for label, g in bone_idle_family_instances():
         run.instances += 1
         for x, y in g.edges():
-            try:
+            with run.guard(label, (x, y), "bone-idle"):
                 k0 = curvature.kappa_zero(g, x, y)
                 k = curvature.kappa_lly(g, x, y)
                 run.check(label, (x, y), "bone-idle", "0,0", f"{k0},{k}")
-            except (ConsistencyError, ValueError) as exc:
-                run.error(label, (x, y), "bone-idle", exc)
     for k in range(2, 7):
         for label, g in ((f"hypercube({k})", hypercube(k)),
                          (f"complete_bipartite({k},{k})", complete_bipartite(k, k))):
             run.instances += 1
             for x, y in g.edges():
-                try:
+                with run.guard(label, (x, y), "not-bone-idle"):
                     run.check(label, (x, y), "not-bone-idle-kappa-positive",
                               True, curvature.kappa_lly(g, x, y) > 0)
                     run.check(label, (x, y), "not-bone-idle-kappa0-zero",
                               Fraction(0), curvature.kappa_zero(g, x, y))
-                except (ConsistencyError, ValueError) as exc:
-                    run.error(label, (x, y), "not-bone-idle", exc)
     return run.report()
 
 
@@ -257,15 +266,14 @@ def check_no_cubic_bone_idle(corpus_seed: int = 0, trials: int = 15) -> Verifica
     for label, g in cubic_corpus(corpus_seed, trials):
         run.instances += 1
         witness = None
-        try:
+        with run.guard(label, None, "witness-scan") as scan:
             for x, y in g.edges():
                 k0 = curvature.kappa_zero(g, x, y)
                 k = curvature.kappa_lly(g, x, y)
                 if k0 != 0 or k != 0:
                     witness = (x, y, k0, k)
                     break
-        except (ConsistencyError, ValueError) as exc:
-            run.error(label, None, "witness-scan", exc)
+        if scan.failed:
             continue
         if run.check(label, None, "has-non-bone-idle-edge", True, witness is not None):
             x, y, k0, k = witness
@@ -280,22 +288,16 @@ def check_girth5_bone_idle() -> VerificationReport:
     run = _Run("girth5-bone-idle")
     for label, g in (("petersen", petersen()), ("dodecahedral", dodecahedral())):
         run.instances += 1
-        try:
+        with run.guard(label, None, "girth5"):
             run.check(label, None, "ricci-flat", True, curvature.is_ricci_flat(g))
             run.check(label, None, "not-zero-ricci-flat", False, curvature.is_zero_ricci_flat(g))
-        except (ConsistencyError, ValueError) as exc:
-            run.error(label, None, "girth5", exc)
     for n in range(6, 13):
         run.instances += 1
-        try:
+        with run.guard(f"cycle({n})", None, "bone-idle"):
             run.check(f"cycle({n})", None, "bone-idle", True, curvature.is_bone_idle(cycle(n)))
-        except (ConsistencyError, ValueError) as exc:
-            run.error(f"cycle({n})", None, "bone-idle", exc)
     run.instances += 1
-    try:
+    with run.guard("cycle(5)", None, "not-bone-idle"):
         run.check("cycle(5)", None, "not-bone-idle", False, curvature.is_bone_idle(cycle(5)))
-    except (ConsistencyError, ValueError) as exc:
-        run.error("cycle(5)", None, "not-bone-idle", exc)
     return run.report()
 
 
@@ -333,13 +335,11 @@ def check_product_formula(pairs=None) -> VerificationReport:
             else:
                 base = h_vals[(min(b1, b2), max(b1, b2))]
                 factor = Fraction(dh, dg + dh)
-            try:
+            with run.guard(label, (i, j), "product"):
                 run.check(label, (i, j), "product-kappa",
                           factor * base[0], curvature.kappa_lly(prod, i, j))
                 run.check(label, (i, j), "product-kappa0",
                           factor * base[1], curvature.kappa_zero(prod, i, j))
-            except (ConsistencyError, ValueError) as exc:
-                run.error(label, (i, j), "product", exc)
     return run.report()
 
 
@@ -412,11 +412,10 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
         min_kappa = None
         for x, y in g.edges():
             run.instances += 1
-            try:
+            with run.guard(label, (x, y), "route-agreement") as routes:
                 k = curvature.kappa_lly(g, x, y)      # cross-checks the assignment route
                 k0 = curvature.kappa_zero(g, x, y)    # likewise
-            except (ConsistencyError, ValueError) as exc:
-                run.error(label, (x, y), "route-agreement", exc)
+            if routes.failed:
                 continue
             if min_kappa is None or k < min_kappa:
                 min_kappa = k
@@ -426,10 +425,9 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
                       k <= Fraction(nxy + 2, max(dx, dy)))
             if dx == dy:
                 d = dx
-                try:
+                with run.guard(label, (x, y), "gap-formula") as closed_form:
                     gap, supsup = curvature.gap_formula(g, x, y)
-                except (ConsistencyError, ValueError) as exc:
-                    run.error(label, (x, y), "gap-formula", exc)
+                if closed_form.failed:
                     continue
                 run.check(label, (x, y), "gap-formula", k - k0, gap)
                 run.check(label, (x, y), "gap-range", True, d * (k - k0) in (0, 1, 2))
@@ -451,10 +449,9 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
                             n2 = sum(1 for c in dists if c == 2)
                             run.check(label, (x, y), "assignment-identity",
                                       ls.two_n1_plus_n2, 2 * n1 + n2)
-            try:
+            with run.guard(label, (x, y), "idleness-reconstruction") as reconstruction:
                 fn = curvature.idleness_function(g, x, y)
-            except (ConsistencyError, ValueError) as exc:
-                run.error(label, (x, y), "idleness-reconstruction", exc)
+            if reconstruction.failed:
                 continue
             run.check(label, (x, y), "idleness-final-zero", Fraction(0), fn.values[-1])
             run.check(label, (x, y), "idleness-segments", True, fn.segments <= 3)
@@ -482,9 +479,7 @@ def check_rf72(g: Graph) -> VerificationReport:
     run.check("rf72", None, "order", 72, g.n)
     run.check("rf72", None, "regular-degree", 5, is_regular(g))
     for x, y in g.edges():
-        try:
+        with run.guard("rf72", (x, y), "rf72"):
             run.check("rf72", (x, y), "kappa", Fraction(0), curvature.kappa_lly(g, x, y))
             run.check("rf72", (x, y), "kappa0", Fraction(-1, 5), curvature.kappa_zero(g, x, y))
-        except (ConsistencyError, ValueError) as exc:
-            run.error("rf72", (x, y), "rf72", exc)
     return run.report()

@@ -122,6 +122,14 @@ def test_curvature_autodetect_edgelist_without_extension(tmp_path, capsys):
     assert len(json.loads(stdout)) == 6
 
 
+def test_curvature_autodetect_graph6_without_extension(tmp_path, capsys):
+    graph_file = tmp_path / "graphdata"
+    graph_file.write_text(write_graph6(petersen()) + "\n")
+    code, stdout, _ = run_cli(["curvature", str(graph_file)], capsys)
+    assert code == 0
+    assert len(json.loads(stdout)) == 15
+
+
 def test_curvature_parse_failure_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("C")  # truncated body

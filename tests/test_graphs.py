@@ -34,6 +34,7 @@ def test_distance_examples():
 def test_distance_cap():
     p = path(8)
     assert distance(p, 0, 6, cap=3) is INFINITY
+    assert distance(p, 0, 4, cap=3) is INFINITY
     assert distance(p, 0, 3, cap=3) == 3
     d = distances_from(p, 0, cap=2)
     assert d[:3] == [0, 1, 2] and d[3] is INFINITY

@@ -82,7 +82,6 @@ def test_wasserstein_matches_oracle_on_random_instances():
         nu = random_token_measure(rng, g, tokens)
         expected = wasserstein1_oracle(g, mu, nu)
         assert wasserstein1(g, mu, nu) == expected
-        assert wasserstein1(g, mu, nu, fix_shared_mass=False) == expected
 
 
 def test_wasserstein_is_metric_on_walk_measures():
