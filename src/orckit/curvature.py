@@ -11,7 +11,9 @@ call. Disagreement between routes raises ConsistencyError.
 
 Every quantity of an edge depends on B1(x) and B1(y) alone, where all
 distances are 1, 2 or 3 and follow from adjacency tests, so the work per
-edge does not grow with the size of the graph.
+edge does not grow with the size of the graph. Each edge's neighbourhood
+data and its two assignment matrices are built once, and each matrix is
+solved once: one solve gives both C* and the optimal-pair support.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import transport
@@ -30,16 +33,69 @@ class ConsistencyError(Exception):
     """Two independent computation routes produced different values."""
 
 
-def _require_edge(g: Graph, x: int, y: int) -> None:
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
+class _Instance:
+    """Moving sets of one assignment instance with their cost matrix, and
+    the matrix's one Hungarian solve (optimum, row_of, u, v) on first use."""
+
+    def __init__(self, g: Graph, left: list[int], right: list[int]) -> None:
+        self.left, self.right, self.cost = left, right, _cost_matrix(g, left, right)
+
+    @cached_property
+    def solution(self) -> tuple[int, list[int], list[int], list[int]]:
+        return transport._hungarian(self.cost)
+
+    @cached_property
+    def supsup(self) -> Optional[int]:
+        """Largest pair distance used by some optimal assignment, read off
+        the same solve's potentials; None for the empty instance."""
+        support = transport._support(self.cost, *self.solution[1:])
+        return max((self.cost[i][j] for i, j in support), default=None)
 
 
-def _require_equal_degrees(g: Graph, x: int, y: int) -> int:
-    dx, dy = len(g.adj[x]), len(g.adj[y])
-    if dx != dy:
-        raise ValueError(f"vertices {x} and {y} have unequal degrees {dx} != {dy}")
-    return dx
+class _Edge:
+    """The edge x ~ y of g, checked once, with its degrees. The rest is
+    computed once, on first use, so an edge pays only for what its callers
+    read: nxy and the kappa and kappa_0 assignment instances."""
+
+    def __init__(self, g: Graph, x: int, y: int) -> None:
+        if not g.has_edge(x, y):
+            raise ValueError(f"({x}, {y}) is not an edge")
+        self.g, self.x, self.y = g, x, y
+        self.dx, self.dy = len(g.adj[x]), len(g.adj[y])
+
+    @property
+    def d(self) -> int:
+        if self.dx != self.dy:
+            raise ValueError(f"vertices {self.x} and {self.y} have unequal degrees "
+                             f"{self.dx} != {self.dy}")
+        return self.dx
+
+    @cached_property
+    def nxy(self) -> int:
+        return len(set(self.g.adj[self.x]).intersection(self.g.adj[self.y]))
+
+    @cached_property
+    def instance(self) -> _Instance:  # S1(x)\B1(y) -> S1(y)\B1(x)
+        nx, ny = set(self.g.adj[self.x]), set(self.g.adj[self.y])
+        return _Instance(self.g, sorted(nx - ny - {self.y}), sorted(ny - nx - {self.x}))
+
+    @cached_property
+    def zero_instance(self) -> _Instance:  # S1(x)\S1(y) -> S1(y)\S1(x), holding y and x
+        nx, ny = set(self.g.adj[self.x]), set(self.g.adj[self.y])
+        return _Instance(self.g, sorted(nx - ny), sorted(ny - nx))
+
+
+_last: Optional[_Edge] = None
+
+
+def _edge(g: Graph, x: int, y: int) -> _Edge:
+    """Context of the ordered edge (x, y). The last one is reused only for
+    the identical graph object: Graph equality and hashing cost O(n + m)."""
+    global _last
+    last = _last
+    if last is None or last.g is not g or last.x != x or last.y != y:
+        last = _last = _Edge(g, x, y)
+    return last
 
 
 def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
@@ -49,14 +105,15 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     when scaled by q*L: p*L at the centre and (q-p)*L/d on each neighbor.
     Mass the two share stays in place, and the rest moves from B1(x) to
     B1(y) by exact min-cost flow over the local distances of _cost_matrix,
-    so no search reaches beyond the two 1-balls.
+    so no search reaches beyond the two 1-balls. It reads no matrix or
+    solve of the edge context, to stay independent of the assignment route.
     """
-    _require_edge(g, x, y)
+    e = _edge(g, x, y)
     alpha = Fraction(alpha)
     if not (0 <= alpha <= 1):
         raise ValueError("idleness must lie in [0, 1]")
     p, q = alpha.numerator, alpha.denominator
-    dx, dy = len(g.adj[x]), len(g.adj[y])
+    dx, dy = e.dx, e.dy
     lcm = math.lcm(dx, dy)
     excess = {x: p * lcm, y: -p * lcm}
     for w in g.adj[x]:
@@ -89,38 +146,29 @@ def _cost_matrix(g: Graph, left: list[int], right: list[int]) -> transport.CostM
 
 def assignment_instance(g: Graph, x: int, y: int):
     """Moving sets S1(x)\\B1(y) and S1(y)\\B1(x) with their cost matrix."""
-    _require_edge(g, x, y)
-    bx, by = set(g.adj[x]) | {x}, set(g.adj[y]) | {y}
-    left = sorted(set(g.adj[x]) - by)
-    right = sorted(set(g.adj[y]) - bx)
-    return left, right, _cost_matrix(g, left, right)
+    inst = _edge(g, x, y).instance
+    return list(inst.left), list(inst.right), [list(row) for row in inst.cost]
 
 
 def zero_assignment_instance(g: Graph, x: int, y: int):
     """Moving sets S1(x)\\S1(y) and S1(y)\\S1(x) (these include y and x)."""
-    _require_edge(g, x, y)
-    left = sorted(set(g.adj[x]) - set(g.adj[y]))
-    right = sorted(set(g.adj[y]) - set(g.adj[x]))
-    return left, right, _cost_matrix(g, left, right)
+    inst = _edge(g, x, y).zero_instance
+    return list(inst.left), list(inst.right), [list(row) for row in inst.cost]
 
 
 def kappa_lly_assignment(g: Graph, x: int, y: int) -> Fraction:
     """Assignment route for kappa, valid on equal-degree edges only:
     kappa = (d + 1 - C*)/d with C* the optimal assignment cost between
     S1(x)\\B1(y) and S1(y)\\B1(x)."""
-    _require_edge(g, x, y)
-    d = _require_equal_degrees(g, x, y)
-    _, _, cost = assignment_instance(g, x, y)
-    return Fraction(d + 1 - transport.assignment_cost(cost), d)
+    e = _edge(g, x, y)
+    return Fraction(e.d + 1 - e.instance.solution[0], e.d)
 
 
 def kappa_zero_assignment(g: Graph, x: int, y: int) -> Fraction:
     """Assignment route for kappa_0 on equal-degree edges:
     kappa_0 = (d - C*)/d over bijections S1(x)\\S1(y) -> S1(y)\\S1(x)."""
-    _require_edge(g, x, y)
-    d = _require_equal_degrees(g, x, y)
-    _, _, cost = zero_assignment_instance(g, x, y)
-    return Fraction(d - transport.assignment_cost(cost), d)
+    e = _edge(g, x, y)
+    return Fraction(e.d - e.zero_instance.solution[0], e.d)
 
 
 def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
@@ -131,11 +179,10 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     On equal-degree edges the independent assignment route is computed as
     well and must agree exactly.
     """
-    _require_edge(g, x, y)
-    dx, dy = len(g.adj[x]), len(g.adj[y])
-    a = Fraction(1, max(dx, dy) + 1)
+    e = _edge(g, x, y)
+    a = Fraction(1, max(e.dx, e.dy) + 1)
     value = kappa_alpha(g, x, y, a) / (1 - a)
-    if dx == dy:
+    if e.dx == e.dy:
         alt = kappa_lly_assignment(g, x, y)
         if alt != value:
             raise ConsistencyError(
@@ -146,21 +193,14 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
 def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
     """Curvature at idleness 0, cross-checked against the assignment route
     whenever both endpoints have the same degree."""
-    _require_edge(g, x, y)
+    e = _edge(g, x, y)
     value = kappa_alpha(g, x, y, Fraction(0))
-    if len(g.adj[x]) == len(g.adj[y]):
+    if e.dx == e.dy:
         alt = kappa_zero_assignment(g, x, y)
         if alt != value:
             raise ConsistencyError(
                 f"kappa_0({x},{y}): transport route {value} != assignment route {alt}")
     return value
-
-
-def _supsup(cost: transport.CostMatrix) -> Optional[int]:
-    """Largest pair distance used by some optimal assignment; None for the
-    empty instance (k = 0: the endpoints share d-1 neighbors)."""
-    support = transport.optimal_pair_support(cost)
-    return max((cost[i][j] for i, j in support), default=None)
 
 
 def gap_formula(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
@@ -171,10 +211,8 @@ def gap_formula(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
     (3 - supsup)/d where supsup is the largest pair distance realized by
     any optimal assignment.
     """
-    _require_edge(g, x, y)
-    d = _require_equal_degrees(g, x, y)
-    _, _, cost = assignment_instance(g, x, y)
-    supsup = _supsup(cost)
+    e = _edge(g, x, y)
+    d, supsup = e.d, e.instance.supsup
     return Fraction(2 if supsup is None else 3 - supsup, d), supsup
 
 
@@ -237,17 +275,13 @@ class LocalStructure:
 def local_structure(g: Graph, x: int, y: int) -> LocalStructure:
     """Assignment statistics of an equal-degree edge; whether some optimal
     assignment uses distance 3 is read off the optimal-pair support."""
-    _require_edge(g, x, y)
-    d = _require_equal_degrees(g, x, y)
-    _, _, cost = assignment_instance(g, x, y)
-    k = len(cost)
-    nxy = d - 1 - k
-    c_star = transport.assignment_cost(cost)
+    e = _edge(g, x, y)
+    d, k, c_star = e.d, len(e.instance.left), e.instance.solution[0]
     two_n1 = 3 * k - c_star
-    has3 = _supsup(cost) == 3
-    bone = (2 * d - 4 - 3 * nxy == two_n1) and has3
+    has3 = e.instance.supsup == 3
+    bone = (2 * d - 4 - 3 * e.nxy == two_n1) and has3
     flat_case = None
-    if nxy == 0:
+    if e.nxy == 0:
         if c_star == d + 1:  # kappa == 0
             flat_case = "flat-distance3" if has3 else "flat-no-distance3"
         else:
@@ -316,8 +350,8 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
     evaluation. More than 64 evaluations would contradict the 3-piece
     structure and raises ConsistencyError.
     """
-    _require_edge(g, x, y)
-    a_star = Fraction(1, max(len(g.adj[x]), len(g.adj[y])) + 1)
+    e = _edge(g, x, y)
+    a_star = Fraction(1, max(e.dx, e.dy) + 1)
     kap = kappa_lly(g, x, y)
     cache = {a_star: kap * (1 - a_star)}  # kappa is kappa_alpha(a_star) / (1 - a_star)
 
@@ -386,20 +420,19 @@ class EdgeCurvatureRecord:
 
 
 def edge_record(g: Graph, x: int, y: int) -> EdgeCurvatureRecord:
-    dx, dy = g.degree(x), g.degree(y)
-    nxy = len(set(g.adj[x]) & set(g.adj[y]))
+    e = _edge(g, x, y)
     k0 = kappa_zero(g, x, y)
     k = kappa_lly(g, x, y)
     gap_c: Optional[int] = None
     supsup: Optional[int] = None
-    if dx == dy:
+    if e.dx == e.dy:
         gap, supsup = gap_formula(g, x, y)
         _check_gap(x, y, gap, k - k0)
-        scaled = gap * dx
+        scaled = gap * e.dx
         if scaled.denominator != 1 or scaled not in (0, 1, 2):
             raise ConsistencyError(f"gap class {scaled} outside {{0,1,2}} on edge ({x},{y})")
         gap_c = int(scaled)
-    return EdgeCurvatureRecord(x, y, dx, dy, nxy, k0, k, gap_c, supsup,
+    return EdgeCurvatureRecord(x, y, e.dx, e.dy, e.nxy, k0, k, gap_c, supsup,
                                bone_idle=(k0 == 0 and k == 0))
 
 

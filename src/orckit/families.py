@@ -1,5 +1,7 @@
 """Generators for named graph families, random regular graphs, and
-exhaustive enumeration of small labeled graphs."""
+exhaustive enumeration of small labeled graphs. Every parametrized family
+checks its closed-form vertex and edge counts against the desk-scale
+limits of graphs.check_size before it allocates anything."""
 
 from __future__ import annotations
 
@@ -7,24 +9,27 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, cartesian_product
+from .graphs import Graph, cartesian_product, check_size
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete(n) requires n >= 1")
+    check_size(f"complete({n})", n, n * (n - 1) // 2)
     return Graph(n, combinations(range(n), 2))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle(n) requires n >= 3")
+    check_size(f"cycle({n})", n, n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path(n) requires n >= 1")
+    check_size(f"path({n})", n, n - 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -32,12 +37,14 @@ def star(n: int) -> Graph:
     """Hub vertex 0 plus n leaves."""
     if n < 1:
         raise ValueError("star(n) requires n >= 1")
+    check_size(f"star({n})", n + 1, n)
     return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete_bipartite(m, n) requires m, n >= 1")
+    check_size(f"complete_bipartite({m},{n})", m + n, m * n)
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
@@ -45,6 +52,8 @@ def hypercube(k: int) -> Graph:
     """k-dimensional cube, built as an iterated box product with K_2."""
     if k < 1:
         raise ValueError("hypercube(k) requires k >= 1")
+    n = 2 ** min(k, 64)  # 2**64 is past both limits, and 2**k for huge k is slow to build
+    check_size(f"hypercube({k})", n, k * n // 2)
     g = complete(2)
     for _ in range(k - 1):
         g = cartesian_product(g, complete(2))
@@ -55,6 +64,7 @@ def cocktail_party(k: int) -> Graph:
     """2k vertices, (2k-2)-regular: vertex 2i is non-adjacent only to 2i+1."""
     if k < 2:
         raise ValueError("cocktail_party(k) requires k >= 2")
+    check_size(f"cocktail_party({k})", 2 * k, 2 * k * (k - 1))
     n = 2 * k
     edges = [(u, v) for u, v in combinations(range(n), 2) if not (u // 2 == v // 2)]
     return Graph(n, edges)
@@ -65,6 +75,7 @@ def near_cocktail(n: int) -> Graph:
     rest paired so each misses exactly its partner. Exists only for odd n."""
     if n < 3 or n % 2 == 0:
         raise ValueError("near_cocktail(n) requires odd n >= 3")
+    check_size(f"near_cocktail({n})", n, (n - 1) ** 2 // 2)
     edges = [(0, v) for v in range(1, n)]
     for u, v in combinations(range(1, n), 2):
         if not (u % 2 == 1 and v == u + 1):  # (1,2), (3,4), ... are the missing pairs
@@ -119,6 +130,7 @@ def bi_antiprism(n: int) -> Graph:
     x_{k+1} (indices mod n). 4-regular on 2n vertices."""
     if n < 6:
         raise ValueError("bi_antiprism(n) requires n >= 6")
+    check_size(f"bi_antiprism({n})", 2 * n, 4 * n)
     edges = []
     for k in range(n):
         edges.append((k, (k + 1) % n))              # inner cycle
@@ -150,6 +162,7 @@ def twisted_torus(n: int, m: int, l: int) -> Graph:
         raise ValueError("twisted_torus requires 0 <= l <= n/2")
     if m + l < 6:
         raise ValueError("twisted_torus requires m + l >= 6")
+    check_size(f"twisted_torus({n},{m},{l})", n * m, 2 * n * m)
     seam = [(i * m + 0, ((i + l) % n) * m + (m - 1)) for i in range(n)]
     return _wrapped_grid(n, m, seam)
 
@@ -158,6 +171,7 @@ def torus_grid(n: int, m: int) -> Graph:
     """Plain n x m torus (twist 0); isomorphic to C_n box C_m."""
     if m < 6:
         raise ValueError("torus_grid requires m >= 6")
+    check_size(f"torus_grid({n},{m})", n * m, 2 * n * m)
     return twisted_torus(n, m, 0)
 
 
@@ -165,6 +179,7 @@ def klein_bottle(n: int, m: int) -> Graph:
     """Cyclic n x m grid whose final column wraps back reflected."""
     if n < 6 or m < 6:
         raise ValueError("klein_bottle requires n, m >= 6")
+    check_size(f"klein_bottle({n},{m})", n * m, 2 * n * m)
     seam = [(i * m + 0, (n - 1 - i) * m + (m - 1)) for i in range(n)]
     return _wrapped_grid(n, m, seam)
 
@@ -180,6 +195,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError("random_regular requires 0 <= d < n")
     if (n * d) % 2 != 0:
         raise ValueError("random_regular requires n*d even")
+    check_size(f"random_regular({n},{d})", n, n * d // 2)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(_MAX_RESTARTS):

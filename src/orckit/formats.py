@@ -4,14 +4,14 @@ graph6 follows the standard 6-bit encoding bit-exactly: header byte(s)
 63+k, then the upper adjacency triangle read column by column, packed
 big-endian six bits per byte. The edge-list format is one "u v" pair per
 line, '#' comments, and an optional "n <count>" header line that declares
-the vertex count (needed for isolated vertices). The vertex count may not
-exceed graphs.VERTEX_LIMIT; larger input is rejected before any graph is
-built.
+the vertex count (needed for isolated vertices). The vertex and edge
+counts may not exceed graphs.VERTEX_LIMIT and graphs.EDGE_LIMIT; larger
+input is rejected before any graph is built.
 """
 
 from __future__ import annotations
 
-from .graphs import VERTEX_LIMIT, Graph
+from .graphs import Graph, check_size
 
 _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # 3-byte extended size header
@@ -133,6 +133,5 @@ def parse_edge_list(text: str) -> Graph:
         if declared < n:
             raise ValueError(f"edge list: header declares {declared} vertices but edges reach vertex {max_v}")
         n = declared
-    if n > VERTEX_LIMIT:
-        raise ValueError(f"edge list: {n} vertices exceed the desk-scale limit of {VERTEX_LIMIT}")
+    check_size("edge list", n, len(edges))
     return Graph(n, edges)

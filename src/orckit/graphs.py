@@ -185,7 +185,19 @@ def diameter(g: Graph):
     return best
 
 
-VERTEX_LIMIT = 2_000_000  # desk-scale bound on graphs built from products or input files
+# desk-scale bounds on graphs built from families, products or input files;
+# the edge bound leaves room for a 4-regular graph at the vertex bound
+VERTEX_LIMIT = 2_000_000
+EDGE_LIMIT = 2 * VERTEX_LIMIT
+
+
+def check_size(label: str, n: int, m: int) -> None:
+    """Refuse a graph of n vertices and m edges beyond the desk-scale
+    limits; callers pass closed-form counts before building anything."""
+    if n > VERTEX_LIMIT:
+        raise ValueError(f"{label}: {n} vertices exceed the desk-scale limit of {VERTEX_LIMIT}")
+    if m > EDGE_LIMIT:
+        raise ValueError(f"{label}: {m} edges exceed the desk-scale limit of {EDGE_LIMIT}")
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -193,8 +205,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     adjacent in the other. Vertex (x, y) maps to index x*h.n + y."""
     if g.n == 0 or h.n == 0:
         raise ValueError("cartesian_product requires non-empty factors")
-    if g.n * h.n > VERTEX_LIMIT:
-        raise ValueError(f"product on {g.n * h.n} vertices exceeds the desk-scale limit")
+    check_size("product", g.n * h.n, g.n * h.edge_count + g.edge_count * h.n)
     edges = []
     for x in range(g.n):
         base = x * h.n

@@ -227,11 +227,12 @@ def _check_square(cost: CostMatrix) -> int:
     return k
 
 
-def _hungarian(cost: CostMatrix) -> tuple[list[int], list[int], list[int]]:
+def _hungarian(cost: CostMatrix) -> tuple[int, list[int], list[int], list[int]]:
     """Hungarian algorithm with row/column potentials, exact on integer
-    costs. Returns (row_of, u, v): row_of[j] is the row matched to column
-    j, and the potentials satisfy cost[i][j] >= u[i] + v[j] everywhere,
-    with equality on matched pairs, so sum(u) + sum(v) is the optimum."""
+    costs. Returns (optimum, row_of, u, v): row_of[j] is the row matched to
+    column j, and the potentials satisfy cost[i][j] >= u[i] + v[j]
+    everywhere, with equality on matched pairs, so sum(u) + sum(v) is the
+    optimum too. The matrix is assumed square (see _check_square)."""
     k = len(cost)
     u = [0] * (k + 1)
     v = [0] * (k + 1)
@@ -270,15 +271,15 @@ def _hungarian(cost: CostMatrix) -> tuple[list[int], list[int], list[int]]:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return [r - 1 for r in match[1:]], u[1:], v[1:]
+    row_of = [r - 1 for r in match[1:]]
+    return sum(cost[i][j] for j, i in enumerate(row_of)), row_of, u[1:], v[1:]
 
 
 def assignment_cost(cost: CostMatrix) -> int:
     """Minimum total cost of a perfect matching (Hungarian algorithm with
     row/column potentials; exact on integer costs)."""
     _check_square(cost)
-    row_of, _, _ = _hungarian(cost)
-    return sum(cost[i][j] for j, i in enumerate(row_of))
+    return _hungarian(cost)[0]
 
 
 def _minor(cost: CostMatrix, row: int, col: int) -> CostMatrix:
@@ -335,8 +336,14 @@ def optimal_pair_support(cost: CostMatrix) -> set[tuple[int, int]]:
     matched pair. That is one search per column, O(k^3) in all, with no
     further solves.
     """
-    k = _check_square(cost)
-    row_of, u, v = _hungarian(cost)
+    _check_square(cost)
+    return _support(cost, *_hungarian(cost)[1:])
+
+
+def _support(cost: CostMatrix, row_of: list[int], u: list[int],
+             v: list[int]) -> set[tuple[int, int]]:
+    """optimal_pair_support from the matching and potentials of a solve."""
+    k = len(cost)
     tight = [[j for j in range(k) if cost[i][j] == u[i] + v[j]] for i in range(k)]
     support = set()
     for j in range(k):

@@ -419,36 +419,32 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
                 continue
             if min_kappa is None or k < min_kappa:
                 min_kappa = k
-            dx, dy = g.degree(x), g.degree(y)
-            nxy = len(set(g.adj[x]) & set(g.adj[y]))
+            edge = curvature._edge(g, x, y)  # the context both routes just used
+            dx, dy, nxy = edge.dx, edge.dy, edge.nxy
             run.check(label, (x, y), "upper-bound", True,
                       k <= Fraction(nxy + 2, max(dx, dy)))
             if dx == dy:
-                d = dx
                 with run.guard(label, (x, y), "gap-formula") as closed_form:
                     gap, supsup = curvature.gap_formula(g, x, y)
                 if closed_form.failed:
                     continue
                 run.check(label, (x, y), "gap-formula", k - k0, gap)
-                run.check(label, (x, y), "gap-range", True, d * (k - k0) in (0, 1, 2))
+                run.check(label, (x, y), "gap-range", True, dx * (k - k0) in (0, 1, 2))
                 if supsup is not None:
                     run.check(label, (x, y), "supsup-range", True, supsup in (1, 2, 3))
                 run.check(label, (x, y), "equality-condition",
                           k == k0, curvature.equality_holds(g, x, y))
-                if k < -1 + Fraction(2 * nxy + 3, d):
+                if k < -1 + Fraction(2 * nxy + 3, dx):
                     run.check(label, (x, y), "sufficient-equality", k, k0)
                 ls = curvature.local_structure(g, x, y)
                 run.check(label, (x, y), "bone-idle-local",
                           k == 0 and k0 == 0, ls.bone_idle)
                 if ls.k <= 5:
-                    _, _, cost = curvature.assignment_instance(g, x, y)
                     for perm in permutations(range(ls.k)):
-                        dists = [cost[i][perm[i]] for i in range(ls.k)]
+                        dists = [edge.instance.cost[i][perm[i]] for i in range(ls.k)]
                         if sum(dists) == ls.optimal_cost:
-                            n1 = sum(1 for c in dists if c == 1)
-                            n2 = sum(1 for c in dists if c == 2)
                             run.check(label, (x, y), "assignment-identity",
-                                      ls.two_n1_plus_n2, 2 * n1 + n2)
+                                      ls.two_n1_plus_n2, 2 * dists.count(1) + dists.count(2))
             with run.guard(label, (x, y), "idleness-reconstruction") as reconstruction:
                 fn = curvature.idleness_function(g, x, y)
             if reconstruction.failed:

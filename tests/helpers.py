@@ -1,6 +1,7 @@
-"""Shared brute-force oracles and random instance builders for the tests.
+"""Shared brute-force oracles, random instance builders and one fault
+injector for the tests.
 
-Everything here is deliberately independent of the library's own
+The oracles are deliberately independent of the library's own
 algorithms: girth by explicit cycle enumeration, connectivity by plain
 DFS, optimal assignments by full permutation scans.
 """
@@ -11,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from orckit import transport
 from orckit.graphs import Graph
 
 
@@ -80,3 +82,16 @@ def random_token_measure(rng: random.Random, g: Graph, tokens: int) -> dict[int,
     for _ in range(tokens):
         weights[rng.randrange(len(support))] += 1
     return {v: Fraction(w, tokens) for v, w in zip(support, weights) if w}
+
+
+def corrupt_assignment_optimum(monkeypatch) -> None:
+    """Make every Hungarian solve report its optimum one too high, as an
+    off-by-one in the assignment route would; the matching and potentials
+    stay exact."""
+    exact = transport._hungarian
+
+    def off_by_one(cost):
+        optimum, *duals = exact(cost)
+        return (optimum + 1, *duals)
+
+    monkeypatch.setattr(transport, "_hungarian", off_by_one)

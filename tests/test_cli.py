@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import orckit
-from orckit import formats
+from orckit import families, formats, graphs
 from orckit.cli import main, rational_str
 from orckit.families import bi_antiprism, complete, cycle, petersen
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
+from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT
 
 
 def run_cli(args, capsys):
@@ -243,3 +244,48 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["curvature"])  # missing input
     assert exc.value.code == 2
+
+
+def test_gen_oversized_family_exits_2(capsys, monkeypatch):
+    # closed-form counts are checked before any graph is built: with Graph
+    # replaced by a tripwire, each request must still exit 2 naming the limit.
+    # These builders reach Graph before allocating much, so the cases stay
+    # cheap even without the check; test_family_size_checks_use_exact_counts
+    # covers the other families.
+    def no_graph(*args, **kwargs):
+        raise AssertionError("an oversized family reached Graph")
+
+    monkeypatch.setattr(families, "Graph", no_graph)
+    monkeypatch.setattr(graphs, "Graph", no_graph)
+    cases = [
+        (["--family", "complete", "--n", "100000"], "4999950000 edges", EDGE_LIMIT),
+        (["--family", "hypercube", "--n", "40"], "vertices", VERTEX_LIMIT),
+        (["--family", "hypercube", "--n", "21"], "2097152 vertices", VERTEX_LIMIT),
+        (["--family", "hypercube", "--n", "20"], "10485760 edges", EDGE_LIMIT),
+        (["--family", "hypercube", "--n", "1000000000000"], "vertices", VERTEX_LIMIT),
+    ]
+    for args, count, limit in cases:
+        code, stdout, stderr = run_cli(["gen", *args], capsys)
+        assert code == 2 and stdout == "", args
+        assert stderr.startswith("error:") and count in stderr, (args, stderr)
+        assert f"desk-scale limit of {limit}\n" in stderr, (args, stderr)
+
+
+def test_family_size_checks_use_exact_counts(monkeypatch):
+    # each builder's closed-form counts are those of the graph it builds, so
+    # the limits hold exactly: a family at the limit is built, one past it is not
+    checked = []
+    monkeypatch.setattr(families, "check_size", lambda label, n, m: checked.append((n, m)))
+    for name, params in [("complete", (5,)), ("cycle", (7,)), ("path", (5,)), ("star", (4,)),
+                         ("complete_bipartite", (2, 3)), ("hypercube", (3,)),
+                         ("cocktail_party", (3,)), ("near_cocktail", (7,)),
+                         ("bi_antiprism", (6,)), ("torus_grid", (6, 7)),
+                         ("twisted_torus", (7, 5, 2)), ("klein_bottle", (6, 6)),
+                         ("random_regular", (12, 3, 5))]:
+        checked.clear()
+        g = getattr(families, name)(*params)
+        assert checked[0] == (g.n, g.edge_count), name
+    graphs.check_size("at the limits", VERTEX_LIMIT, EDGE_LIMIT)
+    for n, m in ((VERTEX_LIMIT + 1, 0), (0, EDGE_LIMIT + 1)):
+        with pytest.raises(ValueError, match="desk-scale limit"):
+            graphs.check_size("past a limit", n, m)

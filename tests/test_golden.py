@@ -15,9 +15,11 @@ import json
 
 import pytest
 
-from orckit import cli, transport
+from orckit import cli
 from orckit.families import cocktail_party, petersen
 from orckit.verify import check_edge_properties, check_family_values
+
+from helpers import corrupt_assignment_optimum
 
 
 def sha(text: str) -> str:
@@ -130,7 +132,7 @@ ERRORS = {
                       "f89b35758e276bbc56751eb1ce896b154ddac820482a6cfc1e84f3e5b2c31e0c"),
 }
 
-# failure reports with transport.assignment_cost off by one
+# failure reports with the assignment optimum off by one
 CORRUPTED = {
     "family-values": "54acf11df48f910d912557d78d77877c48b6ec3b5ec46625c1b3b5a71aa1bf84",
     "edge-properties": "f675fe4c8c9697cf37577c59db5356db292530481a578739594fb875db689b63",
@@ -186,8 +188,7 @@ def test_usage_error_bytes(case):
 
 def test_failure_report_bytes(monkeypatch):
     # pins the Failure text that a ConsistencyError leaves in a report
-    exact = transport.assignment_cost
-    monkeypatch.setattr(transport, "assignment_cost", lambda cost: exact(cost) + 1)
+    corrupt_assignment_optimum(monkeypatch)
     reports = {
         "family-values": check_family_values(),
         "edge-properties": check_edge_properties(

@@ -174,11 +174,11 @@ def test_hungarian_potentials_are_optimal_duals():
     for _ in range(300):
         k = rng.randint(0, 8)
         cost = [[rng.randint(0, 20) for _ in range(k)] for _ in range(k)]
-        row_of, u, v = _hungarian(cost)
+        optimum, row_of, u, v = _hungarian(cost)
         assert sorted(row_of) == list(range(k))
         assert all(cost[i][j] >= u[i] + v[j] for i in range(k) for j in range(k))
         assert all(cost[i][j] == u[i] + v[j] for j, i in enumerate(row_of))
-        assert sum(u) + sum(v) == assignment_cost(cost)
+        assert optimum == sum(u) + sum(v) == sum(cost[i][j] for j, i in enumerate(row_of))
 
 
 def test_assignment_identity_2n1_plus_n2():

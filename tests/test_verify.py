@@ -1,6 +1,5 @@
 import pytest
 
-from orckit import transport
 from orckit.families import cocktail_party, complete, cycle, petersen, torus_grid
 from orckit.verify import (VerificationReport, check_bone_idle_families,
                            check_edge_properties, check_family_values,
@@ -8,6 +7,8 @@ from orckit.verify import (VerificationReport, check_bone_idle_families,
                            check_no_cubic_bone_idle, check_product_formula,
                            check_ric_one_classification, check_rf72, cubic_corpus,
                            default_corpus)
+
+from helpers import corrupt_assignment_optimum
 
 
 def test_main_theorem_small():
@@ -98,8 +99,7 @@ def test_rf72_checker_rejects_wrong_graph():
 def test_corrupted_assignment_caught_by_suites(monkeypatch):
     # an off-by-one in the assignment optimum must surface as failures,
     # not as silently wrong numbers
-    original = transport.assignment_cost
-    monkeypatch.setattr(transport, "assignment_cost", lambda cost: original(cost) + 1)
+    corrupt_assignment_optimum(monkeypatch)
     family_report = check_family_values()
     assert not family_report.passed
     corpus = [("cocktail_party(3)", cocktail_party(3)), ("petersen", petersen())]
