@@ -104,9 +104,10 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     With alpha = p/q and L = lcm(d_x, d_y), both measures become integers
     when scaled by q*L: p*L at the centre and (q-p)*L/d on each neighbor.
     Mass the two share stays in place, and the rest moves from B1(x) to
-    B1(y) by exact min-cost flow over the local distances of _cost_matrix,
-    so no search reaches beyond the two 1-balls. It reads no matrix or
-    solve of the edge context, to stay independent of the assignment route.
+    B1(y) by transport._transport_cost over the local distances of
+    _cost_matrix, so no search reaches beyond the two 1-balls. It reads no
+    matrix or solve of the edge context, to stay independent of the
+    assignment route.
     """
     e = _edge(g, x, y)
     alpha = Fraction(alpha)

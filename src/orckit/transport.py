@@ -9,7 +9,6 @@ computation in this module.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -58,66 +57,6 @@ def validate_measure(g: Graph, mu: Measure) -> None:
         raise ValueError(f"masses sum to {total}, not 1")
 
 
-class _MinCostFlow:
-    """Successive shortest augmenting paths with SPFA label correction.
-
-    Integer capacities and costs only; exact by construction. Small
-    instances (tens of nodes) are all this artifact ever solves.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.arcs: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
-        self.arcs[u].append([v, cap, cost, len(self.arcs[v])])
-        self.arcs[v].append([u, 0, -cost, len(self.arcs[u]) - 1])
-
-    def run(self, s: int, t: int, need: int) -> tuple[int, int]:
-        """Push up to `need` units from s to t; returns (flow, cost)."""
-        arcs = self.arcs
-        sent = 0
-        total_cost = 0
-        while need > 0:
-            dist = [_INT_INF] * self.n
-            prev: list[Optional[tuple[int, list[int]]]] = [None] * self.n
-            in_queue = [False] * self.n
-            dist[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                in_queue[u] = False
-                du = dist[u]
-                for arc in arcs[u]:
-                    if arc[1] > 0:
-                        v = arc[0]
-                        dv = du + arc[2]
-                        if dv < dist[v]:
-                            dist[v] = dv
-                            prev[v] = (u, arc)
-                            if not in_queue[v]:
-                                in_queue[v] = True
-                                queue.append(v)
-            if dist[t] >= _INT_INF:
-                break
-            push = need
-            v = t
-            while v != s:
-                u, arc = prev[v]
-                push = min(push, arc[1])
-                v = u
-            v = t
-            while v != s:
-                u, arc = prev[v]
-                arc[1] -= push
-                arcs[v][arc[3]][1] += push
-                v = u
-            sent += push
-            need -= push
-            total_cost += push * dist[t]
-        return sent, total_cost
-
-
 def _scaled_supplies(masses: dict[int, Fraction], scale: int) -> dict[int, int]:
     out = {}
     for v, m in masses.items():
@@ -132,8 +71,8 @@ def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
 
     Mass shared by both measures stays in place, as it does in some
     optimal plan. The rest is scaled by the common denominator to integer
-    supplies and demands, and the resulting transportation problem is
-    solved by exact integer min-cost flow over hop-distance costs.
+    supplies and demands, and the resulting transportation problem over
+    hop-distance costs is solved exactly by _transport_cost.
     """
     validate_measure(g, mu)
     validate_measure(g, nu)
@@ -170,21 +109,54 @@ def _transport_cost(supply: list[int], demand: list[int],
                     cost: list[list[Optional[int]]]) -> Optional[int]:
     """Minimum cost of moving integer supplies to integer demands of the
     same total, at cost[i][j] per unit from source i to sink j (None: no
-    route), by exact min-cost flow; None when the demand cannot be met."""
-    total = sum(supply)
-    ns = len(supply)
-    n_nodes = ns + len(demand) + 2
-    s, t = n_nodes - 2, n_nodes - 1
-    net = _MinCostFlow(n_nodes)
-    for i, (amount, row) in enumerate(zip(supply, cost)):
-        net.add_arc(s, i, amount, 0)
-        for j, c in enumerate(row):
-            if c is not None:
-                net.add_arc(i, ns + j, total, c)
-    for j, amount in enumerate(demand):
-        net.add_arc(ns + j, t, amount, 0)
-    sent, value = net.run(s, t, total)
-    return value if sent == total else None
+    route); None when the demand cannot be met.
+
+    Successive shortest paths on the table itself: the residual arcs are
+    i -> j at cost[i][j], and j -> i at -cost[i][j] while cell (i, j)
+    carries flow. Each round runs Bellman-Ford from every source with
+    supply left and pushes along a cheapest path to a sink with demand
+    left. Each path is a shortest one, so no negative cycle arises.
+    """
+    supply, demand = list(supply), list(demand)
+    arcs = [[(j, c) for j, c in enumerate(row) if c is not None] for row in cost]
+    flow: dict[tuple[int, int], int] = {}  # only the cells that carry flow
+    value = 0
+    while any(supply):
+        ds = [0 if s else _INT_INF for s in supply]
+        dt = [_INT_INF] * len(demand)
+        via = [-1] * len(supply)  # sink each source is reached back from; -1 at a root
+        src = [-1] * len(demand)  # source each sink is reached from
+        active = {i for i, s in enumerate(supply) if s}
+        while active:
+            for i in active:
+                di = ds[i]
+                for j, c in arcs[i]:
+                    if di + c < dt[j]:
+                        dt[j], src[j] = di + c, i
+            active = set()
+            for i, j in flow:
+                if dt[j] < _INT_INF and dt[j] - cost[i][j] < ds[i]:
+                    ds[i], via[i] = dt[j] - cost[i][j], j
+                    active.add(i)
+        sink = min((j for j, d in enumerate(demand) if d), key=dt.__getitem__, default=None)
+        if sink is None or dt[sink] == _INT_INF:
+            return None
+        path, j = [], sink  # (source, sink it sends to, sink it takes back from)
+        while j >= 0:
+            i = src[j]
+            path.append((i, j, via[i]))
+            j = via[i]
+        push = min(demand[sink], supply[i], *(flow[r, b] for r, _, b in path if b >= 0))
+        supply[i] -= push
+        demand[sink] -= push
+        value += push * dt[sink]
+        for i, j, b in path:
+            flow[i, j] = flow.get((i, j), 0) + push
+            if b >= 0:
+                flow[i, b] -= push
+                if not flow[i, b]:
+                    del flow[i, b]
+    return value
 
 
 def wasserstein1_oracle(g: Graph, mu: Measure, nu: Measure, max_tokens: int = 8) -> Fraction:
@@ -310,14 +282,16 @@ def min_cost_assignment(cost: CostMatrix) -> Assignment:
     continue on the minor without that row and column, whose optimal
     assignments are exactly the completions of that choice."""
     k = _check_square(cost)
-    best = assignment_cost(cost)
+    best, *solve = _hungarian(cost)
     cols = list(range(k))
     sub = cost
     perm = []
     while cols:
-        idx = min(j for i, j in optimal_pair_support(sub) if i == 0)
+        idx = min(j for i, j in _support(sub, *solve) if i == 0)
         perm.append(cols.pop(idx))
         sub = _minor(sub, 0, idx)
+        if cols:
+            solve = _hungarian(sub)[1:]
     result = Assignment(tuple(perm), best)
     assert best == sum(cost[i][result.perm[i]] for i in range(k))
     return result

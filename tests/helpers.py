@@ -59,6 +59,20 @@ def brute_optimal_permutations(cost):
     return [p for p in permutations(range(k)) if sum(cost[i][p[i]] for i in range(k)) == best]
 
 
+def brute_transport_cost(supply, demand, cost):
+    """Cheapest pairing of unit supply tokens with unit demand tokens over
+    every permutation (None entries of cost forbid a pair); None when no
+    pairing avoids them all."""
+    left = [i for i, s in enumerate(supply) for _ in range(s)]
+    right = [j for j, d in enumerate(demand) for _ in range(d)]
+    best = None
+    for perm in set(permutations(right)):
+        pairs = [cost[i][j] for i, j in zip(left, perm)]
+        if None not in pairs and (best is None or sum(pairs) < best):
+            best = sum(pairs)
+    return best
+
+
 def random_connected_graph(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:
     """Random spanning tree plus independent extra edges."""
     verts = list(range(n))

@@ -36,6 +36,20 @@ def test_kappa_alpha_examples():
             kappa_alpha(cycle(6), 0, 1, a)
 
 
+def test_kappa_alpha_at_huge_denominators():
+    # masses of order 1e9 and 1e12 must not multiply the solver's rounds.
+    # The idleness function is linear on [1/(D+1), 1], where it falls to 0,
+    # and on [0, 1/(lcm(d_x, d_y)+1)]; on these edges lcm(d_x, d_y) = D.
+    tiny = F(1, 10 ** 12 + 39)
+    for g in (petersen(), complete_bipartite(4, 4), torus_grid(6, 6), star(4)):
+        for x, y in g.edges():
+            knee = F(1, max(g.degree(x), g.degree(y)) + 1)
+            a = knee + F(1, 10 ** 9 + 7)
+            assert kappa_alpha(g, x, y, a) == kappa_lly(g, x, y) * (1 - a)
+            f0, f1 = kappa_alpha(g, x, y, 0), kappa_alpha(g, x, y, knee)
+            assert kappa_alpha(g, x, y, tiny) == f0 + (f1 - f0) * tiny / knee
+
+
 def test_kappa_lly_closed_forms():
     for n in range(3, 11):
         g = complete(n)

@@ -3,13 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from orckit import transport
 from orckit.families import complete, cycle, path, petersen
 from orckit.graphs import Graph
-from orckit.transport import (Assignment, _hungarian, assignment_cost, forced_assignment_cost,
-                              min_cost_assignment, mu_alpha, optimal_pair_support,
-                              validate_measure, wasserstein1, wasserstein1_oracle)
+from orckit.transport import (Assignment, _hungarian, _transport_cost, assignment_cost,
+                              forced_assignment_cost, min_cost_assignment, mu_alpha,
+                              optimal_pair_support, validate_measure, wasserstein1,
+                              wasserstein1_oracle)
 
-from helpers import (brute_assignment_optimum, brute_optimal_permutations,
+from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_transport_cost,
                      random_connected_graph, random_token_measure)
 
 
@@ -94,6 +96,58 @@ def test_wasserstein_is_metric_on_walk_measures():
             assert wasserstein1(g, mu, nu) == wasserstein1(g, nu, mu)
             assert wasserstein1(g, mu, rho) <= wasserstein1(g, mu, nu) + wasserstein1(g, nu, rho)
             assert (wasserstein1(g, mu, nu) == 0) == (mu == nu)
+
+
+def test_transport_cost_pinned_cases():
+    # the optimum 0 -> 1, 1 -> 0 needs the first greedy unit sent back
+    assert _transport_cost([1, 1], [1, 1], [[1, 2], [1, 9]]) == 3
+    assert _transport_cost([2, 1], [1, 2], [[1, None], [None, 1]]) is None
+    assert _transport_cost([3], [1, 2], [[1, 2]]) == 5
+
+
+def _split(rng, total, parts):
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_transport_cost_matches_token_brute_force():
+    rng = random.Random(53)
+    for _ in range(400):
+        total = rng.randint(1, 7)
+        supply = _split(rng, total, rng.randint(1, min(4, total)))
+        demand = _split(rng, total, rng.randint(1, min(4, total)))
+        cost = [[rng.choice([None, 0, 1, 2, 3, 4]) for _ in demand] for _ in supply]
+        expected = brute_transport_cost(supply, demand, cost)
+        assert _transport_cost(supply, demand, cost) == expected, (supply, demand, cost)
+
+
+def test_transport_cost_matches_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(59)
+    for _ in range(60):
+        supply = [rng.randint(1, 10 ** 6) for _ in range(rng.randint(1, 6))]
+        demand = _split(rng, sum(supply), rng.randint(1, 6))
+        cost = [[rng.randint(1, 3) for _ in demand] for _ in supply]
+        ns, nd = len(supply), len(demand)
+        rows = [[int(k // nd == i) for k in range(ns * nd)] for i in range(ns)]
+        cols = [[int(k % nd == j) for k in range(ns * nd)] for j in range(nd)]
+        lp = optimize.linprog([c for row in cost for c in row], A_eq=rows + cols,
+                              b_eq=supply + demand, bounds=(0, None), method="highs")
+        assert lp.status == 0
+        assert _transport_cost(supply, demand, cost) == round(lp.fun), (supply, demand, cost)
+
+
+def test_min_cost_assignment_solves_each_matrix_once(monkeypatch):
+    # the full matrix once (its optimum and first row together), then
+    # each of the k - 1 minors once
+    solves = []
+    exact = transport._hungarian
+    monkeypatch.setattr(transport, "_hungarian", lambda cost: solves.append(cost) or exact(cost))
+    cost = [[(3 * i + 5 * j) % 4 for j in range(5)] for i in range(5)]
+    result = min_cost_assignment(cost)
+    assert result.cost == brute_assignment_optimum(cost)
+    assert result.perm == min(brute_optimal_permutations(cost))
+    assert [len(m) for m in solves] == [5, 4, 3, 2, 1]
 
 
 def test_assignment_examples():
