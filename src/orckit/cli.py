@@ -114,10 +114,6 @@ def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction]) -> dict
     return row
 
 
-def _worker_record(payload) -> dict:
-    return _record_row(*payload)
-
-
 def _worker_count() -> int:
     """RICCI_THREADS as a positive integer; unset or empty means 1."""
     raw = os.environ.get("RICCI_THREADS", "")
@@ -139,7 +135,7 @@ def _profile_rows(g: Graph, alphas: list[Fraction]) -> list[dict]:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.map(_worker_record, [(g, e, alphas) for e in edges])
+            return pool.starmap(_record_row, [(g, e, alphas) for e in edges])
     return [_record_row(g, e, alphas) for e in edges]
 
 

@@ -12,8 +12,8 @@ call. Disagreement between routes raises ConsistencyError.
 Every quantity of an edge depends on B1(x) and B1(y) alone, where all
 distances are 1, 2 or 3 and follow from adjacency tests, so the work per
 edge does not grow with the size of the graph. Each edge's neighbourhood
-data and its two assignment matrices are built once, and each matrix is
-solved once: one solve gives both C* and the optimal-pair support.
+data, assignment matrices and kappa_alpha values are built once, and each
+matrix is solved once: one solve gives both C* and the optimal-pair support.
 """
 
 from __future__ import annotations
@@ -53,15 +53,17 @@ class _Instance:
 
 
 class _Edge:
-    """The edge x ~ y of g, checked once, with its degrees. The rest is
-    computed once, on first use, so an edge pays only for what its callers
-    read: nxy and the kappa and kappa_0 assignment instances."""
+    """The edge x ~ y of g, checked once, with its degrees and the transport
+    values kappa_alpha solved so far, keyed by (p, q) for alpha = p/q. The
+    rest is computed once, on first use, so an edge pays only for what its
+    callers read: nxy and the kappa and kappa_0 assignment instances."""
 
     def __init__(self, g: Graph, x: int, y: int) -> None:
         if not g.has_edge(x, y):
             raise ValueError(f"({x}, {y}) is not an edge")
         self.g, self.x, self.y = g, x, y
         self.dx, self.dy = len(g.adj[x]), len(g.adj[y])
+        self.kappas: dict[tuple[int, int], Fraction] = {}
 
     @property
     def d(self) -> int:
@@ -105,28 +107,28 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     when scaled by q*L: p*L at the centre and (q-p)*L/d on each neighbor.
     Mass the two share stays in place, and the rest moves from B1(x) to
     B1(y) by transport._transport_cost over the local distances of
-    _cost_matrix, so no search reaches beyond the two 1-balls. It reads no
-    matrix or solve of the edge context, to stay independent of the
-    assignment route.
+    _cost_matrix, so no search reaches beyond the two 1-balls. The edge
+    context keeps each value; it reads no matrix or solve of the assignment
+    route, to stay independent of it.
     """
     e = _edge(g, x, y)
     alpha = Fraction(alpha)
     if not (0 <= alpha <= 1):
         raise ValueError("idleness must lie in [0, 1]")
     p, q = alpha.numerator, alpha.denominator
-    dx, dy = e.dx, e.dy
-    lcm = math.lcm(dx, dy)
-    excess = {x: p * lcm, y: -p * lcm}
-    for w in g.adj[x]:
-        excess[w] = excess.get(w, 0) + (q - p) * lcm // dx
-    for w in g.adj[y]:
-        excess[w] = excess.get(w, 0) - (q - p) * lcm // dy
-    sources = sorted(v for v, m in excess.items() if m > 0)
-    sinks = sorted(v for v, m in excess.items() if m < 0)
-    scale = q * lcm
-    cost = transport._transport_cost([excess[v] for v in sources], [-excess[v] for v in sinks],
-                                     _cost_matrix(g, sources, sinks))
-    return Fraction(scale - cost, scale)
+    if (p, q) not in e.kappas:  # keyed by (p, q): hashing a Fraction costs a modular inverse
+        lcm = math.lcm(e.dx, e.dy)
+        excess = {x: p * lcm, y: -p * lcm}
+        for w in g.adj[x]:
+            excess[w] = excess.get(w, 0) + (q - p) * lcm // e.dx
+        for w in g.adj[y]:
+            excess[w] = excess.get(w, 0) - (q - p) * lcm // e.dy
+        sources = sorted(v for v, m in excess.items() if m > 0)
+        sinks = sorted(v for v, m in excess.items() if m < 0)
+        supply, demand = [excess[v] for v in sources], [-excess[v] for v in sinks]
+        cost = transport._transport_cost(supply, demand, _cost_matrix(g, sources, sinks))
+        e.kappas[p, q] = Fraction(q * lcm - cost, q * lcm)
+    return e.kappas[p, q]
 
 
 def _cost_matrix(g: Graph, left: list[int], right: list[int]) -> transport.CostMatrix:
@@ -172,6 +174,12 @@ def kappa_zero_assignment(g: Graph, x: int, y: int) -> Fraction:
     return Fraction(e.d - e.zero_instance.solution[0], e.d)
 
 
+def _check_routes(name: str, x: int, y: int, value: Fraction, alt: Fraction) -> None:
+    if alt != value:
+        raise ConsistencyError(
+            f"{name}({x},{y}): transport route {value} != assignment route {alt}")
+
+
 def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     """Lin-Lu-Yau curvature: the idleness function is linear on
     [1/(D+1), 1] with endpoint value 0, so kappa equals
@@ -184,10 +192,7 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     a = Fraction(1, max(e.dx, e.dy) + 1)
     value = kappa_alpha(g, x, y, a) / (1 - a)
     if e.dx == e.dy:
-        alt = kappa_lly_assignment(g, x, y)
-        if alt != value:
-            raise ConsistencyError(
-                f"kappa({x},{y}): transport route {value} != assignment route {alt}")
+        _check_routes("kappa", x, y, value, kappa_lly_assignment(g, x, y))
     return value
 
 
@@ -197,10 +202,7 @@ def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
     e = _edge(g, x, y)
     value = kappa_alpha(g, x, y, Fraction(0))
     if e.dx == e.dy:
-        alt = kappa_zero_assignment(g, x, y)
-        if alt != value:
-            raise ConsistencyError(
-                f"kappa_0({x},{y}): transport route {value} != assignment route {alt}")
+        _check_routes("kappa_0", x, y, value, kappa_zero_assignment(g, x, y))
     return value
 
 
@@ -340,37 +342,35 @@ _PROBE_BUDGET = 64
 
 
 def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
-    """Exact reconstruction of alpha -> kappa_alpha(x, y).
+    """Exact reconstruction of alpha -> kappa_alpha(x, y), from kappa_0 at 0.
 
     The function is concave and piecewise linear with at most 3 parts, and
     is linear on [1/(D+1), 1] with slope -kappa. For a concave piecewise
     linear f, f((a+b)/2) == (f(a)+f(b))/2 certifies linearity on all of
     [a, b], so bisection on rational midpoints pins each remaining slope
-    down exactly; breakpoints then fall out as line intersections. Every
-    reconstructed breakpoint value is re-checked against a direct
-    evaluation. More than 64 evaluations would contradict the 3-piece
-    structure and raises ConsistencyError.
+    down exactly, the first from 1/(lcm(d_x, d_y) + 1) (arXiv:1704.04398);
+    breakpoints then fall out as line intersections. Every reconstructed
+    breakpoint value is re-checked against a direct evaluation. More than
+    64 new evaluations would contradict the 3-piece structure and raises
+    ConsistencyError.
     """
     e = _edge(g, x, y)
+    limit = len(e.kappas) + _PROBE_BUDGET
     a_star = Fraction(1, max(e.dx, e.dy) + 1)
-    kap = kappa_lly(g, x, y)
-    cache = {a_star: kap * (1 - a_star)}  # kappa is kappa_alpha(a_star) / (1 - a_star)
+    kap, f0 = kappa_lly(g, x, y), kappa_zero(g, x, y)
 
     def f(a: Fraction) -> Fraction:
-        if a not in cache:
-            if len(cache) >= _PROBE_BUDGET:
-                raise ConsistencyError(f"idleness_function({x},{y}) did not stabilize "
-                                       f"within {_PROBE_BUDGET} evaluations")
-            cache[a] = kappa_alpha(g, x, y, a)
-        return cache[a]
+        value = kappa_alpha(g, x, y, a)
+        if len(e.kappas) > limit:
+            raise ConsistencyError(f"idleness_function({x},{y}) did not stabilize "
+                                   f"within {_PROBE_BUDGET} evaluations")
+        return value
 
     def linear_on(a: Fraction, b: Fraction) -> bool:
         return 2 * f((a + b) / 2) == f(a) + f(b)
 
     zero, one = Fraction(0), Fraction(1)
-    f0 = f(zero)
-
-    h = a_star
+    h = Fraction(1, math.lcm(e.dx, e.dy) + 1)
     while not linear_on(zero, h):
         h /= 2
     s1 = (f(h) - f0) / h

@@ -9,7 +9,7 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, cartesian_product, check_size
+from .graphs import Graph, check_size
 
 
 def complete(n: int) -> Graph:
@@ -49,15 +49,12 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 
 def hypercube(k: int) -> Graph:
-    """k-dimensional cube, built as an iterated box product with K_2."""
+    """k-dimensional cube on the bit strings 0..2^k - 1: v ~ v ^ (1 << b)."""
     if k < 1:
         raise ValueError("hypercube(k) requires k >= 1")
     n = 2 ** min(k, 64)  # 2**64 is past both limits, and 2**k for huge k is slow to build
     check_size(f"hypercube({k})", n, k * n // 2)
-    g = complete(2)
-    for _ in range(k - 1):
-        g = cartesian_product(g, complete(2))
-    return g
+    return Graph(n, [(v, v ^ (1 << b)) for v in range(n) for b in range(k) if not v >> b & 1])
 
 
 def cocktail_party(k: int) -> Graph:

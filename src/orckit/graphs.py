@@ -125,7 +125,7 @@ def common_neighbors(g: Graph, x: int, y: int) -> set[int]:
     g.check_vertex(y)
     if x == y:
         raise ValueError("common_neighbors requires two distinct vertices")
-    return set(g.adj[x]) & set(g.adj[y])
+    return set(g.adj[x]).intersection(g.adj[y])
 
 
 def min_degree(g: Graph) -> int:

@@ -22,7 +22,8 @@ from .families import (bi_antiprism, cocktail_party, complete, complete_bipartit
                        klein_bottle, near_cocktail, path, petersen, random_regular, star,
                        torus_grid, twisted_torus)
 from .formats import write_graph6
-from .graphs import Graph, cartesian_product, diameter, is_connected, is_regular, min_degree
+from .graphs import (Graph, cartesian_product, common_neighbors, diameter, is_connected,
+                     is_regular, min_degree)
 
 
 @dataclass(frozen=True)
@@ -114,18 +115,15 @@ class _Guard:
         return self.failed
 
 
+def _kappa_bound(g: Graph, x: int, y: int) -> Fraction:
+    """Upper bound (|Nxy| + 2)/max(d_x, d_y) on kappa of the edge x ~ y."""
+    return Fraction(len(common_neighbors(g, x, y)) + 2, max(len(g.adj[x]), len(g.adj[y])))
+
+
 def _min_edge_kappa_at_least_one(g: Graph) -> bool:
     """Whether every edge has kappa >= 1, scanning likely witnesses first
-    (the upper bound (|Nxy|+2)/max degree orders edges by how close they
-    can come to 1)."""
-    edges = g.edges()
-
-    def bound(e):
-        x, y = e
-        nxy = len(set(g.adj[x]) & set(g.adj[y]))
-        return Fraction(nxy + 2, max(len(g.adj[x]), len(g.adj[y])))
-
-    for x, y in sorted(edges, key=bound):
+    (the upper bound orders edges by how close they can come to 1)."""
+    for x, y in sorted(g.edges(), key=lambda e: _kappa_bound(g, *e)):
         if curvature.kappa_lly(g, x, y) < 1:
             return False
     return True
@@ -419,10 +417,8 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
                 continue
             if min_kappa is None or k < min_kappa:
                 min_kappa = k
-            edge = curvature._edge(g, x, y)  # the context both routes just used
-            dx, dy, nxy = edge.dx, edge.dy, edge.nxy
-            run.check(label, (x, y), "upper-bound", True,
-                      k <= Fraction(nxy + 2, max(dx, dy)))
+            dx, dy = len(g.adj[x]), len(g.adj[y])
+            run.check(label, (x, y), "upper-bound", True, k <= _kappa_bound(g, x, y))
             if dx == dy:
                 with run.guard(label, (x, y), "gap-formula") as closed_form:
                     gap, supsup = curvature.gap_formula(g, x, y)
@@ -434,14 +430,15 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
                     run.check(label, (x, y), "supsup-range", True, supsup in (1, 2, 3))
                 run.check(label, (x, y), "equality-condition",
                           k == k0, curvature.equality_holds(g, x, y))
-                if k < -1 + Fraction(2 * nxy + 3, dx):
+                if k < -1 + Fraction(2 * len(common_neighbors(g, x, y)) + 3, dx):
                     run.check(label, (x, y), "sufficient-equality", k, k0)
                 ls = curvature.local_structure(g, x, y)
                 run.check(label, (x, y), "bone-idle-local",
                           k == 0 and k0 == 0, ls.bone_idle)
                 if ls.k <= 5:
+                    cost = curvature.assignment_instance(g, x, y)[2]
                     for perm in permutations(range(ls.k)):
-                        dists = [edge.instance.cost[i][perm[i]] for i in range(ls.k)]
+                        dists = [cost[i][perm[i]] for i in range(ls.k)]
                         if sum(dists) == ls.optimal_cost:
                             run.check(label, (x, y), "assignment-identity",
                                       ls.two_n1_plus_n2, 2 * dists.count(1) + dists.count(2))

@@ -448,6 +448,40 @@ def test_edge_context_memo_keeps_edge_orientation():
                (assignment_instance(g, x, y) for x, y in g.edges()))
 
 
+def test_edge_context_memo_keeps_transport_values(monkeypatch):
+    # kappa_alpha values are kept per edge context: the same graph object
+    # and orientation reuse them, an equal twin or the reversed edge solve
+    # again, so a faulty transport solve is caught by the assignment route.
+    g = petersen()
+    x, y = g.edges()[0]
+    record = edge_record(g, x, y)
+    exact = transport._transport_cost
+    monkeypatch.setattr(transport, "_transport_cost", lambda *args: exact(*args) + 1)
+    assert (kappa_lly(g, x, y), kappa_zero(g, x, y)) == (record.kappa_lly, record.kappa0)
+    twin = Graph(g.n, g.edges())
+    assert twin == g and twin is not g
+    with pytest.raises(ConsistencyError, match=r"kappa\("):
+        kappa_lly(twin, x, y)
+    with pytest.raises(ConsistencyError, match=r"kappa_0\("):
+        kappa_zero(g, y, x)
+
+
+def test_idleness_after_edge_record_solves_once(monkeypatch):
+    # edge_record leaves kappa and kappa_0 in the edge context, so on an
+    # equal-degree edge the idleness function needs only the midpoint of
+    # its first piece: one transport solve.
+    solves = []
+    exact = transport._transport_cost
+    monkeypatch.setattr(transport, "_transport_cost",
+                        lambda *args: solves.append(args) or exact(*args))
+    for g in (petersen(), torus_grid(6, 6), complete_bipartite(4, 4)):
+        for x, y in _equal_degree_edges(g):
+            edge_record(g, x, y)
+            solves.clear()
+            idleness_function(g, x, y)
+            assert len(solves) == 1, (g, x, y)
+
+
 def test_assignment_instances_are_copies():
     g = torus_grid(6, 6)
     for instance in (assignment_instance, zero_assignment_instance):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,25 @@ def test_three_segment_reconstruction():
         for p in range(q + 1):
             a = F(p, q)
             assert fn.value_at(a) == kappa_alpha(g, 0, 2, a)
+
+
+def test_three_segment_reconstruction_on_random_graphs():
+    # Seeded irregular G(n, p) graphs reach the three-piece branch. Each
+    # reconstruction is compared on a rational grid with kappa_alpha on an
+    # equal twin graph, whose edge contexts hold none of its values.
+    rng = random.Random(1704)
+    grid = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1)})
+    segments = set()
+    for _ in range(12):
+        n = rng.randint(5, 9)
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.45])
+        twin = Graph(g.n, g.edges())
+        for x, y in g.edges():
+            fn = idleness_function(g, x, y)
+            segments.add(fn.segments)
+            for a in grid:
+                assert fn.value_at(a) == kappa_alpha(twin, x, y, a), (g.edges(), x, y, a)
+    assert 3 in segments
 
 
 def test_shape_properties_on_sample():
