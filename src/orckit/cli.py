@@ -29,7 +29,10 @@ def rational_str(value: Fraction) -> str:
 
 
 def _parse_alpha(text: str) -> Fraction:
-    a = Fraction(text)
+    try:
+        a = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"alpha {text} has a zero denominator") from None
     if not (0 <= a <= 1):
         raise ValueError(f"alpha {text} outside [0, 1]")
     return a

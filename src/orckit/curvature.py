@@ -12,8 +12,9 @@ call. Disagreement between routes raises ConsistencyError.
 Every quantity of an edge depends on B1(x) and B1(y) alone, where all
 distances are 1, 2 or 3 and follow from adjacency tests, so the work per
 edge does not grow with the size of the graph. Each edge's neighbourhood
-data, assignment matrices and kappa_alpha values are built once, and each
-matrix is solved once: one solve gives both C* and the optimal-pair support.
+data, transport table, assignment matrices and kappa_alpha values are built
+once: the one transport table serves every idleness, and each assignment
+matrix is solved once, which gives both C* and the optimal-pair support.
 """
 
 from __future__ import annotations
@@ -53,16 +54,18 @@ class _Instance:
 
 
 class _Edge:
-    """The edge x ~ y of g, checked once, with its degrees and the transport
-    values kappa_alpha solved so far, keyed by (p, q) for alpha = p/q. The
-    rest is computed once, on first use, so an edge pays only for what its
-    callers read: nxy and the kappa and kappa_0 assignment instances."""
+    """The edge x ~ y of g, checked once, with its degrees, L = lcm(d_x, d_y)
+    and the transport values kappa_alpha solved so far, keyed by (p, q) for
+    alpha = p/q. The rest is computed once, on first use, so an edge pays
+    only for what its callers read: the transport table, nxy and the kappa
+    and kappa_0 assignment instances."""
 
     def __init__(self, g: Graph, x: int, y: int) -> None:
         if not g.has_edge(x, y):
             raise ValueError(f"({x}, {y}) is not an edge")
         self.g, self.x, self.y = g, x, y
         self.dx, self.dy = len(g.adj[x]), len(g.adj[y])
+        self.lcm = math.lcm(self.dx, self.dy)
         self.kappas: dict[tuple[int, int], Fraction] = {}
 
     @property
@@ -75,6 +78,30 @@ class _Edge:
     @cached_property
     def nxy(self) -> int:
         return len(set(self.g.adj[self.x]).intersection(self.g.adj[self.y]))
+
+    @cached_property
+    def table(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], transport.CostMatrix]:
+        """The transport table of every alpha: (send, take, cost).
+
+        Each vertex v of B1(x) | B1(y) gets an integer pair (a_v, b_v): a_v
+        from the centre masses (+L at x, -L at y), b_v from the neighbour
+        shares (+L/d_x on N(x), -L/d_y on N(y)). At alpha = p/q its excess
+        mu_x^alpha - mu_y^alpha, scaled by q*L, is p*a_v + (q-p)*b_v. `send`
+        holds the pairs of the vertices that can have positive excess, all
+        in B1(x); `take` those that can have negative excess, all in B1(y);
+        cost[i][j] is the distance between the i-th and the j-th of them.
+        x and y may lie in both lists, but at any one alpha no vertex both
+        sends and takes."""
+        g, x, y, lcm = self.g, self.x, self.y, self.lcm
+        pairs = {x: [lcm, 0], y: [-lcm, 0]}
+        for w in g.adj[x]:
+            pairs.setdefault(w, [0, 0])[1] += lcm // self.dx
+        for w in g.adj[y]:
+            pairs.setdefault(w, [0, 0])[1] -= lcm // self.dy
+        send = sorted(v for v, (a, b) in pairs.items() if a > 0 or b > 0)
+        take = sorted(v for v, (a, b) in pairs.items() if a < 0 or b < 0)
+        return ([tuple(pairs[v]) for v in send], [tuple(pairs[v]) for v in take],
+                _cost_matrix(g, send, take))
 
     @cached_property
     def instance(self) -> _Instance:  # S1(x)\B1(y) -> S1(y)\B1(x)
@@ -106,44 +133,49 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     With alpha = p/q and L = lcm(d_x, d_y), both measures become integers
     when scaled by q*L: p*L at the centre and (q-p)*L/d on each neighbor.
     Mass the two share stays in place, and the rest moves from B1(x) to
-    B1(y) by transport._transport_cost over the local distances of
-    _cost_matrix, so no search reaches beyond the two 1-balls. The edge
-    context keeps each value; it reads no matrix or solve of the assignment
-    route, to stay independent of it.
+    B1(y) by transport._transport_cost. The supplies and demands are
+    p*a_v + (q-p)*b_v from the edge's transport table (_Edge.table), whose
+    rows and columns with positive supply and demand are sliced out, so the
+    table's distances are built once per edge and serve every alpha. The
+    edge context keeps each value; it reads no matrix or solve of the
+    assignment route, to stay independent of it.
     """
     e = _edge(g, x, y)
     alpha = Fraction(alpha)
-    if not (0 <= alpha <= 1):
-        raise ValueError("idleness must lie in [0, 1]")
     p, q = alpha.numerator, alpha.denominator
+    if not (0 <= p <= q):
+        raise ValueError("idleness must lie in [0, 1]")
     if (p, q) not in e.kappas:  # keyed by (p, q): hashing a Fraction costs a modular inverse
-        lcm = math.lcm(e.dx, e.dy)
-        excess = {x: p * lcm, y: -p * lcm}
-        for w in g.adj[x]:
-            excess[w] = excess.get(w, 0) + (q - p) * lcm // e.dx
-        for w in g.adj[y]:
-            excess[w] = excess.get(w, 0) - (q - p) * lcm // e.dy
-        sources = sorted(v for v, m in excess.items() if m > 0)
-        sinks = sorted(v for v, m in excess.items() if m < 0)
-        supply, demand = [excess[v] for v in sources], [-excess[v] for v in sinks]
-        cost = transport._transport_cost(supply, demand, _cost_matrix(g, sources, sinks))
-        e.kappas[p, q] = Fraction(q * lcm - cost, q * lcm)
+        send, take, table = e.table
+        r = q - p
+        supply, rows = [], []
+        for (a, b), row in zip(send, table):
+            if (m := p * a + r * b) > 0:
+                supply.append(m)
+                rows.append(row)
+        demand, cols = [], []
+        for j, (a, b) in enumerate(take):
+            if (m := p * a + r * b) < 0:
+                demand.append(-m)
+                cols.append(j)
+        cost = transport._transport_cost(supply, demand, [[row[j] for j in cols] for row in rows])
+        e.kappas[p, q] = Fraction(q * e.lcm - cost, q * e.lcm)
     return e.kappas[p, q]
 
 
 def _cost_matrix(g: Graph, left: list[int], right: list[int]) -> transport.CostMatrix:
-    """Hop distances from vertices of B1(x) to vertices of B1(y), x ~ y,
-    for disjoint `left` and `right`.
+    """Hop distances from vertices `left` of B1(x) to vertices `right` of
+    B1(y), x ~ y; the two lists may share vertices.
 
     Such a distance is at most 3 (z - x - y - w), so adjacency tests decide
-    it: 1 for adjacent vertices, 2 for vertices with a common neighbor, 3
-    otherwise. Every entry is in {1, 2, 3} by construction, and no search
-    leaves the two 1-balls.
+    it: 0 for z == w, 1 for adjacent vertices, 2 for vertices with a common
+    neighbor, 3 otherwise. No search leaves the two 1-balls.
     """
     rows = []
     for z in left:
         nz = set(g.adj[z])
-        rows.append([1 if w in nz else 3 if nz.isdisjoint(g.adj[w]) else 2 for w in right])
+        rows.append([0 if w == z else 1 if w in nz else 3 if nz.isdisjoint(g.adj[w]) else 2
+                     for w in right])
     return rows
 
 
@@ -311,16 +343,16 @@ class PiecewiseLinearFn:
             raise ValueError("breakpoints must strictly increase")
         if len(bp) - 1 > 3:
             raise ConsistencyError("more than 3 linear segments")
-        slopes = self.slopes()
+        slopes = tuple((v2 - v1) / (b2 - b1)
+                       for b1, b2, v1, v2 in zip(bp, bp[1:], vals, vals[1:]))
         if any(s1 <= s2 for s1, s2 in zip(slopes, slopes[1:])):
             raise ConsistencyError("segments not strictly concave")
         if vals[-1] != 0:
             raise ConsistencyError("value at idleness 1 must be 0")
+        object.__setattr__(self, "_slopes", slopes)  # not a field: equality and repr ignore it
 
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple((v2 - v1) / (b2 - b1)
-                     for b1, b2, v1, v2 in zip(self.breakpoints, self.breakpoints[1:],
-                                               self.values, self.values[1:]))
+        return self._slopes
 
     @property
     def segments(self) -> int:
@@ -328,13 +360,12 @@ class PiecewiseLinearFn:
 
     def value_at(self, alpha) -> Fraction:
         alpha = Fraction(alpha)
-        if not (0 <= alpha <= 1):
+        if not (0 <= alpha.numerator <= alpha.denominator):
             raise ValueError("alpha outside [0, 1]")
-        bp, vals = self.breakpoints, self.values
+        bp = self.breakpoints
         for i in range(len(bp) - 1):
             if alpha <= bp[i + 1]:
-                t = (alpha - bp[i]) / (bp[i + 1] - bp[i])
-                return vals[i] + t * (vals[i + 1] - vals[i])
+                return self.values[i] + self._slopes[i] * (alpha - bp[i])
         raise AssertionError("unreachable")
 
 
@@ -370,7 +401,7 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
         return 2 * f((a + b) / 2) == f(a) + f(b)
 
     zero, one = Fraction(0), Fraction(1)
-    h = Fraction(1, math.lcm(e.dx, e.dy) + 1)
+    h = Fraction(1, e.lcm + 1)
     while not linear_on(zero, h):
         h /= 2
     s1 = (f(h) - f0) / h

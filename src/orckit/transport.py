@@ -108,19 +108,31 @@ def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
 def _transport_cost(supply: list[int], demand: list[int],
                     cost: list[list[Optional[int]]]) -> Optional[int]:
     """Minimum cost of moving integer supplies to integer demands of the
-    same total, at cost[i][j] per unit from source i to sink j (None: no
-    route); None when the demand cannot be met.
+    same total, at cost[i][j] >= 0 per unit from source i to sink j (None:
+    no route); None when the demand cannot be met.
 
     Successive shortest paths on the table itself: the residual arcs are
     i -> j at cost[i][j], and j -> i at -cost[i][j] while cell (i, j)
-    carries flow. Each round runs Bellman-Ford from every source with
-    supply left and pushes along a cheapest path to a sink with demand
-    left. Each path is a shortest one, so no negative cycle arises.
+    carries flow. The flow starts as a greedy fill of every cell whose cost
+    is the table's least entry c. Any flow of value F costs at least F*c,
+    so this one is min-cost for its value, which is the invariant the
+    shortest paths keep. Each round then runs Bellman-Ford from every
+    source with supply left and pushes along a cheapest path to a sink with
+    demand left, undoing greedy units through the backward arcs where the
+    optimum needs it. Each path is a shortest one, so no negative cycle
+    arises.
     """
     supply, demand = list(supply), list(demand)
     arcs = [[(j, c) for j, c in enumerate(row) if c is not None] for row in cost]
+    least = min((c for row in arcs for _, c in row), default=0)
     flow: dict[tuple[int, int], int] = {}  # only the cells that carry flow
-    value = 0
+    for i, row in enumerate(arcs):
+        for j, c in row:
+            if c == least and supply[i] and demand[j]:
+                flow[i, j] = push = min(supply[i], demand[j])
+                supply[i] -= push
+                demand[j] -= push
+    value = least * sum(flow.values())
     while any(supply):
         ds = [0 if s else _INT_INF for s in supply]
         dt = [_INT_INF] * len(demand)

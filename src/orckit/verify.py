@@ -8,6 +8,7 @@ seed parameters, so reports are reproducible run to run.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -403,7 +404,8 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
     """Every per-edge invariant over the corpus: route agreement, the gap
     formula and its range, the upper curvature bound, the equality
     condition and its sufficient condition, the assignment identity
-    2*N1 + N2 = 3k - C*, the idleness function shape, and the diameter
+    2*N1 + N2 = 3k - C*, the idleness function shape (its first piece
+    reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398), and the diameter
     bound on positively curved graphs."""
     run = _Run("edge-properties")
     for label, g in (corpus if corpus is not None else default_corpus()):
@@ -455,6 +457,8 @@ def check_edge_properties(corpus=None, probes: int = 16) -> VerificationReport:
             run.check(label, (x, y), "idleness-last-slope", -k, slopes[-1])
             run.check(label, (x, y), "idleness-last-piece-start", True,
                       fn.breakpoints[-2] <= a_star)
+            run.check(label, (x, y), "idleness-first-piece", True,
+                      fn.breakpoints[1] >= Fraction(1, math.lcm(dx, dy) + 1))
             for a in _probe_alphas(label, x, y, probes):
                 run.check(label, (x, y), "idleness-probe",
                           curvature.kappa_alpha(g, x, y, a), fn.value_at(a))

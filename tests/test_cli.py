@@ -138,6 +138,22 @@ def test_curvature_parse_failure_exits_2(tmp_path, capsys):
     assert code == 2 and "error" in stderr
 
 
+def test_curvature_bad_alpha_exits_2(tmp_path):
+    # run as a child, so an uncaught exception shows as a traceback on stderr
+    graph_file = tmp_path / "k3.g6"
+    graph_file.write_text(write_graph6(complete(3)))
+    import_root = str(Path(orckit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
+    for bad in ("1/0", "abc", "3/2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orckit.cli", "curvature", str(graph_file), "--alpha", bad],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 2 and proc.stdout == "", (bad, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and bad in lines[0]
+
+
 def test_curvature_oversized_edge_list_exits_2(tmp_path, capsys, monkeypatch):
     def no_graph(n, edges):
         raise AssertionError("an oversized edge list reached Graph")

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -265,6 +265,31 @@ def test_local_distances_match_bfs_oracle():
     assert unequal and triangles
 
 
+def test_kappa_alpha_matches_wasserstein_on_unequal_degree_edges():
+    # On an unequal-degree edge, x and y sit among both the senders and the
+    # takers of the transport table; the excess at x is zero at 1/(d_y+1)
+    # and the excess at y at 1/(d_x+1). Each orientation gets a fresh graph
+    # object, so its table is built anew and then serves every alpha.
+    rng = random.Random(1704)
+    grid = {F(p, q) for q in range(1, 13) for p in range(q + 1)}
+    checked = 0
+    for _ in range(12):
+        n = rng.randint(5, 9)
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.45]
+        g = Graph(n, edges)
+        for u, v in g.edges():
+            if g.degree(u) == g.degree(v):
+                continue
+            for x, y in ((u, v), (v, u)):
+                fresh = Graph(n, edges)
+                alphas = grid | {F(1, g.degree(x) + 1), F(1, g.degree(y) + 1)}
+                for a in sorted(alphas):
+                    w1 = wasserstein1(g, mu_alpha(g, x, a), mu_alpha(g, y, a))
+                    assert kappa_alpha(fresh, x, y, a) == 1 - w1, (edges, x, y, a)
+                checked += 1
+    assert checked >= 50, checked
+
+
 def test_per_edge_work_runs_no_graph_search(monkeypatch):
     # Every per-edge quantity depends on B1(x) and B1(y) alone; with the
     # graph-wide BFS disabled wherever it is bound, the profile and the
@@ -380,6 +405,23 @@ def test_one_hungarian_solve_per_matrix(monkeypatch):
         solves.clear()
         assert check_edge_properties([("g", build())]).passed
         assert 0 < len(solves) <= 2 * len(edges)
+
+
+def test_cost_matrix_built_at_most_three_times_per_edge(monkeypatch):
+    # One transport table per edge serves every alpha; an equal-degree edge
+    # adds its two assignment matrices.
+    calls = []
+    exact = curvature._cost_matrix
+    monkeypatch.setattr(curvature, "_cost_matrix",
+                        lambda g, left, right: calls.append(left) or exact(g, left, right))
+    corpus = [("petersen", petersen()), ("star(4)", star(4)), ("path(5)", path(5)),
+              ("near_cocktail(7)", near_cocktail(7)),
+              ("three-piece", Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]))]
+    report = check_edge_properties(corpus)
+    assert report.passed
+    equal = sum(len(_equal_degree_edges(g)) for _, g in corpus)
+    assert report.instances > equal > 0
+    assert len(calls) == report.instances + 2 * equal <= 3 * report.instances
 
 
 def test_every_cross_check_calls_its_assignment_route(monkeypatch):

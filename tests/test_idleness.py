@@ -84,6 +84,29 @@ def test_random_probes_match_direct_evaluation():
             assert fn.value_at(a) == kappa_alpha(g, x, y, a)
 
 
+def _interpolate(fn, a):
+    """fn at a by the position t of a within its segment."""
+    bp, vals = fn.breakpoints, fn.values
+    i = next(i for i in range(fn.segments) if a <= bp[i + 1])
+    t = (a - bp[i]) / (bp[i + 1] - bp[i])
+    return vals[i] + t * (vals[i + 1] - vals[i])
+
+
+def test_value_at_matches_interpolation():
+    rng = random.Random(29)
+    three = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+    fns = [idleness_function(g, *g.edges()[0]) for g in (cycle(6), cycle(5), petersen(), star(4))]
+    fns.append(idleness_function(three, 0, 2))
+    assert {fn.segments for fn in fns} == {1, 2, 3}
+    for fn in fns:
+        for a in fn.breakpoints:
+            assert fn.value_at(a) == _interpolate(fn, a) == fn.values[fn.breakpoints.index(a)]
+        for _ in range(200):
+            q = rng.randint(1, 10 ** rng.randint(1, 12))
+            a = F(rng.randint(0, q), q)
+            assert fn.value_at(a) == _interpolate(fn, a), (fn, a)
+
+
 def test_non_edge_rejected():
     with pytest.raises(ValueError):
         idleness_function(cycle(6), 0, 2)

@@ -110,15 +110,48 @@ def _split(rng, total, parts):
     return [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
+def _greedy_start(supply, demand, cost):
+    """The solver's starting flow: every cell at the table's least entry
+    filled in row-major order. Returns its cost and what it leaves of the
+    supply and the demand."""
+    supply, demand = list(supply), list(demand)
+    least = min((c for row in cost for c in row if c is not None), default=0)
+    filled = 0
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
+            if c == least:
+                push = min(supply[i], demand[j])
+                supply[i] -= push
+                demand[j] -= push
+                filled += push * c
+    return filled, supply, demand
+
+
 def test_transport_cost_matches_token_brute_force():
+    # The solver starts from a greedy fill of the table's least-cost cells.
+    # Three kinds of table: least entry 0, no entry below 2, and cheap cells
+    # that tempt the fill where the optimum must send some of it back
+    # through a backward arc. None entries make some instances infeasible.
     rng = random.Random(53)
-    for _ in range(400):
-        total = rng.randint(1, 7)
-        supply = _split(rng, total, rng.randint(1, min(4, total)))
-        demand = _split(rng, total, rng.randint(1, min(4, total)))
-        cost = [[rng.choice([None, 0, 1, 2, 3, 4]) for _ in demand] for _ in supply]
-        expected = brute_transport_cost(supply, demand, cost)
-        assert _transport_cost(supply, demand, cost) == expected, (supply, demand, cost)
+    undone = infeasible = 0
+    for kind, entries in (("least-zero", [None, 0, 1, 2, 3, 4]),
+                          ("no-entry-below-2", [None, 2, 3, 4, 5]),
+                          ("greedy-undone", [None, 1, 1, 2, 3, 9])):
+        for _ in range(300):
+            total = rng.randint(1, 7)
+            supply = _split(rng, total, rng.randint(1, min(4, total)))
+            demand = _split(rng, total, rng.randint(1, min(4, total)))
+            cost = [[rng.choice(entries) for _ in demand] for _ in supply]
+            if kind == "least-zero":
+                cost[rng.randrange(len(supply))][rng.randrange(len(demand))] = 0
+            expected = brute_transport_cost(supply, demand, cost)
+            assert _transport_cost(supply, demand, cost) == expected, (kind, supply, demand, cost)
+            infeasible += expected is None
+            if kind == "greedy-undone" and expected is not None:
+                filled, rest_supply, rest_demand = _greedy_start(supply, demand, cost)
+                rest = brute_transport_cost(rest_supply, rest_demand, cost)
+                undone += rest is None or filled + rest > expected
+    assert undone >= 20 and infeasible >= 20, (undone, infeasible)
 
 
 def test_transport_cost_matches_linprog():

@@ -1,6 +1,10 @@
+from fractions import Fraction as F
+
 import pytest
 
-from orckit.families import cocktail_party, complete, cycle, petersen, torus_grid
+from orckit import curvature
+from orckit.curvature import PiecewiseLinearFn
+from orckit.families import cocktail_party, complete, cycle, path, petersen, torus_grid
 from orckit.verify import (VerificationReport, check_bone_idle_families,
                            check_edge_properties, check_family_values,
                            check_girth5_bone_idle, check_main_theorem,
@@ -67,6 +71,19 @@ def test_edge_properties_small_corpus():
     report = check_edge_properties(corpus)
     assert report.passed
     assert report.instances == sum(g.edge_count for _, g in corpus)
+
+
+def test_edge_properties_checks_the_first_idleness_piece(monkeypatch):
+    # K2 has lcm(d_x, d_y) = 1, so its first piece must reach 1/2. This
+    # function keeps kappa_0 = 0, the last piece from 1/2 and its slope
+    # -kappa = -2, but breaks at 1/4; without probes only the first-piece
+    # check sees it.
+    corpus = [("path(2)", path(2))]
+    assert check_edge_properties(corpus).passed
+    early = PiecewiseLinearFn((F(0), F(1, 4), F(1, 2), F(1)), (F(0), F(3, 4), F(1), F(0)))
+    monkeypatch.setattr(curvature, "idleness_function", lambda g, x, y: early)
+    report = check_edge_properties(corpus, probes=0)
+    assert [(f.edge, f.check) for f in report.failures] == [((0, 1), "idleness-first-piece")]
 
 
 def test_default_corpus_shape():
