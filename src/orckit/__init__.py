@@ -9,19 +9,17 @@ from .curvature import (ConsistencyError, EdgeCurvatureRecord, LocalStructure,
 from .graphs import (Graph, INFINITY, ball, cartesian_product, common_neighbors,
                      diameter, distance, girth, is_connected, is_regular,
                      min_degree, sphere)
-from .transport import (Assignment, min_cost_assignment, mu_alpha,
-                        optimal_pair_support, wasserstein1, wasserstein1_oracle)
+from .transport import mu_alpha, optimal_pair_support, wasserstein1
 
 __all__ = [
-    "Assignment", "ConsistencyError", "EdgeCurvatureRecord", "Graph", "INFINITY",
+    "ConsistencyError", "EdgeCurvatureRecord", "Graph", "INFINITY",
     "LocalStructure", "PiecewiseLinearFn", "ball", "cartesian_product",
     "common_neighbors", "curvature_gap", "curvature_profile", "diameter",
     "distance", "equality_holds", "girth", "idleness_function", "is_bone_idle",
     "is_bone_idle_edge", "is_connected", "is_regular", "is_ricci_flat",
     "is_zero_ricci_flat", "kappa_alpha", "kappa_lly", "kappa_lly_assignment",
-    "kappa_zero", "kappa_zero_assignment", "local_structure", "min_cost_assignment",
-    "min_degree", "mu_alpha", "optimal_pair_support", "sphere", "wasserstein1",
-    "wasserstein1_oracle",
+    "kappa_zero", "kappa_zero_assignment", "local_structure", "min_degree",
+    "mu_alpha", "optimal_pair_support", "sphere", "wasserstein1",
 ]
 
 __version__ = "0.1.0"

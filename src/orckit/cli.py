@@ -28,7 +28,18 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# longest --alpha value accepted: room for p/q with 31 digits on each side
+_ALPHA_MAX_CHARS = 64
+
+
 def _parse_alpha(text: str) -> Fraction:
+    """One --alpha value as a Fraction in [0, 1]. Text with an exponent or
+    longer than _ALPHA_MAX_CHARS is refused before Fraction parses it, so
+    hostile input cannot build a huge integer."""
+    if len(text) > _ALPHA_MAX_CHARS or "e" in text.lower():
+        shown = text if len(text) <= _ALPHA_MAX_CHARS else text[:_ALPHA_MAX_CHARS] + "..."
+        raise ValueError(f"alpha {shown} must be p/q or a decimal of at most "
+                         f"{_ALPHA_MAX_CHARS} characters, with no exponent")
     try:
         a = Fraction(text)
     except ZeroDivisionError:
@@ -180,8 +191,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
-    g = read_graph(args.input, args.input_format)
     alphas = [_parse_alpha(a) for a in args.alpha.split(",")] if args.alpha else []
+    g = read_graph(args.input, args.input_format)
     rows = _profile_rows(g, alphas)
     if args.format == "csv":
         _emit(_rows_to_csv(rows, alphas, args.decimals), args.out)

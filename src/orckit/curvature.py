@@ -28,10 +28,7 @@ from typing import Optional
 
 from . import transport
 from .graphs import Graph
-
-
-class ConsistencyError(Exception):
-    """Two independent computation routes produced different values."""
+from .transport import ConsistencyError
 
 
 class _Instance:

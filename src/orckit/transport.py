@@ -9,9 +9,7 @@ computation in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Optional
 
 from .graphs import Graph, INFINITY, distances_from
@@ -20,6 +18,11 @@ Measure = dict[int, Fraction]
 CostMatrix = list[list[int]]
 
 _INT_INF = 1 << 60
+
+
+class ConsistencyError(Exception):
+    """Two independent routes gave different values, or a solver's own
+    invariant failed."""
 
 
 def mu_alpha(g: Graph, x: int, alpha) -> Measure:
@@ -120,7 +123,10 @@ def _transport_cost(supply: list[int], demand: list[int],
     source with supply left and pushes along a cheapest path to a sink with
     demand left, undoing greedy units through the backward arcs where the
     optimum needs it. Each path is a shortest one, so no negative cycle
-    arises.
+    arises. A shortest path visits each source and sink at most once, so a
+    round that needs more than len(supply) + len(demand) + 1 passes has
+    met a negative cycle, which only a start that is not min-cost can
+    leave; that raises ConsistencyError instead of looping forever.
     """
     supply, demand = list(supply), list(demand)
     arcs = [[(j, c) for j, c in enumerate(row) if c is not None] for row in cost]
@@ -133,13 +139,16 @@ def _transport_cost(supply: list[int], demand: list[int],
                 supply[i] -= push
                 demand[j] -= push
     value = least * sum(flow.values())
+    max_passes = len(supply) + len(demand) + 1
     while any(supply):
         ds = [0 if s else _INT_INF for s in supply]
         dt = [_INT_INF] * len(demand)
         via = [-1] * len(supply)  # sink each source is reached back from; -1 at a root
         src = [-1] * len(demand)  # source each sink is reached from
         active = {i for i, s in enumerate(supply) if s}
-        while active:
+        for _ in range(max_passes):
+            if not active:
+                break
             for i in active:
                 di = ds[i]
                 for j, c in arcs[i]:
@@ -150,6 +159,9 @@ def _transport_cost(supply: list[int], demand: list[int],
                 if dt[j] < _INT_INF and dt[j] - cost[i][j] < ds[i]:
                     ds[i], via[i] = dt[j] - cost[i][j], j
                     active.add(i)
+        if active:
+            raise ConsistencyError(f"transport round still relaxing after {max_passes} "
+                                   "Bellman-Ford passes: the flow has a negative cycle")
         sink = min((j for j, d in enumerate(demand) if d), key=dt.__getitem__, default=None)
         if sink is None or dt[sink] == _INT_INF:
             return None
@@ -169,35 +181,6 @@ def _transport_cost(supply: list[int], demand: list[int],
                 if not flow[i, b]:
                     del flow[i, b]
     return value
-
-
-def wasserstein1_oracle(g: Graph, mu: Measure, nu: Measure, max_tokens: int = 8) -> Fraction:
-    """Brute-force check value: scale both measures to unit tokens and try
-    every bijection between the two token multisets."""
-    validate_measure(g, mu)
-    validate_measure(g, nu)
-    scale = math.lcm(*(m.denominator for m in mu.values()),
-                     *(m.denominator for m in nu.values()))
-    if scale > max_tokens:
-        raise ValueError(f"token count {scale} exceeds oracle bound {max_tokens}")
-    left = [v for v in sorted(mu) for _ in range(int(mu[v] * scale))]
-    right = [v for v in sorted(nu) for _ in range(int(nu[v] * scale))]
-    assert len(left) == len(right) == scale
-    dist = {u: distances_from(g, u) for u in set(left)}
-    best = None
-    for perm in permutations(right):
-        cost = 0
-        for u, v in zip(left, perm):
-            d = dist[u][v]
-            if d is INFINITY:
-                cost = None
-                break
-            cost += d
-        if cost is not None and (best is None or cost < best):
-            best = cost
-    if best is None:
-        raise ValueError("supports are not mutually reachable (infinite distance)")
-    return Fraction(best, scale)
 
 
 def _check_square(cost: CostMatrix) -> int:
@@ -264,49 +247,6 @@ def assignment_cost(cost: CostMatrix) -> int:
     row/column potentials; exact on integer costs)."""
     _check_square(cost)
     return _hungarian(cost)[0]
-
-
-def _minor(cost: CostMatrix, row: int, col: int) -> CostMatrix:
-    return [[c for j, c in enumerate(r) if j != col] for i, r in enumerate(cost) if i != row]
-
-
-def forced_assignment_cost(cost: CostMatrix, row: int, col: int) -> int:
-    """Cheapest perfect matching that maps `row` to `col`."""
-    return cost[row][col] + assignment_cost(_minor(cost, row, col))
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A perfect matching row i -> column perm[i] with its total cost."""
-
-    perm: tuple[int, ...]
-    cost: int
-
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm is not a bijection")
-
-
-def min_cost_assignment(cost: CostMatrix) -> Assignment:
-    """Optimal assignment with a deterministic tie-break: among all optimal
-    permutations, the lexicographically smallest. Built row by row: give the
-    first row the smallest column some optimal assignment gives it, then
-    continue on the minor without that row and column, whose optimal
-    assignments are exactly the completions of that choice."""
-    k = _check_square(cost)
-    best, *solve = _hungarian(cost)
-    cols = list(range(k))
-    sub = cost
-    perm = []
-    while cols:
-        idx = min(j for i, j in _support(sub, *solve) if i == 0)
-        perm.append(cols.pop(idx))
-        sub = _minor(sub, 0, idx)
-        if cols:
-            solve = _hungarian(sub)[1:]
-    result = Assignment(tuple(perm), best)
-    assert best == sum(cost[i][result.perm[i]] for i in range(k))
-    return result
 
 
 def optimal_pair_support(cost: CostMatrix) -> set[tuple[int, int]]:

@@ -48,10 +48,10 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        # elapsed varies run to run, so the machine report drops it by
-        # default to keep serialized reports byte-identical
-        out = {
+    def to_dict(self) -> dict:
+        # elapsed varies run to run, so the machine report leaves it out to
+        # keep serialized reports byte-identical; summary() prints it
+        return {
             "suite": self.suite,
             "instances": self.instances,
             "passed": self.passed,
@@ -62,9 +62,6 @@ class VerificationReport:
             ],
             "notes": self.notes,
         }
-        if include_elapsed:
-            out["elapsed_seconds"] = self.elapsed
-        return out
 
     def summary(self) -> str:
         state = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures)"

