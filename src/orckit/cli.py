@@ -49,6 +49,9 @@ def _parse_alpha(text: str) -> Fraction:
     return a
 
 
+_DECIMALS_MAX = 64  # largest --decimals: each decimal string is built at this precision
+
+
 # family name -> (builder, the CLI parameters it takes in order)
 _FAMILIES = {
     "complete": (families.complete, ("n",)),
@@ -84,19 +87,20 @@ def _build_family(args: argparse.Namespace) -> Graph:
     return builder(*values)
 
 
-def read_graph(path: str, input_format: str = "auto") -> Graph:
+def read_graph(path: str) -> Graph:
+    """graph6 if the file's text parses as graph6, else an edge list: graph6
+    bytes are 63..126, and every edge-list line has whitespace, a digit or '#'."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    if input_format == "g6":
-        return parse_graph6(text)
-    if input_format == "edgelist":
-        return parse_edge_list(text)
-    if path.endswith(".g6"):
-        return parse_graph6(text)
     try:
         return parse_graph6(text)
-    except ValueError:
+    except ValueError as exc:
+        g6_error = str(exc)
+    try:
         return parse_edge_list(text)
+    except ValueError as exc:
+        raise ValueError(f"{path} is neither graph6 ({g6_error}) "
+                         f"nor an edge list ({exc})") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -107,7 +111,9 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction]) -> dict:
+def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction],
+                decimals: Optional[int]) -> dict:
+    """One edge's output row, its keys in CSV column order."""
     x, y = edge
     rec = curvature.edge_record(g, x, y)
     row = {
@@ -125,6 +131,9 @@ def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction]) -> dict
     if alphas:
         row["kappa_alpha"] = {str(a): rational_str(curvature.kappa_alpha(g, x, y, a))
                               for a in alphas}
+    if decimals is not None:
+        row["kappa0_decimal"] = f"{float(rec.kappa0):.{decimals}f}"
+        row["kappaLLY_decimal"] = f"{float(rec.kappa_lly):.{decimals}f}"
     return row
 
 
@@ -142,15 +151,16 @@ def _worker_count() -> int:
     return workers
 
 
-def _profile_rows(g: Graph, alphas: list[Fraction]) -> list[dict]:
+def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> list[dict]:
     edges = g.edges()
-    workers = _worker_count()
-    if workers > 1 and len(edges) > 1:
+    # a pool starts all its workers at once, so more than one per edge or CPU is waste
+    workers = min(_worker_count(), len(edges), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.starmap(_record_row, [(g, e, alphas) for e in edges])
-    return [_record_row(g, e, alphas) for e in edges]
+            return pool.starmap(_record_row, [(g, e, alphas, decimals) for e in edges])
+    return [_record_row(g, e, alphas, decimals) for e in edges]
 
 
 def _rows_to_csv(rows: list[dict], alphas: list[Fraction], decimals: Optional[int]) -> str:
@@ -162,22 +172,14 @@ def _rows_to_csv(rows: list[dict], alphas: list[Fraction], decimals: Optional[in
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        out = [row["u"], row["v"], row["du"], row["dv"], row["nxy"],
-               row["kappa0"], row["kappaLLY"],
-               "" if row["gap_c"] is None else row["gap_c"],
-               "" if row["supsup"] is None else row["supsup"],
-               str(row["bone_idle"]).lower()]
-        out += [row["kappa_alpha"][str(a)] for a in alphas]
-        if decimals is not None:
-            out.append(f"{_as_float(row['kappa0']):.{decimals}f}")
-            out.append(f"{_as_float(row['kappaLLY']):.{decimals}f}")
+        out = []
+        for key, value in row.items():
+            if key == "kappa_alpha":  # one column per --alpha value, repeats included
+                out += [value[str(a)] for a in alphas]
+            else:  # csv writes None as an empty cell
+                out.append(str(value).lower() if isinstance(value, bool) else value)
         writer.writerow(out)
     return buf.getvalue()
-
-
-def _as_float(pq: str) -> float:
-    num, den = pq.split("/")
-    return int(num) / int(den)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -192,26 +194,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
     alphas = [_parse_alpha(a) for a in args.alpha.split(",")] if args.alpha else []
-    g = read_graph(args.input, args.input_format)
-    rows = _profile_rows(g, alphas)
-    if args.format == "csv":
-        _emit(_rows_to_csv(rows, alphas, args.decimals), args.out)
-    else:
-        if args.decimals is not None:
-            for row in rows:
-                row["kappa0_decimal"] = f"{_as_float(row['kappa0']):.{args.decimals}f}"
-                row["kappaLLY_decimal"] = f"{_as_float(row['kappaLLY']):.{args.decimals}f}"
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+    if args.decimals is not None and not 0 <= args.decimals <= _DECIMALS_MAX:
+        raise ValueError(f"--decimals must be from 0 to {_DECIMALS_MAX}, got {args.decimals}")
+    rows = _profile_rows(read_graph(args.input), alphas, args.decimals)
+    text = (_rows_to_csv(rows, alphas, args.decimals) if args.format == "csv"
+            else json.dumps(rows, indent=2) + "\n")
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_idleness(args: argparse.Namespace) -> int:
-    g = read_graph(args.input, args.input_format)
     try:
         u, v = (int(part) for part in args.edge.split(","))
     except ValueError:
         raise ValueError(f"--edge expects 'u,v', got {args.edge!r}") from None
-    fn = curvature.idleness_function(g, u, v)
+    fn = curvature.idleness_function(read_graph(args.input), u, v)
     lines = ["alpha,kappa_alpha,alpha_decimal,kappa_alpha_decimal"]
     for a, val in zip(fn.breakpoints, fn.values):
         lines.append(f"{a},{rational_str(val)},{float(a):.6f},{float(val):.6f}")
@@ -235,10 +232,9 @@ _SUITES = {
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite != "all" and args.suite not in _SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)} or 'all'")
+    rf72 = [read_graph(args.rf72)] if args.rf72 else []  # read before any suite runs
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    reports = [_SUITES[name](args) for name in names]
-    if args.rf72:
-        reports.append(verify.check_rf72(read_graph(args.rf72, "auto")))
+    reports = [_SUITES[name](args) for name in names] + [verify.check_rf72(g) for g in rf72]
     for report in reports:
         print(report.summary(), file=sys.stderr)
     payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
@@ -264,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     curv = sub.add_parser("curvature", help="per-edge curvature table")
     curv.add_argument("input")
-    curv.add_argument("--input-format", choices=("auto", "g6", "edgelist"), default="auto")
     curv.add_argument("--alpha", help="comma-separated idleness values, e.g. 0,1/3")
     curv.add_argument("--format", choices=("json", "csv"), default="json")
     curv.add_argument("--decimals", type=int)
@@ -273,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     idle = sub.add_parser("idleness", help="breakpoints of the idleness function of one edge")
     idle.add_argument("input")
-    idle.add_argument("--input-format", choices=("auto", "g6", "edgelist"), default="auto")
     idle.add_argument("--edge", required=True, help="edge as 'u,v'")
     idle.add_argument("--out")
     idle.set_defaults(func=_cmd_idleness)

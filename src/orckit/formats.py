@@ -15,6 +15,8 @@ from .graphs import Graph, check_size
 
 _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # 3-byte extended size header
+_QUOTE_MAX = 64  # longest input line quoted whole in an error message
+_SET_BITS = {b: bin(b - 63).count("1") for b in range(63, 127)}  # graph6 byte -> set bits
 
 
 def _triangle_bits(g: Graph) -> list[int]:
@@ -52,10 +54,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ValueError("graph6: empty input")
-    data = [ord(c) for c in s]
-    for pos, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise ValueError(f"graph6: byte {b} at position {pos} outside 63..126")
+    for pos, c in enumerate(s):  # an edge list fails here, within its first two characters
+        if not "?" <= c <= "~":
+            raise ValueError(f"graph6: byte {ord(c)} at position {pos} outside 63..126")
+    data = s.encode("ascii")
     if data[0] == 126:  # '~': extended size
         if len(data) < 4:
             raise ValueError("graph6: truncated extended size header")
@@ -72,13 +74,15 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6: n={n} needs {need} body bytes, got {len(body)}")
+    if body and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise ValueError(f"graph6: nonzero padding bit at byte {body_at + need - 1}")
+    # the edge count is the number of set body bits: refuse an oversized
+    # graph before its bit and edge lists are built
+    check_size("graph6", n, sum(_SET_BITS[b] for b in body))
     bits = []
     for b in body:
         v = b - 63
         bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    for k in range(nbits, len(bits)):
-        if bits[k]:
-            raise ValueError(f"graph6: nonzero padding bit at byte {body_at + k // 6}")
     edges = []
     k = 0
     for j in range(1, n):
@@ -95,6 +99,11 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quoted(line: str) -> str:
+    """A line for an error message, cut to its first _QUOTE_MAX characters."""
+    return repr(line) if len(line) <= _QUOTE_MAX else repr(line[:_QUOTE_MAX]) + "..."
+
+
 def parse_edge_list(text: str) -> Graph:
     declared = None
     edges: list[tuple[int, int]] = []
@@ -107,19 +116,19 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "n":
             if len(parts) != 2 or not parts[1].isdigit():
-                raise ValueError(f"edge list line {lineno}: malformed header {line!r}")
+                raise ValueError(f"edge list line {lineno}: malformed header {_quoted(line)}")
             if declared is not None:
                 raise ValueError(f"edge list line {lineno}: duplicate header")
             declared = int(parts[1])
             continue
         if len(parts) != 2:
-            raise ValueError(f"edge list line {lineno}: expected 'u v', got {line!r}")
+            raise ValueError(f"edge list line {lineno}: expected 'u v', got {_quoted(line)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"edge list line {lineno}: non-integer vertex in {line!r}") from None
+            raise ValueError(f"edge list line {lineno}: non-integer vertex in {_quoted(line)}") from None
         if u < 0 or v < 0:
-            raise ValueError(f"edge list line {lineno}: negative vertex in {line!r}")
+            raise ValueError(f"edge list line {lineno}: negative vertex in {_quoted(line)}")
         if u == v:
             raise ValueError(f"edge list line {lineno}: self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)

@@ -76,8 +76,7 @@ def distances_from(g: Graph, source: int, cap: Optional[int] = None) -> list:
     """BFS hop distances from source to every vertex.
 
     Unreached vertices (no path, or beyond the optional cap) get INFINITY.
-    The cap bounds traversal depth; curvature instances only ever need
-    distances up to 3.
+    The cap bounds traversal depth.
     """
     g.check_vertex(source)
     dist: list = [INFINITY] * g.n

@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from orckit import families, formats, graphs
-from orckit.cli import main, rational_str
+from orckit import cli, families, formats, graphs
+from orckit.cli import main, rational_str, read_graph
 from orckit.families import bi_antiprism, complete, cycle, petersen
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT
@@ -88,10 +89,10 @@ def test_curvature_complete4(tmp_path, capsys):
 def test_curvature_csv_json_consistency(tmp_path, capsys):
     graph_file = tmp_path / "p.g6"
     graph_file.write_text(write_graph6(petersen()))
-    code, json_text, _ = run_cli(["curvature", str(graph_file), "--alpha", "0,1/2"], capsys)
+    flags = ["--alpha", "0,1/2", "--decimals", "4"]
+    code, json_text, _ = run_cli(["curvature", str(graph_file), *flags], capsys)
     assert code == 0
-    code, csv_text, _ = run_cli(
-        ["curvature", str(graph_file), "--alpha", "0,1/2", "--format", "csv"], capsys)
+    code, csv_text, _ = run_cli(["curvature", str(graph_file), *flags, "--format", "csv"], capsys)
     assert code == 0
     json_rows = json.loads(json_text)
     csv_rows = list(csv.DictReader(io.StringIO(csv_text)))
@@ -104,6 +105,8 @@ def test_curvature_csv_json_consistency(tmp_path, capsys):
         assert str(jr["bone_idle"]).lower() == cr["bone_idle"]
         for a in ("0", "1/2"):
             assert jr["kappa_alpha"][a] == cr[f"kappa_alpha[{a}]"]
+        assert jr["kappa0_decimal"] == cr["kappa0_decimal"] == "-0.3333"
+        assert jr["kappaLLY_decimal"] == cr["kappaLLY_decimal"] == "0.0000"
 
 
 def test_curvature_deterministic_output(tmp_path, capsys):
@@ -130,11 +133,26 @@ def test_curvature_autodetect_graph6_without_extension(tmp_path, capsys):
     assert len(json.loads(stdout)) == 15
 
 
+def test_read_graph_format_comes_from_the_text(tmp_path):
+    # the file name plays no part: either text under any name gives the
+    # graph of its own parser
+    texts = {"graph6": (write_graph6(petersen()) + "\n", parse_graph6),
+             "edge list": (write_edge_list(bi_antiprism(6)), parse_edge_list)}
+    for kind, (text, parse) in texts.items():
+        for name in ("graph.g6", "graph.el", "graph"):
+            path = tmp_path / name
+            path.write_text(text)
+            assert read_graph(str(path)) == parse(text), (kind, name)
+
+
 def test_curvature_parse_failure_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("C")  # truncated body
     code, _, stderr = run_cli(["curvature", str(bad)], capsys)
-    assert code == 2 and "error" in stderr
+    assert code == 2 and stderr.count("\n") == 1
+    # the one error line names why each format refused the text
+    assert stderr.startswith(f"error: {bad} is neither graph6 (graph6: n=4 needs 1 body bytes")
+    assert "nor an edge list (edge list line 1: expected 'u v', got 'C')" in stderr
 
 
 def test_curvature_bad_alpha_exits_2(tmp_path):
@@ -152,6 +170,75 @@ def test_curvature_bad_alpha_exits_2(tmp_path):
         shown = bad if bad != long_alpha else bad[:64] + "..."
         assert len(lines) == 1 and lines[0].startswith("error: ") and shown in lines[0]
         assert len(lines[0]) < 200
+
+
+def test_bad_flags_exit_2_before_the_graph_is_read(tmp_path):
+    # the input file does not exist, so a flag checked after reading it would
+    # report the missing file instead of the flag
+    missing = str(tmp_path / "missing.g6")
+    cases = [(["curvature", missing, "--decimals", d], "--decimals")
+             for d in ("-1", "65", "10000000")]
+    cases += [(["idleness", missing, "--edge", e], "--edge") for e in ("0", "a,b", "0,1,2")]
+    for args, flag in cases:
+        proc = subprocess.run([sys.executable, "-m", "orckit.cli", *args],
+                              capture_output=True, text=True, env=child_env(), timeout=30)
+        assert proc.returncode == 2 and proc.stdout == "", (args, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], args
+
+
+def test_decimals_accepts_0_to_64(tmp_path, capsys):
+    graph_file = tmp_path / "k3.g6"
+    graph_file.write_text(write_graph6(complete(3)))
+    for decimals, shown in (("0", "2"), ("64", "1.5" + "0" * 63)):
+        code, stdout, _ = run_cli(["curvature", str(graph_file), "--decimals", decimals], capsys)
+        assert code == 0 and json.loads(stdout)[0]["kappaLLY_decimal"] == shown
+
+
+def test_verify_reads_rf72_before_any_suite(tmp_path, capsys, monkeypatch):
+    def not_run(args):
+        raise AssertionError("a suite ran before --rf72 was read")
+
+    monkeypatch.setattr(cli, "_SUITES", {name: not_run for name in cli._SUITES})
+    missing = str(tmp_path / "missing.g6")
+    code, stdout, stderr = run_cli(["verify", "--suite", "all", "--rf72", missing], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and missing in stderr and stderr.count("\n") == 1
+
+
+def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
+    # a fake fork context records each pool's size and maps serially, so no
+    # process starts; the cap is min(RICCI_THREADS, edges, CPUs)
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, items):
+            return [fn(*item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: type("Context", (), {"Pool": SerialPool}))
+    graph_file = tmp_path / "p.g6"
+    graph_file.write_text(write_graph6(petersen()))  # 15 edges
+    _, serial, _ = run_cli(["curvature", str(graph_file)], capsys)
+    monkeypatch.setenv("RICCI_THREADS", "100000")
+    for cpus, pool_sizes in ((4, [4]), (64, [15]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, stdout, _ = run_cli(["curvature", str(graph_file)], capsys)
+        assert code == 0 and stdout == serial
+        assert sizes == pool_sizes, cpus
 
 
 def test_curvature_oversized_edge_list_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from orckit import formats
+from orckit import formats, graphs
 from orckit.families import (complete, cycle, dodecahedral, hypercube,
                              icosidodecahedron, petersen, random_regular, star)
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
@@ -79,6 +79,10 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("n 2\n0 5")
     with pytest.raises(ValueError, match="negative"):
         parse_edge_list("-1 2")
+    # a long line, such as a graph6 text read as an edge list, is quoted cut
+    with pytest.raises(ValueError) as exc:
+        parse_edge_list("~" * 10 ** 5)
+    assert str(exc.value) == "edge list line 1: expected 'u v', got '" + "~" * 64 + "'..."
 
 
 def test_edge_list_vertex_count_bound(monkeypatch):
@@ -92,6 +96,21 @@ def test_edge_list_vertex_count_bound(monkeypatch):
     assert built == []
     parse_edge_list(f"n {VERTEX_LIMIT}\n0 1")
     assert built == [VERTEX_LIMIT]
+
+
+def test_graph6_edge_count_bound(monkeypatch):
+    # The edge count is read off the body's set bits and checked before the
+    # bit and edge lists are built; with Graph replaced by a recorder, an
+    # oversized graph never reaches it and one at the limit does.
+    k4_minus_edge = write_graph6(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+    built = []
+    monkeypatch.setattr(formats, "Graph", lambda n, edges: built.append((n, len(edges))))
+    monkeypatch.setattr(graphs, "EDGE_LIMIT", 5)
+    with pytest.raises(ValueError, match="graph6: 6 edges exceed the desk-scale limit of 5"):
+        parse_graph6("C~")  # K4
+    assert built == []
+    parse_graph6(k4_minus_edge)
+    assert built == [(4, 5)]
 
 
 def test_formats_round_trip_generator_sweep():
