@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import curvature, families, verify
 from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
@@ -174,8 +174,8 @@ def _rows_to_csv(rows: list[dict], alphas: list[Fraction], decimals: Optional[in
     for row in rows:
         out = []
         for key, value in row.items():
-            if key == "kappa_alpha":  # one column per --alpha value, repeats included
-                out += [value[str(a)] for a in alphas]
+            if key == "kappa_alpha":  # one column per --alpha value
+                out += value.values()
             else:  # csv writes None as an empty cell
                 out.append(str(value).lower() if isinstance(value, bool) else value)
         writer.writerow(out)
@@ -192,8 +192,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_alphas(text: Optional[str]) -> list[Fraction]:
+    """The comma-separated --alpha values, each given once."""
+    first: dict[Fraction, str] = {}  # value -> the text that gave it
+    for part in text.split(",") if text else []:
+        a = _parse_alpha(part)
+        if a in first:
+            raise ValueError(f"alpha {part} repeats alpha {first[a]}")
+        first[a] = part
+    return list(first)
+
+
 def _cmd_curvature(args: argparse.Namespace) -> int:
-    alphas = [_parse_alpha(a) for a in args.alpha.split(",")] if args.alpha else []
+    alphas = _parse_alphas(args.alpha)
     if args.decimals is not None and not 0 <= args.decimals <= _DECIMALS_MAX:
         raise ValueError(f"--decimals must be from 0 to {_DECIMALS_MAX}, got {args.decimals}")
     rows = _profile_rows(read_graph(args.input), alphas, args.decimals)
@@ -242,9 +253,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, such as a non-integer --nmax, print
+    one `error:` line and exit 2, like every other bad value. Subcommand
+    parsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="orckit",
-                                     description="Exact edge curvature on finite simple graphs.")
+    parser = _Parser(prog="orckit", description="Exact edge curvature on finite simple graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named family graph")

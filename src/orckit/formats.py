@@ -11,6 +11,8 @@ input is rejected before any graph is built.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .graphs import Graph, check_size
 
 _G6_MAX_SMALL = 62
@@ -77,19 +79,17 @@ def parse_graph6(text: str) -> Graph:
     if body and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise ValueError(f"graph6: nonzero padding bit at byte {body_at + need - 1}")
     # the edge count is the number of set body bits: refuse an oversized
-    # graph before its bit and edge lists are built
+    # graph before its edge list is built
     check_size("graph6", n, sum(_SET_BITS[b] for b in body))
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    for t, b in enumerate(body):
+        v = b - 63
+        while v:  # set bits only, most significant first
+            top = v.bit_length() - 1
+            v ^= 1 << top
+            k = 6 * t + 5 - top  # bit k is the pair (i, j), i < j, with k = j(j-1)/2 + i
+            j = (1 + isqrt(1 + 8 * k)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 

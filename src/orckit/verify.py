@@ -69,6 +69,12 @@ class VerificationReport:
                 f"in {self.elapsed:.2f}s")
 
 
+def _label(graph: str | Graph) -> str:
+    """A Failure's graph text: a Graph is named by its graph6, written only
+    when a check on it fails."""
+    return graph if isinstance(graph, str) else write_graph6(graph)
+
+
 class _Run:
     """Failure collector shared by all suites."""
 
@@ -79,13 +85,13 @@ class _Run:
         self.instances = 0
         self._t0 = time.perf_counter()
 
-    def check(self, graph: str, edge, name: str, expected, actual) -> bool:
+    def check(self, graph: str | Graph, edge, name: str, expected, actual) -> bool:
         if expected != actual:
-            self.failures.append(Failure(graph, edge, name, str(expected), str(actual)))
+            self.failures.append(Failure(_label(graph), edge, name, str(expected), str(actual)))
             return False
         return True
 
-    def guard(self, graph: str, edge, name: str) -> "_Guard":
+    def guard(self, graph: str | Graph, edge, name: str) -> "_Guard":
         return _Guard(self.failures, graph, edge, name)
 
     def report(self) -> VerificationReport:
@@ -98,7 +104,7 @@ class _Guard:
     in its block as a Failure of check `name` and ends the block there;
     `failed` tells the caller whether it did."""
 
-    def __init__(self, failures: list[Failure], graph: str, edge, name: str) -> None:
+    def __init__(self, failures: list[Failure], graph: str | Graph, edge, name: str) -> None:
         self.failures, self.graph, self.edge, self.name = failures, graph, edge, name
         self.failed = False
 
@@ -108,7 +114,7 @@ class _Guard:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.failed = isinstance(exc, (ConsistencyError, ValueError))
         if self.failed:
-            self.failures.append(Failure(self.graph, self.edge, self.name, "no error",
+            self.failures.append(Failure(_label(self.graph), self.edge, self.name, "no error",
                                          f"{type(exc).__name__}: {exc}"))
         return self.failed
 
@@ -119,9 +125,19 @@ def _kappa_bound(g: Graph, x: int, y: int) -> Fraction:
 
 
 def _min_edge_kappa_at_least_one(g: Graph) -> bool:
-    """Whether every edge has kappa >= 1, scanning likely witnesses first
-    (the upper bound orders edges by how close they can come to 1)."""
-    for x, y in sorted(g.edges(), key=lambda e: _kappa_bound(g, *e)):
+    """Whether every edge has kappa >= 1, scanning likely witnesses first:
+    edges in ascending order of _kappa_bound, which bounds how close each
+    can come to 1. The sort key is that bound times M, the lcm of the
+    nonzero degrees, an exact integer, so the order and its ties are the
+    same without building a Fraction per edge."""
+    adj = g.adj
+    m = math.lcm(*(len(a) for a in adj if a))
+
+    def scaled_bound(e: tuple[int, int]) -> int:
+        x, y = e
+        return (len(set(adj[x]).intersection(adj[y])) + 2) * (m // max(len(adj[x]), len(adj[y])))
+
+    for x, y in sorted(g.edges(), key=scaled_bound):
         if curvature.kappa_lly(g, x, y) < 1:
             return False
     return True
@@ -141,9 +157,8 @@ def check_main_theorem(n_max: int = 6) -> VerificationReport:
         for g in enumerate_graphs(n, connected_only=True):
             run.instances += 1
             rhs = min_degree(g) >= n - 2
-            label = write_graph6(g)
-            with run.guard(label, None, "min-kappa-scan"):
-                run.check(label, None, "ric-ge-1-iff-min-degree",
+            with run.guard(g, None, "min-kappa-scan"):  # labelled only on failure
+                run.check(g, None, "ric-ge-1-iff-min-degree",
                           rhs, _min_edge_kappa_at_least_one(g))
     return run.report()
 

@@ -188,6 +188,41 @@ def test_bad_flags_exit_2_before_the_graph_is_read(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], args
 
 
+def test_repeated_alpha_exits_2(tmp_path):
+    # "0" and "0/1" are the same idleness: JSON would key it once and CSV
+    # would write its column twice, so a value given twice is refused
+    graph_file = tmp_path / "k3.g6"
+    graph_file.write_text(write_graph6(complete(3)))
+    for fmt in ("json", "csv"):
+        for alphas, texts in (("0,0/1", ("0/1", "0")), ("1/3,1/2,2/6", ("2/6", "1/3"))):
+            proc = subprocess.run(
+                [sys.executable, "-m", "orckit.cli", "curvature", str(graph_file),
+                 "--alpha", alphas, "--format", fmt],
+                capture_output=True, text=True, env=child_env(), timeout=30)
+            assert proc.returncode == 2 and proc.stdout == "", (alphas, proc.stderr)
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+            assert all(text in lines[0] for text in texts), lines[0]
+
+
+def test_non_integer_option_gives_one_error_line(tmp_path):
+    graph_file = tmp_path / "k3.g6"
+    graph_file.write_text(write_graph6(complete(3)))
+    cases = [["curvature", str(graph_file), "--decimals", "abc"],
+             ["verify", "--suite", "main-theorem", "--nmax", "x"],
+             ["verify", "--suite", "no-cubic-bone-idle", "--seed", "1.5"],
+             ["verify", "--suite", "no-cubic-bone-idle", "--trials", ""]]
+    cases += [["gen", "--family", "torus", "--n", "6", "--m", "6", f"--{flag}", "six"]
+              for flag in ("n", "m", "l", "d", "seed")]
+    for args in cases:
+        proc = subprocess.run([sys.executable, "-m", "orckit.cli", *args],
+                              capture_output=True, text=True, env=child_env(), timeout=30)
+        assert proc.returncode == 2 and proc.stdout == "", (args, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (args, proc.stderr)
+        assert "usage:" not in proc.stderr and "invalid int value" in lines[0], args
+
+
 def test_decimals_accepts_0_to_64(tmp_path, capsys):
     graph_file = tmp_path / "k3.g6"
     graph_file.write_text(write_graph6(complete(3)))

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from orckit import formats, graphs
+from orckit import cli, formats, graphs
 from orckit.families import (complete, cycle, dodecahedral, hypercube,
                              icosidodecahedron, petersen, random_regular, star)
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
@@ -100,7 +102,7 @@ def test_edge_list_vertex_count_bound(monkeypatch):
 
 def test_graph6_edge_count_bound(monkeypatch):
     # The edge count is read off the body's set bits and checked before the
-    # bit and edge lists are built; with Graph replaced by a recorder, an
+    # edge list is built; with Graph replaced by a recorder, an
     # oversized graph never reaches it and one at the limit does.
     k4_minus_edge = write_graph6(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
     built = []
@@ -120,3 +122,39 @@ def test_formats_round_trip_generator_sweep():
     for g in graphs:
         assert parse_graph6(write_graph6(g)) == g
         assert parse_edge_list(write_edge_list(g)) == g
+
+
+def _triangle_walk(text: str) -> Graph:
+    """graph6 decoded the long way: every bit of the upper triangle in
+    column order, then the pairs whose bit is set."""
+    data = text.encode("ascii")
+    if data[0] == 126:
+        n, body = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), data[4:]
+    else:
+        n, body = data[0] - 63, data[1:]
+    bits = [(b - 63) >> s & 1 for b in body for s in range(5, -1, -1)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
+
+
+def test_graph6_parser_walks_set_bits_to_the_same_graph():
+    # each family at two parameter sets (some need odd or larger n), and
+    # seeded random graphs of every density, small and extended headers
+    graphs = []
+    for family, (build, need) in cli._FAMILIES.items():
+        built = 0
+        for n in (7, 8):
+            try:
+                graphs.append(build(*[{"n": n, "m": 6, "l": 2, "d": 3, "seed": 1}[p]
+                                      for p in need]))
+                built += 1
+            except ValueError:
+                pass
+        assert built, family
+    rng = random.Random(13)
+    for _ in range(200):
+        n, p = rng.randint(0, 90), rng.random()
+        graphs.append(Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
+    for g in graphs:
+        text = write_graph6(g)
+        assert parse_graph6(text) == _triangle_walk(text) == Graph(g.n, g.edges()), text

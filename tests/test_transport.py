@@ -10,8 +10,8 @@ import orckit
 from orckit import transport
 from orckit.families import complete, cycle, path, petersen
 from orckit.graphs import Graph
-from orckit.transport import (_hungarian, _transport_cost, assignment_cost, mu_alpha,
-                              optimal_pair_support, validate_measure, wasserstein1)
+from orckit.transport import (ConsistencyError, _hungarian, _transport_cost, assignment_cost,
+                              mu_alpha, optimal_pair_support, validate_measure, wasserstein1)
 
 from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_transport_cost,
                      brute_wasserstein1, child_env, forced_cost, random_connected_graph,
@@ -127,6 +127,37 @@ def test_transport_cost_raises_on_a_negative_cycle():
                           timeout=30, env=child_env())
     assert proc.returncode == 0 and proc.stdout.startswith("raised:"), proc.stderr
     assert "negative cycle" in proc.stdout
+
+
+def test_transport_memo_solves_each_instance_once(monkeypatch):
+    # the memo keys on the exact instance, keeps None results, stores
+    # nothing for a solve that raises, and never grows past its bound
+    solves = []
+    exact = transport._solve
+    monkeypatch.setattr(transport, "_solve", lambda *key: solves.append(key) or exact(*key))
+    transport._solve_memo.cache_clear()
+    for _ in range(2):
+        assert _transport_cost([1, 1], [1, 1], [[1, 2], [1, 9]]) == 3
+        assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == 3
+        assert _transport_cost([2, 1], [1, 2], [[1, None], [None, 1]]) is None
+    assert _transport_cost([1, 1], [1, 1], [[1, 2], [1, 8]]) == 3
+    assert len(solves) == 3
+    assert transport._solve_memo.cache_info().currsize == 3
+
+    def broken(*key):
+        raise ConsistencyError("solver fault")
+
+    monkeypatch.setattr(transport, "_solve", broken)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="solver fault"):
+            _transport_cost([5], [5], [[2]])
+    assert transport._solve_memo.cache_info().currsize == 3
+
+    monkeypatch.setattr(transport, "_solve", exact)
+    for k in range(transport._MEMO_SIZE + 100):
+        assert _transport_cost([k + 1], [k + 1], [[1]]) == k + 1
+    assert transport._solve_memo.cache_info().currsize == transport._MEMO_SIZE
+    transport._solve_memo.cache_clear()
 
 
 def test_public_api():

@@ -1,11 +1,15 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from orckit import curvature
-from orckit.curvature import PiecewiseLinearFn
-from orckit.families import cocktail_party, complete, cycle, path, petersen, torus_grid
-from orckit.verify import (VerificationReport, check_bone_idle_families,
+from orckit.curvature import ConsistencyError, PiecewiseLinearFn
+from orckit.families import (cocktail_party, complete, cycle, enumerate_graphs, path, petersen,
+                             torus_grid)
+from orckit.verify import (VerificationReport, _kappa_bound, _min_edge_kappa_at_least_one,
+                           check_bone_idle_families,
                            check_edge_properties, check_family_values,
                            check_girth5_bone_idle, check_main_theorem,
                            check_no_cubic_bone_idle, check_product_formula,
@@ -28,6 +32,43 @@ def test_main_theorem_small():
 def test_main_theorem_n5_counts():
     report = check_main_theorem(5)
     assert report.passed and report.instances == 772
+
+
+def test_witness_order_is_the_kappa_bound_order(monkeypatch):
+    # with every kappa at 1 the scan tries all edges: in the order, ties
+    # included, of the stable sort by the Fraction bound
+    tried = []
+    monkeypatch.setattr(curvature, "kappa_lly", lambda g, x, y: tried.append((x, y)) or F(1))
+    for n in range(1, 6):
+        for g in enumerate_graphs(n, connected_only=True):
+            tried.clear()
+            assert _min_edge_kappa_at_least_one(g)
+            assert tried == sorted(g.edges(), key=lambda e: _kappa_bound(g, *e))
+
+
+def test_main_theorem_failure_bytes(monkeypatch):
+    # Triangles get kappa - 1, and on 4 vertices the third edge tried raises
+    # a ConsistencyError that names it, so the digest pins both kinds of
+    # Failure, their graph6 labels and the witness order.
+    exact = curvature.kappa_lly
+    tried = []
+
+    def corrupted(g, x, y):
+        if not tried or tried[0] is not g:
+            tried[:] = [g]
+        tried.append((x, y))
+        if g.n == 3:
+            return exact(g, x, y) - 1
+        if len(tried) == 4:
+            raise ConsistencyError(f"kappa({x}, {y}) corrupted on the third edge tried")
+        return exact(g, x, y)
+
+    monkeypatch.setattr(curvature, "kappa_lly", corrupted)
+    report = check_main_theorem(4)
+    assert len(report.failures) == 17
+    text = json.dumps(report.to_dict(), indent=2)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        "cb1067004ec06954d1b869f936d216d1168d008fd3fe7b20b9fdf0f8155aba69"
 
 
 def test_ric_one_classification():
