@@ -132,10 +132,11 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     Mass the two share stays in place, and the rest moves from B1(x) to
     B1(y) by transport._transport_cost. The supplies and demands are
     p*a_v + (q-p)*b_v from the edge's transport table (_Edge.table), whose
-    rows and columns with positive supply and demand are sliced out, so the
-    table's distances are built once per edge and serve every alpha. The
-    edge context keeps each value; it reads no matrix or solve of the
-    assignment route, to stay independent of it.
+    rows and columns with positive supply and demand are sliced out as
+    tuples, the memo key of the solve, so the table's distances are built
+    once per edge and serve every alpha. The edge context keeps each value;
+    it reads no matrix or solve of the assignment route, to stay
+    independent of it.
     """
     e = _edge(g, x, y)
     alpha = Fraction(alpha)
@@ -155,7 +156,8 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
             if (m := p * a + r * b) < 0:
                 demand.append(-m)
                 cols.append(j)
-        cost = transport._transport_cost(supply, demand, [[row[j] for j in cols] for row in rows])
+        cost = transport._transport_cost(tuple(supply), tuple(demand),
+                                         tuple(tuple(row[j] for j in cols) for row in rows))
         e.kappas[p, q] = Fraction(q * e.lcm - cost, q * e.lcm)
     return e.kappas[p, q]
 

@@ -187,7 +187,8 @@ _MAX_RESTARTS = 10_000
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Uniform-ish d-regular simple graph from the pairing model: pair up
     n*d stubs at random and restart on any loop or repeated edge.
-    Deterministic for a fixed seed."""
+    Deterministic for a fixed seed; ValueError after _MAX_RESTARTS failed
+    pairings."""
     if d < 0 or d >= n:
         raise ValueError("random_regular requires 0 <= d < n")
     if (n * d) % 2 != 0:
@@ -211,7 +212,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             seen.add(key)
         if ok:
             return Graph(n, seen)
-    raise RuntimeError(f"pairing model failed after {_MAX_RESTARTS} restarts (n={n}, d={d})")
+    raise ValueError(f"pairing model failed after {_MAX_RESTARTS} restarts (n={n}, d={d})")
 
 
 def _mask_connected(n: int, nbr: list[int]) -> bool:

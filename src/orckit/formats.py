@@ -11,6 +11,7 @@ input is rejected before any graph is built.
 
 from __future__ import annotations
 
+import re
 from math import isqrt
 
 from .graphs import Graph, check_size
@@ -19,15 +20,7 @@ _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # 3-byte extended size header
 _QUOTE_MAX = 64  # longest input line quoted whole in an error message
 _SET_BITS = {b: bin(b - 63).count("1") for b in range(63, 127)}  # graph6 byte -> set bits
-
-
-def _triangle_bits(g: Graph) -> list[int]:
-    bits = []
-    for j in range(1, g.n):
-        row = set(g.adj[j])
-        for i in range(j):
-            bits.append(1 if i in row else 0)
-    return bits
+_PLUS_63 = bytes((b + 63) % 256 for b in range(256))  # six body bits -> graph6 byte
 
 
 def write_graph6(g: Graph) -> str:
@@ -38,16 +31,11 @@ def write_graph6(g: Graph) -> str:
         head = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise ValueError(f"graph6 writer supports n <= {_G6_MAX}")
-    bits = _triangle_bits(g)
-    while len(bits) % 6 != 0:
-        bits.append(0)
-    chunks = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        chunks.append(chr(val + 63))
-    return head + "".join(chunks)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges():  # set bits only: the pair (i, j), i < j, is bit k = j(j-1)/2 + i
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return head + body.translate(_PLUS_63).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -56,9 +44,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ValueError("graph6: empty input")
-    for pos, c in enumerate(s):  # an edge list fails here, within its first two characters
-        if not "?" <= c <= "~":
-            raise ValueError(f"graph6: byte {ord(c)} at position {pos} outside 63..126")
+    bad = re.search("[^?-~]", s)  # an edge list fails here, within its first two characters
+    if bad:
+        raise ValueError(f"graph6: byte {ord(bad.group())} at position {bad.start()} "
+                         "outside 63..126")
     data = s.encode("ascii")
     if data[0] == 126:  # '~': extended size
         if len(data) < 4:

@@ -5,13 +5,13 @@ solver internals are arbitrary-precision integers obtained by scaling all
 masses with the common denominator. No floating point enters any
 computation in this module.
 
-The transport solver remembers its answers: _transport_cost is keyed by
-the exact instance (supplies, demands and cost table as tuples) and keeps
-the _MEMO_SIZE most recently used ones, so an instance met again, as in
-the thousands of small graphs of an exhaustive suite, is solved once. The
-assignment route (_hungarian) is never memoized: it is the independent
-check on the transport route, so every equal-degree edge runs its own
-Hungarian solves.
+The transport solver remembers its answers: _transport_cost is an LRU
+cache over its own arguments, so callers pass the instance (supplies,
+demands and cost table) as tuples, and the _MEMO_SIZE most recently used
+instances are kept. An instance met again, as in the thousands of small
+graphs of an exhaustive suite, is solved once. The assignment route
+(_hungarian) is never memoized: it is the independent check on the
+transport route, so every equal-degree edge runs its own Hungarian solves.
 """
 
 from __future__ import annotations
@@ -110,8 +110,9 @@ def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
     cost = []
     for u in src:
         dist = distances_from(g, u)
-        cost.append([None if dist[v] is INFINITY else dist[v] for v in snk])
-    value = _transport_cost([supply[u] for u in src], [demand[v] for v in snk], cost)
+        cost.append(tuple(None if dist[v] is INFINITY else dist[v] for v in snk))
+    value = _transport_cost(tuple(supply[u] for u in src), tuple(demand[v] for v in snk),
+                            tuple(cost))
     if value is None:
         raise ValueError("supports are not mutually reachable (infinite distance)")
     return Fraction(value, scale)
@@ -125,26 +126,14 @@ def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
 _MEMO_SIZE = 1024
 
 
-def _transport_cost(supply: list[int], demand: list[int],
-                    cost: list[list[Optional[int]]]) -> Optional[int]:
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...],
+                    cost: tuple[tuple[Optional[int], ...], ...]) -> Optional[int]:
     """Minimum cost of moving integer supplies to integer demands of the
     same total, at cost[i][j] >= 0 per unit from source i to sink j (None:
-    no route); None when the demand cannot be met.
-
-    Answers come from _solve_memo (see the module docstring); an instance
-    whose entries cannot be hashed is solved directly.
-    """
-    key = (tuple(supply), tuple(demand), tuple(map(tuple, cost)))
-    try:
-        hash(key)
-    except TypeError:
-        return _solve(*key)
-    return _solve_memo(key)
-
-
-def _solve(supply: tuple[int, ...], demand: tuple[int, ...],
-           cost: tuple[tuple[Optional[int], ...], ...]) -> Optional[int]:
-    """The solve behind _transport_cost.
+    no route); None when the demand cannot be met. The arguments are
+    tuples, so the instance is its own memo key (see the module
+    docstring): None results are kept, a solve that raises leaves no entry.
 
     Successive shortest paths on the table itself: the residual arcs are
     i -> j at cost[i][j], and j -> i at -cost[i][j] while cell (i, j)
@@ -213,14 +202,6 @@ def _solve(supply: tuple[int, ...], demand: tuple[int, ...],
                 if not flow[i, b]:
                     del flow[i, b]
     return value
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _solve_memo(key: tuple) -> Optional[int]:
-    """_solve of one hashable instance, remembered for the _MEMO_SIZE most
-    recently used ones. None results are kept; a solve that raises leaves
-    no entry."""
-    return _solve(*key)
 
 
 def _check_square(cost: CostMatrix) -> int:

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,7 +10,7 @@ from orckit.families import (bi_antiprism, cocktail_party, complete, complete_bi
                              petersen, random_regular, star, torus_grid, twisted_torus)
 from orckit.graphs import diameter, girth, is_connected, is_regular
 
-from helpers import brute_connected
+from helpers import brute_connected, child_env
 
 
 def test_basic_families():
@@ -128,6 +130,15 @@ def test_random_regular():
         random_regular(5, 3, 0)
     with pytest.raises(ValueError):
         random_regular(4, 4, 0)
+    # only K10 is 9-regular on 10 vertices, and the pairing model gives up
+    # before it finds it: a bad value, so `gen` exits 2 with one error line
+    with pytest.raises(ValueError, match=r"pairing model failed after \d+ restarts"):
+        random_regular(10, 9, 1)
+    proc = subprocess.run([sys.executable, "-m", "orckit.cli", "gen", "--family", "random-regular",
+                           "--n", "10", "--d", "9", "--seed", "1"],
+                          capture_output=True, text=True, env=child_env(), timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: pairing model failed") and proc.stderr.count("\n") == 1
 
 
 def test_enumerate_counts():

@@ -53,6 +53,13 @@ def test_graph6_malformed():
     with pytest.raises(ValueError, match="padding"):
         # n=3 needs 3 bits; set a padding bit: value 1 -> chr(64)
         parse_graph6("B" + chr(63 + 1))
+    # the whole message, for a bad byte deep in the body, DEL and a
+    # non-ASCII character
+    for text, bad in (("I??????!?", "byte 33 at position 7"), ("I?\x7f", "byte 127 at position 2"),
+                      ("I???\u00e9", "byte 233 at position 4")):
+        with pytest.raises(ValueError) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == f"graph6: {bad} outside 63..126"
 
 
 def test_edge_list_round_trips():
@@ -137,6 +144,17 @@ def _triangle_walk(text: str) -> Graph:
     return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
+def _triangle_write(g: Graph) -> str:
+    """graph6 encoded the long way: every bit of the upper triangle in
+    column order, zero-padded and packed six bits per byte."""
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    bits = [int(i in g.adj[j]) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    return head + "".join(chr(63 + sum(b << 5 - s for s, b in enumerate(bits[k:k + 6])))
+                          for k in range(0, len(bits), 6))
+
+
 def test_graph6_parser_walks_set_bits_to_the_same_graph():
     # each family at two parameter sets (some need odd or larger n), and
     # seeded random graphs of every density, small and extended headers
@@ -157,4 +175,5 @@ def test_graph6_parser_walks_set_bits_to_the_same_graph():
         graphs.append(Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
     for g in graphs:
         text = write_graph6(g)
+        assert text == _triangle_write(g), g.edges()
         assert parse_graph6(text) == _triangle_walk(text) == Graph(g.n, g.edges()), text

@@ -10,8 +10,8 @@ import orckit
 from orckit import transport
 from orckit.families import complete, cycle, path, petersen
 from orckit.graphs import Graph
-from orckit.transport import (ConsistencyError, _hungarian, _transport_cost, assignment_cost,
-                              mu_alpha, optimal_pair_support, validate_measure, wasserstein1)
+from orckit.transport import (_hungarian, _transport_cost, assignment_cost, mu_alpha,
+                              optimal_pair_support, validate_measure, wasserstein1)
 
 from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_transport_cost,
                      brute_wasserstein1, child_env, forced_cost, random_connected_graph,
@@ -103,9 +103,9 @@ def test_wasserstein_is_metric_on_walk_measures():
 
 def test_transport_cost_pinned_cases():
     # the optimum 0 -> 1, 1 -> 0 needs the first greedy unit sent back
-    assert _transport_cost([1, 1], [1, 1], [[1, 2], [1, 9]]) == 3
-    assert _transport_cost([2, 1], [1, 2], [[1, None], [None, 1]]) is None
-    assert _transport_cost([3], [1, 2], [[1, 2]]) == 5
+    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == 3
+    assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) is None
+    assert _transport_cost((3,), (1, 2), ((1, 2),)) == 5
 
 
 def test_transport_cost_raises_on_a_negative_cycle():
@@ -113,51 +113,42 @@ def test_transport_cost_raises_on_a_negative_cycle():
     # cell: the start is not min-cost and the residual table has a negative
     # cycle, which Bellman-Ford would relax forever. A child process with a
     # timeout turns such a hang into a failure instead of a stuck suite.
+    # The solve that raised leaves nothing in the memo.
     code = textwrap.dedent("""
         from orckit.transport import ConsistencyError, _transport_cost
         class Liar(int):
+            __hash__ = int.__hash__
             def __eq__(self, other):
                 return True
         try:
-            _transport_cost([3, 1, 2], [2, 4], [[Liar(3), 2], [1, 1], [1, 3]])
+            _transport_cost((3, 1, 2), (2, 4), ((Liar(3), 2), (1, 1), (1, 3)))
         except ConsistencyError as exc:
             print("raised:", exc)
+        print("cached:", _transport_cost.cache_info().currsize)
         """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=30, env=child_env())
     assert proc.returncode == 0 and proc.stdout.startswith("raised:"), proc.stderr
     assert "negative cycle" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "cached: 0"
 
 
-def test_transport_memo_solves_each_instance_once(monkeypatch):
-    # the memo keys on the exact instance, keeps None results, stores
-    # nothing for a solve that raises, and never grows past its bound
-    solves = []
-    exact = transport._solve
-    monkeypatch.setattr(transport, "_solve", lambda *key: solves.append(key) or exact(*key))
-    transport._solve_memo.cache_clear()
+def test_transport_memo_solves_each_instance_once():
+    # the memo keys on the exact instance, keeps None results and never
+    # grows past its bound (a solve that raises stores nothing: see
+    # test_transport_cost_raises_on_a_negative_cycle)
+    _transport_cost.cache_clear()
     for _ in range(2):
-        assert _transport_cost([1, 1], [1, 1], [[1, 2], [1, 9]]) == 3
         assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == 3
-        assert _transport_cost([2, 1], [1, 2], [[1, None], [None, 1]]) is None
-    assert _transport_cost([1, 1], [1, 1], [[1, 2], [1, 8]]) == 3
-    assert len(solves) == 3
-    assert transport._solve_memo.cache_info().currsize == 3
+        assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) is None
+    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 8))) == 3
+    info = _transport_cost.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
-    def broken(*key):
-        raise ConsistencyError("solver fault")
-
-    monkeypatch.setattr(transport, "_solve", broken)
-    for _ in range(2):
-        with pytest.raises(ConsistencyError, match="solver fault"):
-            _transport_cost([5], [5], [[2]])
-    assert transport._solve_memo.cache_info().currsize == 3
-
-    monkeypatch.setattr(transport, "_solve", exact)
     for k in range(transport._MEMO_SIZE + 100):
-        assert _transport_cost([k + 1], [k + 1], [[1]]) == k + 1
-    assert transport._solve_memo.cache_info().currsize == transport._MEMO_SIZE
-    transport._solve_memo.cache_clear()
+        assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == k + 1
+    assert _transport_cost.cache_info().currsize == transport._MEMO_SIZE
+    _transport_cost.cache_clear()
 
 
 def test_public_api():
@@ -208,7 +199,8 @@ def test_transport_cost_matches_token_brute_force():
             if kind == "least-zero":
                 cost[rng.randrange(len(supply))][rng.randrange(len(demand))] = 0
             expected = brute_transport_cost(supply, demand, cost)
-            assert _transport_cost(supply, demand, cost) == expected, (kind, supply, demand, cost)
+            assert _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost))) \
+                == expected, (kind, supply, demand, cost)
             infeasible += expected is None
             if kind == "greedy-undone" and expected is not None:
                 filled, rest_supply, rest_demand = _greedy_start(supply, demand, cost)
@@ -230,7 +222,8 @@ def test_transport_cost_matches_linprog():
         lp = optimize.linprog([c for row in cost for c in row], A_eq=rows + cols,
                               b_eq=supply + demand, bounds=(0, None), method="highs")
         assert lp.status == 0
-        assert _transport_cost(supply, demand, cost) == round(lp.fun), (supply, demand, cost)
+        assert _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost))) \
+            == round(lp.fun), (supply, demand, cost)
 
 
 def test_assignment_examples():

@@ -6,10 +6,9 @@ import pytest
 
 from orckit import curvature
 from orckit.curvature import ConsistencyError, PiecewiseLinearFn
-from orckit.families import (cocktail_party, complete, cycle, enumerate_graphs, path, petersen,
-                             torus_grid)
-from orckit.verify import (VerificationReport, _kappa_bound, _min_edge_kappa_at_least_one,
-                           check_bone_idle_families,
+from orckit.families import cocktail_party, complete, cycle, path, petersen, torus_grid
+from orckit.formats import parse_graph6
+from orckit.verify import (VerificationReport, check_bone_idle_families,
                            check_edge_properties, check_family_values,
                            check_girth5_bone_idle, check_main_theorem,
                            check_no_cubic_bone_idle, check_product_formula,
@@ -34,22 +33,10 @@ def test_main_theorem_n5_counts():
     assert report.passed and report.instances == 772
 
 
-def test_witness_order_is_the_kappa_bound_order(monkeypatch):
-    # with every kappa at 1 the scan tries all edges: in the order, ties
-    # included, of the stable sort by the Fraction bound
-    tried = []
-    monkeypatch.setattr(curvature, "kappa_lly", lambda g, x, y: tried.append((x, y)) or F(1))
-    for n in range(1, 6):
-        for g in enumerate_graphs(n, connected_only=True):
-            tried.clear()
-            assert _min_edge_kappa_at_least_one(g)
-            assert tried == sorted(g.edges(), key=lambda e: _kappa_bound(g, *e))
-
-
 def test_main_theorem_failure_bytes(monkeypatch):
     # Triangles get kappa - 1, and on 4 vertices the third edge tried raises
     # a ConsistencyError that names it, so the digest pins both kinds of
-    # Failure, their graph6 labels and the witness order.
+    # Failure, their graph6 labels and the order the edges are scanned in.
     exact = curvature.kappa_lly
     tried = []
 
@@ -66,9 +53,13 @@ def test_main_theorem_failure_bytes(monkeypatch):
     monkeypatch.setattr(curvature, "kappa_lly", corrupted)
     report = check_main_theorem(4)
     assert len(report.failures) == 17
+    scans = [f for f in report.failures if f.check == "min-kappa-scan"]
+    assert len(scans) == 13
+    for f in scans:  # edges are scanned in g.edges() order
+        assert f"kappa{parse_graph6(f.graph).edges()[2]} " in f.actual, f
     text = json.dumps(report.to_dict(), indent=2)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
-        "cb1067004ec06954d1b869f936d216d1168d008fd3fe7b20b9fdf0f8155aba69"
+        "8bb9bafa331f8db74ee468be537966ad932288908a645d46ec0da8c48640baba"
 
 
 def test_ric_one_classification():
