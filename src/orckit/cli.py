@@ -28,6 +28,15 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def decimal_str(value: Fraction, places: int) -> str:
+    """value rounded half to even to `places` decimal places, every digit
+    exact; a value that rounds to zero has no minus sign."""
+    scaled = round(value * 10**places)
+    whole, fraction = divmod(abs(scaled), 10**places)
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{whole}.{fraction:0{places}d}" if places else f"{sign}{whole}"
+
+
 # longest --alpha value accepted: room for p/q with 31 digits on each side
 _ALPHA_MAX_CHARS = 64
 
@@ -132,8 +141,8 @@ def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction],
         row["kappa_alpha"] = {str(a): rational_str(curvature.kappa_alpha(g, x, y, a))
                               for a in alphas}
     if decimals is not None:
-        row["kappa0_decimal"] = f"{float(rec.kappa0):.{decimals}f}"
-        row["kappaLLY_decimal"] = f"{float(rec.kappa_lly):.{decimals}f}"
+        row["kappa0_decimal"] = decimal_str(rec.kappa0, decimals)
+        row["kappaLLY_decimal"] = decimal_str(rec.kappa_lly, decimals)
     return row
 
 
@@ -222,7 +231,7 @@ def _cmd_idleness(args: argparse.Namespace) -> int:
     fn = curvature.idleness_function(read_graph(args.input), u, v)
     lines = ["alpha,kappa_alpha,alpha_decimal,kappa_alpha_decimal"]
     for a, val in zip(fn.breakpoints, fn.values):
-        lines.append(f"{a},{rational_str(val)},{float(a):.6f},{float(val):.6f}")
+        lines.append(f"{a},{rational_str(val)},{decimal_str(a, 6)},{decimal_str(val, 6)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

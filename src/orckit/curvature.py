@@ -396,14 +396,14 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
                                    f"within {_PROBE_BUDGET} evaluations")
         return value
 
-    def linear_on(a: Fraction, b: Fraction) -> bool:
-        return 2 * f((a + b) / 2) == f(a) + f(b)
+    def slope_from(a: Fraction, width: Fraction) -> Fraction:
+        """Slope of f on [a, a + width], the width halved until f is linear there."""
+        while 2 * f(a + width / 2) != f(a) + f(a + width):
+            width /= 2
+        return (f(a + width) - f(a)) / width
 
     zero, one = Fraction(0), Fraction(1)
-    h = Fraction(1, e.lcm + 1)
-    while not linear_on(zero, h):
-        h /= 2
-    s1 = (f(h) - f0) / h
+    s1 = slope_from(zero, Fraction(1, e.lcm + 1))
 
     if s1 == -kap:
         # one slope throughout; it must be the final line kappa*(1-alpha)
@@ -418,10 +418,7 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
         return PiecewiseLinearFn((zero, cross, one), (f0, v_cross, Fraction(0)))
 
     # a middle piece is active strictly around `cross`
-    delta = (a_star - cross) / 2
-    while not linear_on(cross, cross + delta):
-        delta /= 2
-    s2 = (f(cross + delta) - v_cross) / delta
+    s2 = slope_from(cross, (a_star - cross) / 2)
     if not (s1 > s2 > -kap):
         raise ConsistencyError("middle slope not strictly between outer slopes")
     b1 = (v_cross - s2 * cross - f0) / (s1 - s2)

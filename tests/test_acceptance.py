@@ -37,12 +37,12 @@ def criterion(num, name):
 
 @pytest.fixture(scope="session")
 def edge_report():
-    return check_edge_properties(default_corpus())
+    return check_edge_properties(default_corpus(2024))
 
 
 @pytest.fixture(scope="session")
 def corpus_stats():
-    corpus = default_corpus()
+    corpus = default_corpus(2024)
     equal_degree = sum(1 for _, g in corpus for x, y in g.edges()
                        if g.degree(x) == g.degree(y))
     return {"edges": sum(g.edge_count for _, g in corpus), "equal_degree": equal_degree}

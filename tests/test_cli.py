@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 from orckit import cli, families, formats, graphs
-from orckit.cli import main, rational_str, read_graph
+from orckit.cli import decimal_str, main, rational_str, read_graph
 from orckit.families import bi_antiprism, complete, cycle, petersen
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT
@@ -231,6 +232,19 @@ def test_decimals_accepts_0_to_64(tmp_path, capsys):
         assert code == 0 and json.loads(stdout)[0]["kappaLLY_decimal"] == shown
 
 
+def test_decimal_columns_are_exact(tmp_path, capsys):
+    # the digits are the Fraction's own, rounded half to even; a float's
+    # digits after the 16th would be noise
+    graph_file = tmp_path / "k4.g6"
+    graph_file.write_text(write_graph6(complete(4)))
+    code, stdout, _ = run_cli(["curvature", str(graph_file), "--format", "csv",
+                               "--decimals", "30"], capsys)
+    row = next(csv.DictReader(io.StringIO(stdout)))
+    assert code == 0 and row["kappa0_decimal"] == "0." + "6" * 29 + "7"
+    assert decimal_str(F(1, 80), 3) == "0.012"  # a tie; the float 0.0125 lies just above it
+    assert decimal_str(F(-1, 3000), 2) == "0.00"  # no minus sign on a value that rounds to zero
+
+
 def test_verify_reads_rf72_before_any_suite(tmp_path, capsys, monkeypatch):
     def not_run(args):
         raise AssertionError("a suite ran before --rf72 was read")
@@ -338,6 +352,16 @@ def test_verify_rf72_failure_exit_code(tmp_path, capsys):
     assert code == 1  # the supplied graph is not the 5-regular flat graph
     reports = json.loads(stdout)
     assert any(not r["passed"] for r in reports)
+
+
+def test_verify_trials_bound_exits_2_before_building():
+    # the corpus is refused before any graph is built; at 100 million trials
+    # building it would outlast the timeout
+    proc = subprocess.run([sys.executable, "-m", "orckit.cli", "verify", "--suite",
+                           "no-cubic-bone-idle", "--trials", "100000000"],
+                          capture_output=True, text=True, env=child_env(), timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr == "error: trials must be from 1 to 1000, got 100000000\n"
 
 
 def test_rational_str():

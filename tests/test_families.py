@@ -130,15 +130,23 @@ def test_random_regular():
         random_regular(5, 3, 0)
     with pytest.raises(ValueError):
         random_regular(4, 4, 0)
-    # only K10 is 9-regular on 10 vertices, and the pairing model gives up
-    # before it finds it: a bad value, so `gen` exits 2 with one error line
+    # only K7 is 6-regular on 7 vertices, and with this seed the pairing
+    # model gives up before it finds it: a bad value, so `gen` exits 2 with
+    # one error line
     with pytest.raises(ValueError, match=r"pairing model failed after \d+ restarts"):
+        random_regular(7, 6, 0)
+    # K10 is rarer still: its expected pairing work is refused before any pairing
+    with pytest.raises(ValueError, match=r"random_regular\(10,9\): .* exceeds 1e\+08 stub"):
         random_regular(10, 9, 1)
-    proc = subprocess.run([sys.executable, "-m", "orckit.cli", "gen", "--family", "random-regular",
-                           "--n", "10", "--d", "9", "--seed", "1"],
-                          capture_output=True, text=True, env=child_env(), timeout=30)
-    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
-    assert proc.stderr.startswith("error: pairing model failed") and proc.stderr.count("\n") == 1
+    # the 20000-vertex 40-regular request would shuffle 800,000 stubs per
+    # pairing for over an hour; the timeout fails the test if it is not refused
+    for n, d, seed, message in (("7", "6", "0", "error: pairing model failed"),
+                                ("20000", "40", "1", "error: random_regular(20000,40): ")):
+        proc = subprocess.run([sys.executable, "-m", "orckit.cli", "gen", "--family",
+                               "random-regular", "--n", n, "--d", d, "--seed", seed],
+                              capture_output=True, text=True, env=child_env(), timeout=30)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
 
 
 def test_enumerate_counts():

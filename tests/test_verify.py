@@ -1,19 +1,20 @@
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from orckit import curvature
+from orckit import curvature, families, verify
 from orckit.curvature import ConsistencyError, PiecewiseLinearFn
 from orckit.families import cocktail_party, complete, cycle, path, petersen, torus_grid
 from orckit.formats import parse_graph6
-from orckit.verify import (VerificationReport, check_bone_idle_families,
-                           check_edge_properties, check_family_values,
-                           check_girth5_bone_idle, check_main_theorem,
+from orckit.verify import (VerificationReport, bone_idle_family_instances,
+                           check_bone_idle_families, check_edge_properties,
+                           check_family_values, check_girth5_bone_idle, check_main_theorem,
                            check_no_cubic_bone_idle, check_product_formula,
                            check_ric_one_classification, check_rf72, cubic_corpus,
-                           default_corpus)
+                           default_corpus, default_product_pairs)
 
 from helpers import corrupt_assignment_optimum
 
@@ -85,6 +86,9 @@ def test_no_cubic_bone_idle_small():
     witness_notes = [n for n in report.notes if "witness edge" in n]
     assert len(witness_notes) == report.instances
     assert len(cubic_corpus(1, 2)) == 5 + 6 + 4 * 2
+    for trials in (0, 1001):  # refused before the corpus is built
+        with pytest.raises(ValueError, match=f"trials must be from 1 to 1000, got {trials}"):
+            check_no_cubic_bone_idle(corpus_seed=1, trials=trials)
 
 
 def test_product_formula_small_pairs():
@@ -114,17 +118,40 @@ def test_edge_properties_checks_the_first_idleness_piece(monkeypatch):
     assert check_edge_properties(corpus).passed
     early = PiecewiseLinearFn((F(0), F(1, 4), F(1, 2), F(1)), (F(0), F(3, 4), F(1), F(0)))
     monkeypatch.setattr(curvature, "idleness_function", lambda g, x, y: early)
-    report = check_edge_properties(corpus, probes=0)
+    monkeypatch.setattr(verify, "_PROBES", 0)
+    report = check_edge_properties(corpus)
     assert [(f.edge, f.check) for f in report.failures] == [((0, 1), "idleness-first-piece")]
 
 
 def test_default_corpus_shape():
-    corpus = default_corpus()
+    corpus = default_corpus(2024)
     labels = [label for label, _ in corpus]
     assert len(labels) == len(set(labels))
     assert sum(1 for label in labels if label.startswith("random_regular")) == 50
     total = sum(g.edge_count for _, g in corpus)
     assert 4000 <= total <= 6500  # the advertised "~5k edges" scale
+
+
+def test_every_label_names_its_graph():
+    # a label is the call that builds its graph: a builder of orckit.families
+    # with integer arguments and seed=; prism(m) alone is not a builder
+    named = default_corpus(2024) + bone_idle_family_instances() + cubic_corpus(0, 2)
+    named += [item for a, g, b, h in default_product_pairs() for item in ((a, g), (b, h))]
+    rebuilt = 0
+    for label, g in named:
+        if label.startswith("prism("):
+            continue
+        name, params = re.fullmatch(r"(\w+)(?:\((.*)\))?", label).groups()
+        args, kwargs = [], {}
+        for param in params.split(",") if params else []:
+            key, _, value = param.rpartition("=")
+            if key:
+                kwargs[key] = int(value)
+            else:
+                args.append(int(value))
+        assert getattr(families, name)(*args, **kwargs) == g, label
+        rebuilt += 1
+    assert rebuilt == len(named) - 6
 
 
 def test_reports_deterministic():
