@@ -250,18 +250,12 @@ def gap_formula(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
     return Fraction(2 if supsup is None else 3 - supsup, d), supsup
 
 
-def _check_gap(x: int, y: int, value: Fraction, direct: Fraction) -> None:
-    if value != direct:
-        raise ConsistencyError(
-            f"gap({x},{y}): formula {value} != direct difference {direct}")
-
-
 def curvature_gap(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
     """Gap between kappa and kappa_0 via the closed form, verified against
-    the two curvatures computed independently."""
-    value, supsup = gap_formula(g, x, y)
-    _check_gap(x, y, value, kappa_lly(g, x, y) - kappa_zero(g, x, y))
-    return value, supsup
+    the two curvatures computed independently (edge_record checks it)."""
+    d = _edge(g, x, y).d  # unequal degrees raise ValueError
+    rec = edge_record(g, x, y)
+    return Fraction(rec.gap_c, d), rec.supsup
 
 
 def equality_holds(g: Graph, x: int, y: int) -> bool:
@@ -455,7 +449,8 @@ def edge_record(g: Graph, x: int, y: int) -> EdgeCurvatureRecord:
     supsup: Optional[int] = None
     if e.dx == e.dy:
         gap, supsup = gap_formula(g, x, y)
-        _check_gap(x, y, gap, k - k0)
+        if gap != k - k0:
+            raise ConsistencyError(f"gap({x},{y}): formula {gap} != direct difference {k - k0}")
         scaled = gap * e.dx
         if scaled.denominator != 1 or scaled not in (0, 1, 2):
             raise ConsistencyError(f"gap class {scaled} outside {{0,1,2}} on edge ({x},{y})")

@@ -2,8 +2,11 @@
 
 Each suite checks a classification or a per-edge identity over an
 enumerable graph class or a fixed corpus and returns a VerificationReport:
-zero failures means the suite passed. Suites are deterministic for fixed
-seed parameters, so reports are reproducible run to run.
+zero failures means the suite passed. Every orckit.curvature call a suite
+makes runs under a guard that records a ConsistencyError or ValueError as
+a Failure, so a solver fault fails the report instead of ending the run.
+Suites are deterministic for fixed seed parameters, so reports are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -38,15 +41,30 @@ class Failure:
 
 @dataclass
 class VerificationReport:
+    """One suite's result, collected as the suite runs: its instance count,
+    failures and notes; `done` stamps the elapsed time."""
+
     suite: str
-    instances: int
-    failures: list[Failure]
-    elapsed: float
+    instances: int = 0
+    failures: list[Failure] = field(default_factory=list)
+    elapsed: float = 0.0
     notes: list[str] = field(default_factory=list)
+    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def check(self, graph: str | Graph, edge, name: str, expected, actual) -> None:
+        if expected != actual:
+            self.failures.append(Failure(_label(graph), edge, name, str(expected), str(actual)))
+
+    def guard(self, graph: str | Graph, edge, name: str) -> "_Guard":
+        return _Guard(self.failures, graph, edge, name)
+
+    def done(self) -> "VerificationReport":
+        self.elapsed = time.perf_counter() - self._t0
+        return self
 
     def to_dict(self) -> dict:
         # elapsed varies run to run, so the machine report leaves it out to
@@ -73,28 +91,6 @@ def _label(graph: str | Graph) -> str:
     """A Failure's graph text: a Graph is named by its graph6, written only
     when a check on it fails."""
     return graph if isinstance(graph, str) else write_graph6(graph)
-
-
-class _Run:
-    """Failure collector shared by all suites."""
-
-    def __init__(self, suite: str) -> None:
-        self.suite = suite
-        self.failures: list[Failure] = []
-        self.notes: list[str] = []
-        self.instances = 0
-        self._t0 = time.perf_counter()
-
-    def check(self, graph: str | Graph, edge, name: str, expected, actual) -> None:
-        if expected != actual:
-            self.failures.append(Failure(_label(graph), edge, name, str(expected), str(actual)))
-
-    def guard(self, graph: str | Graph, edge, name: str) -> "_Guard":
-        return _Guard(self.failures, graph, edge, name)
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(self.suite, self.instances, self.failures,
-                                  time.perf_counter() - self._t0, self.notes)
 
 
 class _Guard:
@@ -125,21 +121,16 @@ def _named(builder, *args, **kwargs) -> tuple[str, Graph]:
     return label, builder(*args, **kwargs)
 
 
-def _check_edges(run: _Run, label: str, g: Graph, guard: str, checks) -> None:
+def _check_edges(report: VerificationReport, label: str, g: Graph, guard: str, checks) -> None:
     """Count g as one instance and, on each edge inside one guard named
     `guard`, run each (check name, expected, value of (g, x, y)) in `checks`
     whose expected value is not None."""
-    run.instances += 1
+    report.instances += 1
     for x, y in g.edges():
-        with run.guard(label, (x, y), guard):
+        with report.guard(label, (x, y), guard):
             for name, expected, value in checks:
                 if expected is not None:
-                    run.check(label, (x, y), name, expected, value(g, x, y))
-
-
-def _kappa_bound(g: Graph, x: int, y: int) -> Fraction:
-    """Upper bound (|Nxy| + 2)/max(d_x, d_y) on kappa of the edge x ~ y."""
-    return Fraction(len(common_neighbors(g, x, y)) + 2, max(len(g.adj[x]), len(g.adj[y])))
+                    report.check(label, (x, y), name, expected, value(g, x, y))
 
 
 def check_main_theorem(n_max: int) -> VerificationReport:
@@ -150,34 +141,34 @@ def check_main_theorem(n_max: int) -> VerificationReport:
         raise ValueError("n_max must be >= 2")
     if n_max > 7:
         raise ValueError("n_max > 7 exceeds the desk-scale enumeration bound")
-    run = _Run(f"main-theorem(n<={n_max})")
-    run.notes.append("connected labeled graphs only; the disconnected case is out of scope")
+    report = VerificationReport(f"main-theorem(n<={n_max})")
+    report.notes.append("connected labeled graphs only; the disconnected case is out of scope")
     for n in range(1, n_max + 1):
         for g in enumerate_graphs(n, connected_only=True):
-            run.instances += 1
+            report.instances += 1
             rhs = min_degree(g) >= n - 2
-            with run.guard(g, None, "min-kappa-scan"):  # labelled only on failure
-                run.check(g, None, "ric-ge-1-iff-min-degree", rhs,
-                          all(curvature.kappa_lly(g, x, y) >= 1 for x, y in g.edges()))
-    return run.report()
+            with report.guard(g, None, "min-kappa-scan"):  # labelled only on failure
+                report.check(g, None, "ric-ge-1-iff-min-degree", rhs,
+                             all(curvature.kappa_lly(g, x, y) >= 1 for x, y in g.edges()))
+    return report.done()
 
 
 def check_ric_one_classification() -> VerificationReport:
     """Cocktail party graphs and the odd near-cocktail graphs carry
     curvature exactly 1 on every edge; complete graphs carry n/(n-1)."""
-    run = _Run("ric-one-classification")
+    report = VerificationReport("ric-one-classification")
     cases = [(_named(cocktail_party, k), Fraction(1)) for k in (2, 3, 4, 5)]
     cases += [(_named(near_cocktail, n), Fraction(1)) for n in (5, 7, 9)]
     cases += [(_named(complete, n), Fraction(n, n - 1)) for n in range(4, 11)]
     for (label, g), expected in cases:
-        _check_edges(run, label, g, "kappa-value",
+        _check_edges(report, label, g, "kappa-value",
                      [("kappa-value", expected, curvature.kappa_lly)])
-    return run.report()
+    return report.done()
 
 
 def check_family_values() -> VerificationReport:
     """Closed-form curvature table for the named families."""
-    run = _Run("family-values")
+    report = VerificationReport("family-values")
     # (label, graph), kappa, kappa_0; None leaves that value unchecked
     table = []
     for k in range(2, 7):
@@ -189,9 +180,9 @@ def check_family_values() -> VerificationReport:
     table += [(_named(star, n), None, Fraction(0)) for n in range(3, 7)]
     table += [(_named(path, n), None, Fraction(0)) for n in range(2, 9)]
     for (label, g), kappa, kappa0 in table:
-        _check_edges(run, label, g, "family-value", [("kappa", kappa, curvature.kappa_lly),
+        _check_edges(report, label, g, "family-value", [("kappa", kappa, curvature.kappa_lly),
                                                      ("kappa0", kappa0, curvature.kappa_zero)])
-    return run.report()
+    return report.done()
 
 
 def bone_idle_family_instances() -> list[tuple[str, Graph]]:
@@ -204,18 +195,18 @@ def bone_idle_family_instances() -> list[tuple[str, Graph]]:
 def check_bone_idle_families() -> VerificationReport:
     """The 4-regular families are bone-idle on every edge; hypercubes and
     complete bipartite graphs are not (positive kappa, vanishing kappa_0)."""
-    run = _Run("bone-idle-families")
+    report = VerificationReport("bone-idle-families")
     for label, g in bone_idle_family_instances():
-        _check_edges(run, label, g, "bone-idle", [(
+        _check_edges(report, label, g, "bone-idle", [(
             "bone-idle", "0,0",
             lambda g, x, y: f"{curvature.kappa_zero(g, x, y)},{curvature.kappa_lly(g, x, y)}")])
     for k in range(2, 7):
         for label, g in (_named(hypercube, k), _named(complete_bipartite, k, k)):
-            _check_edges(run, label, g, "not-bone-idle", [
+            _check_edges(report, label, g, "not-bone-idle", [
                 ("not-bone-idle-kappa-positive", True,
                  lambda g, x, y: curvature.kappa_lly(g, x, y) > 0),
                 ("not-bone-idle-kappa0-zero", Fraction(0), curvature.kappa_zero)])
-    return run.report()
+    return report.done()
 
 
 def cubic_corpus(corpus_seed: int, trials: int) -> list[tuple[str, Graph]]:
@@ -233,39 +224,39 @@ def check_no_cubic_bone_idle(corpus_seed: int, trials: int) -> VerificationRepor
     classification claim covers all cubic graphs, this samples it."""
     if not 1 <= trials <= 1000:  # 1000 trials, 4,000 random graphs: about 1.5 s on a 2-core Xeon
         raise ValueError(f"trials must be from 1 to 1000, got {trials}")
-    run = _Run("no-cubic-bone-idle")
-    run.notes.append("sampling suite: falsification over a fixed corpus plus random cubic graphs")
+    report = VerificationReport("no-cubic-bone-idle", notes=[
+        "sampling suite: falsification over a fixed corpus plus random cubic graphs"])
     for label, g in cubic_corpus(corpus_seed, trials):
-        run.instances += 1
-        with run.guard(label, None, "witness-scan"):
+        report.instances += 1
+        with report.guard(label, None, "witness-scan"):
             for x, y in g.edges():
                 k0 = curvature.kappa_zero(g, x, y)
                 k = curvature.kappa_lly(g, x, y)
                 if k0 != 0 or k != 0:
-                    run.notes.append(f"{label}: witness edge ({x},{y}) kappa0={k0} kappa={k}")
+                    report.notes.append(f"{label}: witness edge ({x},{y}) kappa0={k0} kappa={k}")
                     break
             else:  # every edge is bone-idle
-                run.check(label, None, "has-non-bone-idle-edge", True, False)
-    return run.report()
+                report.check(label, None, "has-non-bone-idle-edge", True, False)
+    return report.done()
 
 
 def check_girth5_bone_idle() -> VerificationReport:
     """Girth-5 flat graphs are not bone-idle: Petersen and the dodecahedral
     graph are flat but not 0-flat; cycles C_n are bone-idle from n = 6 on
     but C_5 is not."""
-    run = _Run("girth5-bone-idle")
+    report = VerificationReport("girth5-bone-idle")
     for label, g in (_named(petersen), _named(dodecahedral)):
-        run.instances += 1
-        with run.guard(label, None, "girth5"):
-            run.check(label, None, "ricci-flat", True, curvature.is_ricci_flat(g))
-            run.check(label, None, "not-zero-ricci-flat", False, curvature.is_zero_ricci_flat(g))
+        report.instances += 1
+        with report.guard(label, None, "girth5"):
+            report.check(label, None, "ricci-flat", True, curvature.is_ricci_flat(g))
+            report.check(label, None, "not-zero-ricci-flat", False, curvature.is_zero_ricci_flat(g))
     for n in (*range(6, 13), 5):
         label, g = _named(cycle, n)
         check = "bone-idle" if n >= 6 else "not-bone-idle"
-        run.instances += 1
-        with run.guard(label, None, check):
-            run.check(label, None, check, n >= 6, curvature.is_bone_idle(g))
-    return run.report()
+        report.instances += 1
+        with report.guard(label, None, check):
+            report.check(label, None, check, n >= 6, curvature.is_bone_idle(g))
+    return report.done()
 
 
 def default_product_pairs() -> list[tuple[str, Graph, str, Graph]]:
@@ -279,7 +270,7 @@ def default_product_pairs() -> list[tuple[str, Graph, str, Graph]]:
 def check_product_formula(pairs=None) -> VerificationReport:
     """Every edge of a box product of regular graphs carries the factor
     curvature scaled by d_factor/(d_G + d_H), for kappa and kappa_0 both."""
-    run = _Run("product-formula")
+    report = VerificationReport("product-formula")
     for g_label, g, h_label, h in (pairs if pairs is not None else default_product_pairs()):
         dg, dh = is_regular(g), is_regular(h)
         if dg is None or dh is None:
@@ -287,25 +278,20 @@ def check_product_formula(pairs=None) -> VerificationReport:
         if not (is_connected(g) and is_connected(h)):
             raise ValueError("product formula requires connected factors")
         label = f"{g_label} x {h_label}"
-        g_vals = {e: (curvature.kappa_lly(g, *e), curvature.kappa_zero(g, *e)) for e in g.edges()}
-        h_vals = {e: (curvature.kappa_lly(h, *e), curvature.kappa_zero(h, *e)) for e in h.edges()}
         prod = cartesian_product(g, h)
         for i, j in prod.edges():
-            run.instances += 1
-            a1, b1 = divmod(i, h.n)
-            a2, b2 = divmod(j, h.n)
-            if b1 == b2:
-                base = g_vals[(min(a1, a2), max(a1, a2))]
-                factor = Fraction(dg, dg + dh)
-            else:
-                base = h_vals[(min(b1, b2), max(b1, b2))]
-                factor = Fraction(dh, dg + dh)
-            with run.guard(label, (i, j), "product"):
-                run.check(label, (i, j), "product-kappa",
-                          factor * base[0], curvature.kappa_lly(prod, i, j))
-                run.check(label, (i, j), "product-kappa0",
-                          factor * base[1], curvature.kappa_zero(prod, i, j))
-    return run.report()
+            report.instances += 1
+            (a1, b1), (a2, b2) = divmod(i, h.n), divmod(j, h.n)
+            # the factor edge under (i, j), ordered as i < j orders it
+            f, u, v, df = (g, a1, a2, dg) if b1 == b2 else (h, b1, b2, dh)
+            with report.guard(label, (i, j), "product"):
+                scale = Fraction(df, dg + dh)
+                k, k0 = curvature.kappa_lly(f, u, v), curvature.kappa_zero(f, u, v)
+                report.check(label, (i, j), "product-kappa",
+                             scale * k, curvature.kappa_lly(prod, i, j))
+                report.check(label, (i, j), "product-kappa0",
+                             scale * k0, curvature.kappa_zero(prod, i, j))
+    return report.done()
 
 
 def default_corpus(seed: int) -> list[tuple[str, Graph]]:
@@ -353,75 +339,76 @@ def check_edge_properties(corpus) -> VerificationReport:
     formula and its range, the upper curvature bound, the equality
     condition and its sufficient condition, the assignment identity
     2*N1 + N2 = 3k - C*, the idleness function shape (its first piece
-    reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398), and the diameter
-    bound on positively curved graphs."""
-    run = _Run("edge-properties")
+    reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398, and its value at 16
+    probes), and the diameter bound on positively curved graphs.
+
+    Each edge's curvature calls run under the guards route-agreement,
+    gap-formula, idleness-reconstruction and idleness-probe: a fault inside
+    one is a Failure of that check, and the suite goes on with the next
+    edge. PiecewiseLinearFn refuses a function that is nonzero at 1, has
+    more than 3 pieces or is not strictly concave, so such a shape fails
+    as idleness-reconstruction."""
+    report = VerificationReport("edge-properties")
     for label, g in corpus:
         min_kappa = None
         for x, y in g.edges():
-            run.instances += 1
-            with run.guard(label, (x, y), "route-agreement") as routes:
+            report.instances += 1
+            with report.guard(label, (x, y), "route-agreement") as routes:
                 k = curvature.kappa_lly(g, x, y)      # cross-checks the assignment route
                 k0 = curvature.kappa_zero(g, x, y)    # likewise
             if routes.failed:
                 continue
             if min_kappa is None or k < min_kappa:
                 min_kappa = k
-            dx, dy = len(g.adj[x]), len(g.adj[y])
-            run.check(label, (x, y), "upper-bound", True, k <= _kappa_bound(g, x, y))
+            edge, dx, dy = (x, y), len(g.adj[x]), len(g.adj[y])
+            nxy = len(common_neighbors(g, x, y))
+            report.check(label, edge, "upper-bound", True, k <= Fraction(nxy + 2, max(dx, dy)))
             if dx == dy:
-                with run.guard(label, (x, y), "gap-formula") as closed_form:
+                with report.guard(label, edge, "gap-formula") as closed_form:
                     gap, supsup = curvature.gap_formula(g, x, y)
+                    report.check(label, edge, "gap-formula", k - k0, gap)
+                    report.check(label, edge, "gap-range", True, dx * (k - k0) in (0, 1, 2))
+                    if supsup is not None:
+                        report.check(label, edge, "supsup-range", True, supsup in (1, 2, 3))
+                    report.check(label, edge, "equality-condition",
+                                 k == k0, curvature.equality_holds(g, x, y))
+                    if k < -1 + Fraction(2 * nxy + 3, dx):
+                        report.check(label, edge, "sufficient-equality", k, k0)
+                    ls = curvature.local_structure(g, x, y)
+                    report.check(label, edge, "bone-idle-local", k == 0 and k0 == 0, ls.bone_idle)
+                    if ls.k <= 5:
+                        cost = curvature.assignment_instance(g, x, y)[2]
+                        for perm in permutations(range(ls.k)):
+                            dists = [cost[i][perm[i]] for i in range(ls.k)]
+                            if sum(dists) == ls.optimal_cost:
+                                report.check(label, edge, "assignment-identity", ls.two_n1_plus_n2,
+                                             2 * dists.count(1) + dists.count(2))
                 if closed_form.failed:
                     continue
-                run.check(label, (x, y), "gap-formula", k - k0, gap)
-                run.check(label, (x, y), "gap-range", True, dx * (k - k0) in (0, 1, 2))
-                if supsup is not None:
-                    run.check(label, (x, y), "supsup-range", True, supsup in (1, 2, 3))
-                run.check(label, (x, y), "equality-condition",
-                          k == k0, curvature.equality_holds(g, x, y))
-                if k < -1 + Fraction(2 * len(common_neighbors(g, x, y)) + 3, dx):
-                    run.check(label, (x, y), "sufficient-equality", k, k0)
-                ls = curvature.local_structure(g, x, y)
-                run.check(label, (x, y), "bone-idle-local",
-                          k == 0 and k0 == 0, ls.bone_idle)
-                if ls.k <= 5:
-                    cost = curvature.assignment_instance(g, x, y)[2]
-                    for perm in permutations(range(ls.k)):
-                        dists = [cost[i][perm[i]] for i in range(ls.k)]
-                        if sum(dists) == ls.optimal_cost:
-                            run.check(label, (x, y), "assignment-identity",
-                                      ls.two_n1_plus_n2, 2 * dists.count(1) + dists.count(2))
-            with run.guard(label, (x, y), "idleness-reconstruction") as reconstruction:
+            with report.guard(label, edge, "idleness-reconstruction"):
                 fn = curvature.idleness_function(g, x, y)
-            if reconstruction.failed:
-                continue
-            run.check(label, (x, y), "idleness-final-zero", Fraction(0), fn.values[-1])
-            run.check(label, (x, y), "idleness-segments", True, fn.segments <= 3)
-            slopes = fn.slopes()
-            run.check(label, (x, y), "idleness-concave", True,
-                      all(a > b for a, b in zip(slopes, slopes[1:])))
-            a_star = Fraction(1, max(dx, dy) + 1)
-            run.check(label, (x, y), "idleness-last-slope", -k, slopes[-1])
-            run.check(label, (x, y), "idleness-last-piece-start", True,
-                      fn.breakpoints[-2] <= a_star)
-            run.check(label, (x, y), "idleness-first-piece", True,
-                      fn.breakpoints[1] >= Fraction(1, math.lcm(dx, dy) + 1))
-            for a in _probe_alphas(label, x, y):
-                run.check(label, (x, y), "idleness-probe",
-                          curvature.kappa_alpha(g, x, y, a), fn.value_at(a))
+                slopes = fn.slopes()
+                report.check(label, edge, "idleness-last-slope", -k, slopes[-1])
+                report.check(label, edge, "idleness-last-piece-start", True,
+                             fn.breakpoints[-2] <= Fraction(1, max(dx, dy) + 1))
+                report.check(label, edge, "idleness-first-piece", True,
+                             fn.breakpoints[1] >= Fraction(1, math.lcm(dx, dy) + 1))
+                with report.guard(label, edge, "idleness-probe"):
+                    for a in _probe_alphas(label, x, y):
+                        report.check(label, edge, "idleness-probe",
+                                     curvature.kappa_alpha(g, x, y, a), fn.value_at(a))
         if min_kappa is not None and min_kappa > 0 and is_connected(g):
-            run.check(label, None, "bonnet-myers", True,
-                      diameter(g) <= Fraction(2) / min_kappa)
-    return run.report()
+            report.check(label, None, "bonnet-myers", True,
+                         diameter(g) <= Fraction(2) / min_kappa)
+    return report.done()
 
 
 def check_rf72(g: Graph) -> VerificationReport:
     """User-supplied 72-vertex 5-regular flat graph: must be 5-regular,
     flat, and carry kappa_0 = -1/5 on every edge."""
-    run = _Run("rf72")
-    run.check("rf72", None, "order", 72, g.n)
-    run.check("rf72", None, "regular-degree", 5, is_regular(g))
-    _check_edges(run, "rf72", g, "rf72", [("kappa", Fraction(0), curvature.kappa_lly),
-                                         ("kappa0", Fraction(-1, 5), curvature.kappa_zero)])
-    return run.report()
+    report = VerificationReport("rf72")
+    report.check("rf72", None, "order", 72, g.n)
+    report.check("rf72", None, "regular-degree", 5, is_regular(g))
+    _check_edges(report, "rf72", g, "rf72", [("kappa", Fraction(0), curvature.kappa_lly),
+                                            ("kappa0", Fraction(-1, 5), curvature.kappa_zero)])
+    return report.done()

@@ -14,7 +14,7 @@ from orckit.families import bi_antiprism, complete, cycle, petersen
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT
 
-from helpers import child_env
+from helpers import child_env, corrupt_assignment_optimum
 
 
 def run_cli(args, capsys):
@@ -352,6 +352,18 @@ def test_verify_rf72_failure_exit_code(tmp_path, capsys):
     assert code == 1  # the supplied graph is not the 5-regular flat graph
     reports = json.loads(stdout)
     assert any(not r["passed"] for r in reports)
+
+
+def test_verify_solver_fault_fails_reports(capsys, monkeypatch):
+    # a fault inside a suite fails that suite's report, exit 1, and
+    # --suite all still prints every report
+    corrupt_assignment_optimum(monkeypatch)
+    code, stdout, _ = run_cli(["verify", "--suite", "product-formula"], capsys)
+    assert code == 1 and not json.loads(stdout)[0]["passed"]
+    code, stdout, _ = run_cli(["verify", "--suite", "all", "--nmax", "4", "--trials", "1"], capsys)
+    reports = json.loads(stdout)
+    assert code == 1 and len(reports) == len(cli._SUITES) == 8
+    assert not any(r["passed"] for r in reports)
 
 
 def test_verify_trials_bound_exits_2_before_building():

@@ -17,7 +17,7 @@ import pytest
 
 from orckit import cli
 from orckit.families import cocktail_party, petersen
-from orckit.verify import check_edge_properties, check_family_values
+from orckit.verify import check_edge_properties, check_family_values, check_product_formula
 
 from helpers import corrupt_assignment_optimum
 
@@ -136,6 +136,7 @@ ERRORS = {
 CORRUPTED = {
     "family-values": "54acf11df48f910d912557d78d77877c48b6ec3b5ec46625c1b3b5a71aa1bf84",
     "edge-properties": "f675fe4c8c9697cf37577c59db5356db292530481a578739594fb875db689b63",
+    "product-formula": "41b35e00ced19c76843bee202485a0f3e5a51986489b553b5cd7cd707334bf71",
 }
 
 
@@ -193,6 +194,7 @@ def test_failure_report_bytes(monkeypatch):
         "family-values": check_family_values(),
         "edge-properties": check_edge_properties(
             [("cocktail_party(3)", cocktail_party(3)), ("petersen", petersen())]),
+        "product-formula": check_product_formula(),
     }
     for name, report in reports.items():
         assert not report.passed

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -121,6 +123,76 @@ def test_edge_properties_checks_the_first_idleness_piece(monkeypatch):
     monkeypatch.setattr(verify, "_PROBES", 0)
     report = check_edge_properties(corpus)
     assert [(f.edge, f.check) for f in report.failures] == [((0, 1), "idleness-first-piece")]
+
+
+@pytest.mark.parametrize("breakpoints, values", [
+    ((F(0), F(1)), (F(1), F(1))),                                          # nonzero at 1
+    ((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), (F(0), F(1), F(1), F(1), F(0))),  # 4 pieces
+    ((F(0), F(1, 2), F(1)), (F(1), F(1, 2), F(0))),                        # not strictly concave
+])
+def test_wrong_idleness_shape_fails_reconstruction(monkeypatch, breakpoints, values):
+    # PiecewiseLinearFn refuses each of these shapes, so every edge records
+    # one idleness-reconstruction Failure and no other
+    corpus = [("cycle(5)", cycle(5)), ("path(3)", path(3))]
+    monkeypatch.setattr(curvature, "idleness_function",
+                        lambda g, x, y: PiecewiseLinearFn(breakpoints, values))
+    report = check_edge_properties(corpus)
+    assert [(f.graph, f.edge, f.check) for f in report.failures] == \
+        [(label, edge, "idleness-reconstruction") for label, g in corpus for edge in g.edges()]
+
+
+# suite -> a small run of it
+SMALL_SUITES = {
+    "main-theorem": lambda: check_main_theorem(3),
+    "ric-one": check_ric_one_classification,
+    "family-values": check_family_values,
+    "bone-idle-families": check_bone_idle_families,
+    "no-cubic-bone-idle": lambda: check_no_cubic_bone_idle(corpus_seed=1, trials=1),
+    "girth5": check_girth5_bone_idle,
+    "product-formula": lambda: check_product_formula(
+        [("cycle(5)", cycle(5), "complete(2)", complete(2))]),
+    "edge-properties": lambda: check_edge_properties([("cycle(5)", cycle(5)),
+                                                      ("path(3)", path(3))]),
+    "rf72": lambda: check_rf72(petersen()),
+}
+
+# orckit.curvature function -> the suites that call it
+CALLERS = {
+    "kappa_lly": [name for name in SMALL_SUITES if name != "girth5"],
+    "kappa_zero": ["family-values", "bone-idle-families", "no-cubic-bone-idle",
+                   "product-formula", "edge-properties", "rf72"],
+    "kappa_alpha": ["edge-properties"],
+    "gap_formula": ["edge-properties"],
+    "equality_holds": ["edge-properties"],
+    "local_structure": ["edge-properties"],
+    "assignment_instance": ["edge-properties"],
+    "idleness_function": ["edge-properties"],
+    "is_ricci_flat": ["girth5"],
+    "is_zero_ricci_flat": ["girth5"],
+    "is_bone_idle": ["girth5"],
+}
+
+
+def test_callers_name_every_curvature_call_of_verify():
+    assert set(re.findall(r"\bcurvature\.(\w+)", inspect.getsource(verify))) == set(CALLERS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLERS))
+def test_every_curvature_call_is_guarded(monkeypatch, name):
+    # the patched function raises only when verify itself calls it, so each
+    # call site of `name` in verify must turn the error into a Failure
+    exact = getattr(curvature, name)
+    message = f"ConsistencyError: {name} fault"
+
+    def faulty(*args):
+        if sys._getframe(1).f_globals["__name__"] == verify.__name__:
+            raise ConsistencyError(f"{name} fault")
+        return exact(*args)
+
+    monkeypatch.setattr(curvature, name, faulty)
+    for suite in CALLERS[name]:
+        report = SMALL_SUITES[suite]()
+        assert any(f.actual == message for f in report.failures), suite
 
 
 def test_default_corpus_shape():
