@@ -371,12 +371,16 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
     The function is concave and piecewise linear with at most 3 parts, and
     is linear on [1/(D+1), 1] with slope -kappa. For a concave piecewise
     linear f, f((a+b)/2) == (f(a)+f(b))/2 certifies linearity on all of
-    [a, b], so bisection on rational midpoints pins each remaining slope
-    down exactly, the first from 1/(lcm(d_x, d_y) + 1) (arXiv:1704.04398);
-    breakpoints then fall out as line intersections. Every reconstructed
-    breakpoint value is re-checked against a direct evaluation. More than
-    64 new evaluations would contradict the 3-piece structure and raises
-    ConsistencyError.
+    [a, b], so bisection on rational midpoints pins each slope down exactly,
+    the first from 1/(lcm(d_x, d_y) + 1) (arXiv:1704.04398). One loop walks
+    the pieces left to right: the current piece meets the last line
+    kappa*(1 - alpha) at c. If f(c) lies on the piece, c is the last
+    breakpoint; otherwise the slope read at c must lie strictly between the
+    piece's slope and -kappa, and the next piece starts where the two lines
+    meet. Every breakpoint value is re-checked
+    against a direct evaluation, and a piece of slope -kappa must pass
+    through (1, 0). More than 64 new evaluations would contradict the
+    3-piece structure and raise ConsistencyError.
     """
     e = _edge(g, x, y)
     limit = len(e.kappas) + _PROBE_BUDGET
@@ -396,33 +400,28 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
             width /= 2
         return (f(a + width) - f(a)) / width
 
-    zero, one = Fraction(0), Fraction(1)
-    s1 = slope_from(zero, Fraction(1, e.lcm + 1))
-
-    if s1 == -kap:
-        # one slope throughout; it must be the final line kappa*(1-alpha)
-        if f0 != kap:
-            raise ConsistencyError("single-slope function missing value kappa at 0")
-        return PiecewiseLinearFn((zero, one), (f0, Fraction(0)))
-
-    # f0 + s1*a  meets  kap*(1-a)
-    cross = (kap - f0) / (s1 + kap)
-    v_cross = f(cross)
-    if v_cross == f0 + s1 * cross:
-        return PiecewiseLinearFn((zero, cross, one), (f0, v_cross, Fraction(0)))
-
-    # a middle piece is active strictly around `cross`
-    s2 = slope_from(cross, (a_star - cross) / 2)
-    if not (s1 > s2 > -kap):
-        raise ConsistencyError("middle slope not strictly between outer slopes")
-    b1 = (v_cross - s2 * cross - f0) / (s1 - s2)
-    b2 = (kap + s2 * cross - v_cross) / (s2 + kap)
-    if not (0 < b1 < b2 < 1):
-        raise ConsistencyError("breakpoints out of order")
-    v1, v2 = f(b1), f(b2)
-    if v1 != f0 + s1 * b1 or v2 != kap * (1 - b2):
-        raise ConsistencyError("reconstructed breakpoints disagree with direct evaluation")
-    return PiecewiseLinearFn((zero, b1, b2, one), (f0, v1, v2, Fraction(0)))
+    bp, vals = [Fraction(0)], [f0]
+    s = slope_from(bp[0], Fraction(1, e.lcm + 1))
+    while s != -kap:
+        a, v = bp[-1], vals[-1]
+        c = (kap - v + s * a) / (s + kap)  # where this piece meets kappa*(1 - alpha)
+        fc = f(c)
+        if fc == v + s * (c - a):  # c starts the last piece
+            bp.append(c)
+            vals.append(fc)
+            break
+        if not s > (s_next := slope_from(c, (a_star - c) / 2)) > -kap:
+            raise ConsistencyError(f"idleness_function({x},{y}): no slope strictly between "
+                                   f"{s} and {-kap} after {c}")
+        b = (fc - s_next * c - v + s * a) / (s - s_next)  # where this piece meets the next
+        bp.append(b)
+        vals.append(f(b))
+        if vals[-1] != v + s * (b - a):
+            raise ConsistencyError("reconstructed breakpoint disagrees with direct evaluation")
+        s = s_next
+    if vals[-1] != kap * (1 - bp[-1]):
+        raise ConsistencyError(f"idleness_function({x},{y}): last piece misses (1, 0)")
+    return PiecewiseLinearFn((*bp, Fraction(1)), (*vals, Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -443,8 +442,8 @@ class EdgeCurvatureRecord:
 
 def edge_record(g: Graph, x: int, y: int) -> EdgeCurvatureRecord:
     e = _edge(g, x, y)
-    k0 = kappa_zero(g, x, y)
     k = kappa_lly(g, x, y)
+    k0 = kappa_zero(g, x, y)
     gap_c: Optional[int] = None
     supsup: Optional[int] = None
     if e.dx == e.dy:

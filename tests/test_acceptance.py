@@ -85,8 +85,9 @@ def test_criterion_2_main_theorem_exhaustive():
 def test_criterion_3_gap_formula(edge_report, corpus_stats):
     with criterion(3, "gap formula and gap class over the corpus"):
         assert corpus_stats["equal_degree"] >= 4000  # the advertised ~5k scale
-        bad = [f for f in edge_report.failures
-               if f.check in ("gap-formula", "gap-range", "supsup-range", "route-agreement")]
+        # edge_record raises on a gap off the closed form or outside {0, 1, 2}/d,
+        # and the suite records that as route-agreement
+        bad = [f for f in edge_report.failures if f.check == "route-agreement"]
         assert bad == []
 
 
@@ -146,9 +147,8 @@ def test_criterion_8_idleness_structure(edge_report):
 def test_criterion_9_property_suite(edge_report):
     with criterion(9, "upper bound, Bonnet-Myers, equality conditions, 2N1+N2 identity"):
         bad = [f for f in edge_report.failures
-               if f.check in ("upper-bound", "bonnet-myers", "equality-condition",
-                              "sufficient-equality", "assignment-identity",
-                              "bone-idle-local")]
+               if f.check in ("upper-bound", "bonnet-myers", "sufficient-equality",
+                              "assignment-identity", "bone-idle-local")]
         assert bad == []
         assert edge_report.passed  # nothing else failed either
 

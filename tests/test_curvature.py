@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -288,6 +289,37 @@ def test_kappa_alpha_matches_wasserstein_on_unequal_degree_edges():
                     assert kappa_alpha(fresh, x, y, a) == 1 - w1, (edges, x, y, a)
                 checked += 1
     assert checked >= 50, checked
+
+
+def test_kappa_alpha_matches_linprog_on_unequal_degree_edges():
+    # wasserstein1 runs the same transport solver as kappa_alpha; scipy's LP
+    # over BFS distances shares no code with it. At alpha = p/q both measures
+    # become integers when scaled by q*L, L = lcm(d_x, d_y), and the LP moves
+    # every unit, shared mass included, between the two whole supports.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(1711)
+    checked = 0
+    while checked < 240:
+        g = random_connected_graph(rng, rng.randint(4, 8), 0.35)
+        for u, v in g.edges():
+            if g.degree(u) == g.degree(v):
+                continue
+            for x, y in ((u, v), (v, u)):
+                q = rng.randint(2, 12)
+                p = rng.randint(0, q)
+                lcm = math.lcm(g.degree(x), g.degree(y))
+                mu, nu = ({c: p * lcm, **{w: (q - p) * lcm // g.degree(c) for w in g.adj[c]}}
+                          for c in (x, y))
+                cost = [distances_from(g, a)[b] for a in mu for b in nu]
+                ns, nd = len(mu), len(nu)
+                rows = [[int(k // nd == i) for k in range(ns * nd)] for i in range(ns)]
+                cols = [[int(k % nd == j) for k in range(ns * nd)] for j in range(nd)]
+                lp = optimize.linprog(cost, A_eq=rows + cols, b_eq=[*mu.values(), *nu.values()],
+                                      bounds=(0, None), method="highs")
+                assert lp.status == 0
+                assert kappa_alpha(g, x, y, F(p, q)) == 1 - F(round(lp.fun), q * lcm), \
+                    (g.edges(), x, y, p, q)
+                checked += 1
 
 
 def test_kappa_lly_matches_limit_free_oracle():

@@ -136,7 +136,7 @@ ERRORS = {
 CORRUPTED = {
     "family-values": "54acf11df48f910d912557d78d77877c48b6ec3b5ec46625c1b3b5a71aa1bf84",
     "edge-properties": "f675fe4c8c9697cf37577c59db5356db292530481a578739594fb875db689b63",
-    "product-formula": "41b35e00ced19c76843bee202485a0f3e5a51986489b553b5cd7cd707334bf71",
+    "product-formula": "7ef7fd87cb4e0d729c50b763c6b9ee27415551ea12c95682bc4595da0ecbd613",
 }
 
 

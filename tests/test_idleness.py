@@ -1,14 +1,21 @@
+import hashlib
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
 
+from orckit import curvature
 from orckit.curvature import (ConsistencyError, PiecewiseLinearFn, idleness_function,
                               kappa_alpha, kappa_lly)
 from orckit.families import (cocktail_party, complete, cycle, hypercube, petersen,
                              random_regular, star)
 from orckit.graphs import Graph
+
+from helpers import child_env, random_connected_graph
 
 
 def test_bone_idle_edge_is_identically_zero():
@@ -55,6 +62,79 @@ def test_three_segment_reconstruction_on_random_graphs():
             for a in grid:
                 assert fn.value_at(a) == kappa_alpha(twin, x, y, a), (g.edges(), x, y, a)
     assert 3 in segments
+
+
+def test_idleness_evaluations_pinned():
+    # For both orientations of every edge of 300 seeded graphs: the
+    # breakpoints, the values and the kappa_alpha keys the edge context
+    # stored, in the order it stored them. A rewrite of the reconstruction
+    # must give the same functions from the same evaluations.
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    edges = three = 0
+    for _ in range(300):
+        g = random_connected_graph(rng, rng.randint(4, 10), 0.35)
+        for u, v in g.edges():
+            for x, y in ((u, v), (v, u)):
+                fn = idleness_function(g, x, y)
+                keys = list(curvature._edge(g, x, y).kappas)
+                digest.update(repr((fn.breakpoints, fn.values, keys)).encode("ascii"))
+            edges += 1
+            three += fn.segments == 3
+    assert (edges, three) == (3785, 1313)
+    assert digest.hexdigest() == \
+        "10b5d91cd2b130178ec67fd17f12a1e28ef2aa69834ff06a2953cb54116ac4c0"
+
+
+def test_wrong_shapes_raise_consistency_error():
+    # kappa_alpha patched to a polyline, so the reconstruction itself must
+    # refuse the shape: a fourth piece; a slope read at c equal to the
+    # piece's own, which would divide by zero where the two lines meet; a
+    # breakpoint whose direct value is off its piece; a first slope of
+    # -kappa from kappa_0 != kappa. K2's polylines keep its kappa = 2 and
+    # kappa_0 = 0, so both routes agree; the edge (0, 2) of K(2,3) has
+    # unequal degrees and no assignment route. A child process with a
+    # timeout turns a hang into a failure.
+    code = textwrap.dedent("""
+        from fractions import Fraction as F
+        from orckit import curvature
+        from orckit.families import complete, complete_bipartite
+
+        def polyline(points):
+            def value(g, x, y, alpha):
+                a = F(alpha)
+                for (a1, v1), (a2, v2) in zip(points, points[1:]):
+                    if a <= a2:
+                        return v1 + (v2 - v1) * (a - a1) / (a2 - a1)
+            return value
+
+        k2, k23 = complete(2), complete_bipartite(2, 3)
+        shapes = {
+            "fourth piece": (k2, 0, 1, [(0, 0), (F(1, 8), F(3, 4)), (F(3, 10), F(37, 40)),
+                                        (F(1, 2), 1), (1, 0)]),
+            "equal slopes": (k2, 0, 1, [(0, 0), (F(1, 8), F(3, 4)), (F(3, 16), F(3, 4)),
+                                        (F(9, 32), F(21, 16)), (F(1, 2), 1), (1, 0)]),
+            "breakpoint off its piece": (k23, 0, 2, [
+                (0, F(1, 3)), (F(179, 1400), F(153, 280)), (F(57, 350), F(407, 700)),
+                (F(1, 4), F(5, 8)), (1, 0)]),
+            "kappa_0 off the last line": (k23, 0, 2, [
+                (0, F(11, 10)), (F(1, 7), F(67, 70)), (F(1, 4), F(3, 4)), (1, 0)]),
+        }
+        for name, (g, x, y, points) in shapes.items():
+            curvature.kappa_alpha = polyline(points)
+            try:
+                curvature.idleness_function(g, x, y)
+            except curvature.ConsistencyError as exc:
+                print(f"{name}: {exc}")
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "fourth piece: more than 3 linear segments",
+        "equal slopes: idleness_function(0,1): no slope strictly between 6 and -2 after 1/4",
+        "breakpoint off its piece: reconstructed breakpoint disagrees with direct evaluation",
+        "kappa_0 off the last line: idleness_function(0,2): last piece misses (1, 0)"]
 
 
 def test_shape_properties_on_sample():

@@ -103,6 +103,17 @@ def test_product_formula_small_pairs():
         check_product_formula([("star(3)", star(3), "cycle(6)", cycle(6))])
 
 
+def test_factor_fault_names_the_factor_edge(monkeypatch):
+    # a fault in a factor's curvature is the factor's: its label, its edge
+    # in its own numbering, and no product check of that product edge
+    corrupt_assignment_optimum(monkeypatch)
+    report = check_product_formula([("cycle(6)", cycle(6), "complete(2)", complete(2))])
+    assert report.instances == len(report.failures) == 18
+    assert {f.check for f in report.failures} == {"product-factor"}
+    assert {(f.graph, f.edge) for f in report.failures} == \
+        {("cycle(6)", edge) for edge in cycle(6).edges()} | {("complete(2)", (0, 1))}
+
+
 def test_edge_properties_small_corpus():
     corpus = [("petersen", petersen()), ("cocktail_party(3)", cocktail_party(3)),
               ("cycle(5)", cycle(5)), ("torus_grid(6,6)", torus_grid(6, 6))]
@@ -141,6 +152,30 @@ def test_wrong_idleness_shape_fails_reconstruction(monkeypatch, breakpoints, val
         [(label, edge, "idleness-reconstruction") for label, g in corpus for edge in g.edges()]
 
 
+@pytest.mark.parametrize("fault", ["gap off by 1/d", "supsup 4", "supsup 2 for 3"])
+def test_wrong_gap_fails_route_agreement(monkeypatch, fault):
+    # edge_record raises unless gap_formula's gap equals kappa - kappa_0, so
+    # a wrong gap or a wrong supsup (the gap is (3 - supsup)/d) fails each
+    # equal-degree edge once, as route-agreement; every edge of cycle(6) and
+    # torus_grid(6,6) has supsup 3, and path(3) has no equal-degree edge
+    exact = curvature.gap_formula
+
+    def wrong(g, x, y):
+        gap, supsup = exact(g, x, y)
+        d = g.degree(x)
+        return {"gap off by 1/d": (gap + F(1, d), supsup),
+                "supsup 4": (F(3 - 4, d), 4),
+                "supsup 2 for 3": (F(3 - 2, d), 2) if supsup == 3 else (gap, supsup)}[fault]
+
+    corpus = [("cycle(6)", cycle(6)), ("torus_grid(6,6)", torus_grid(6, 6)), ("path(3)", path(3))]
+    monkeypatch.setattr(curvature, "gap_formula", wrong)
+    report = check_edge_properties(corpus)
+    assert [(f.graph, f.edge, f.check) for f in report.failures] == \
+        [(label, (x, y), "route-agreement") for label, g in corpus for x, y in g.edges()
+         if g.degree(x) == g.degree(y)]
+    assert all("gap(" in f.actual for f in report.failures)
+
+
 # suite -> a small run of it
 SMALL_SUITES = {
     "main-theorem": lambda: check_main_theorem(3),
@@ -158,12 +193,11 @@ SMALL_SUITES = {
 
 # orckit.curvature function -> the suites that call it
 CALLERS = {
-    "kappa_lly": [name for name in SMALL_SUITES if name != "girth5"],
+    "kappa_lly": [name for name in SMALL_SUITES if name not in ("girth5", "edge-properties")],
     "kappa_zero": ["family-values", "bone-idle-families", "no-cubic-bone-idle",
-                   "product-formula", "edge-properties", "rf72"],
+                   "product-formula", "rf72"],
     "kappa_alpha": ["edge-properties"],
-    "gap_formula": ["edge-properties"],
-    "equality_holds": ["edge-properties"],
+    "edge_record": ["edge-properties"],
     "local_structure": ["edge-properties"],
     "assignment_instance": ["edge-properties"],
     "idleness_function": ["edge-properties"],
