@@ -99,17 +99,16 @@ def _build_family(args: argparse.Namespace) -> Graph:
 def read_graph(path: str) -> Graph:
     """graph6 if the file's text parses as graph6, else an edge list: graph6
     bytes are 63..126, and every edge-list line has whitespace, a digit or '#'."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    try:
-        return parse_graph6(text)
-    except ValueError as exc:
-        g6_error = str(exc)
-    try:
-        return parse_edge_list(text)
-    except ValueError as exc:
-        raise ValueError(f"{path} is neither graph6 ({g6_error}) "
-                         f"nor an edge list ({exc})") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    errors = []
+    for parse in (parse_graph6, parse_edge_list):
+        try:
+            return parse(data.decode("ascii"))
+        except ValueError as exc:  # a UnicodeDecodeError too: both formats are ASCII
+            errors.append(str(exc))
+    raise ValueError(f"{path} is neither graph6 ({errors[0]}) "
+                     f"nor an edge list ({errors[1]})")
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -237,33 +237,6 @@ def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
     return value
 
 
-def gap_formula(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
-    """Closed form for kappa - kappa_0 on an equal-degree edge.
-
-    With k = |S1(x)\\B1(y)| = 0 (the endpoints share d-1 neighbors) the gap
-    is 2/d and no pair statistic exists. Otherwise the gap is
-    (3 - supsup)/d where supsup is the largest pair distance realized by
-    any optimal assignment.
-    """
-    e = _edge(g, x, y)
-    d, supsup = e.d, e.instance.supsup
-    return Fraction(2 if supsup is None else 3 - supsup, d), supsup
-
-
-def curvature_gap(g: Graph, x: int, y: int) -> tuple[Fraction, Optional[int]]:
-    """Gap between kappa and kappa_0 via the closed form, verified against
-    the two curvatures computed independently (edge_record checks it)."""
-    d = _edge(g, x, y).d  # unequal degrees raise ValueError
-    rec = edge_record(g, x, y)
-    return Fraction(rec.gap_c, d), rec.supsup
-
-
-def equality_holds(g: Graph, x: int, y: int) -> bool:
-    """Whether kappa == kappa_0, equivalently whether some optimal
-    assignment moves a vertex across distance 3 (supsup == 3)."""
-    return gap_formula(g, x, y)[1] == 3
-
-
 def is_bone_idle_edge(g: Graph, x: int, y: int) -> bool:
     """An edge is bone-idle when its curvature vanishes for every idleness,
     which happens exactly when kappa_0 = 0 and kappa = 0."""
@@ -295,9 +268,7 @@ class LocalStructure:
     k: int
     optimal_cost: int
     two_n1_plus_n2: int
-    has_distance3_optimal: bool
     bone_idle: bool
-    flat_case: Optional[str]  # triangle-free edges: "flat-distance3" / "flat-no-distance3" / "not-flat"
 
 
 def local_structure(g: Graph, x: int, y: int) -> LocalStructure:
@@ -306,15 +277,8 @@ def local_structure(g: Graph, x: int, y: int) -> LocalStructure:
     e = _edge(g, x, y)
     d, k, c_star = e.d, len(e.instance.left), e.instance.solution[0]
     two_n1 = 3 * k - c_star
-    has3 = e.instance.supsup == 3
-    bone = (2 * d - 4 - 3 * e.nxy == two_n1) and has3
-    flat_case = None
-    if e.nxy == 0:
-        if c_star == d + 1:  # kappa == 0
-            flat_case = "flat-distance3" if has3 else "flat-no-distance3"
-        else:
-            flat_case = "not-flat"
-    return LocalStructure(k, c_star, two_n1, has3, bone, flat_case)
+    bone = (2 * d - 4 - 3 * e.nxy == two_n1) and e.instance.supsup == 3
+    return LocalStructure(k, c_star, two_n1, bone)
 
 
 @dataclass(frozen=True)
@@ -441,19 +405,21 @@ class EdgeCurvatureRecord:
 
 
 def edge_record(g: Graph, x: int, y: int) -> EdgeCurvatureRecord:
+    """Record of x ~ y. Where dx == dy == d, kappa - kappa_0 = gap_c/d with gap_c = 3 - supsup,
+    so kappa == kappa_0 iff supsup == 3; if nxy == d-1, supsup is None and gap_c 2; if dx != dy
+    both None. Raises ConsistencyError if gap_c/d != kappa - kappa_0 or gap_c is not 0, 1, 2."""
     e = _edge(g, x, y)
     k = kappa_lly(g, x, y)
     k0 = kappa_zero(g, x, y)
     gap_c: Optional[int] = None
     supsup: Optional[int] = None
     if e.dx == e.dy:
-        gap, supsup = gap_formula(g, x, y)
-        if gap != k - k0:
+        supsup = e.instance.supsup
+        gap_c = 2 if supsup is None else 3 - supsup
+        if (gap := Fraction(gap_c, e.dx)) != k - k0:
             raise ConsistencyError(f"gap({x},{y}): formula {gap} != direct difference {k - k0}")
-        scaled = gap * e.dx
-        if scaled.denominator != 1 or scaled not in (0, 1, 2):
-            raise ConsistencyError(f"gap class {scaled} outside {{0,1,2}} on edge ({x},{y})")
-        gap_c = int(scaled)
+        if gap_c not in (0, 1, 2):
+            raise ConsistencyError(f"gap class {gap_c} outside {{0,1,2}} on edge ({x},{y})")
     return EdgeCurvatureRecord(x, y, e.dx, e.dy, e.nxy, k0, k, gap_c, supsup,
                                bone_idle=(k0 == 0 and k == 0))
 

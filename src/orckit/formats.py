@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from math import isqrt
 
-from .graphs import Graph, check_size
+from .graphs import VERTEX_LIMIT, Graph, check_size
 
 _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # 3-byte extended size header
@@ -98,6 +98,7 @@ def parse_edge_list(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     max_v = -1
+    digits = len(str(VERTEX_LIMIT))  # a longer count or vertex is refused before int() reads it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,10 +109,16 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"edge list line {lineno}: malformed header {_quoted(line)}")
             if declared is not None:
                 raise ValueError(f"edge list line {lineno}: duplicate header")
+            if len(parts[1]) > digits:
+                raise ValueError(f"edge list line {lineno}: a count of more than {digits} digits "
+                                 f"would exceed the desk-scale limit of {VERTEX_LIMIT}")
             declared = int(parts[1])
             continue
         if len(parts) != 2:
             raise ValueError(f"edge list line {lineno}: expected 'u v', got {_quoted(line)}")
+        if (len(parts[0]) > digits or len(parts[1]) > digits) and (parts[0] + parts[1]).isdigit():
+            raise ValueError(f"edge list line {lineno}: a vertex of more than {digits} digits "
+                             f"would exceed the desk-scale limit of {VERTEX_LIMIT}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:

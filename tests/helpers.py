@@ -17,6 +17,8 @@ from itertools import combinations, permutations
 
 import orckit
 from orckit import transport
+from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
+                             near_cocktail, path, petersen, star)
 from orckit.graphs import INFINITY, Graph, distances_from
 
 
@@ -203,3 +205,24 @@ def corrupt_assignment_optimum(monkeypatch) -> None:
         return (optimum + 1, *duals)
 
     monkeypatch.setattr(transport, "_hungarian", off_by_one)
+
+
+def oracle_graphs() -> list[Graph]:
+    """Graphs for the networkx oracles: families, the graphs on at most one
+    vertex, and 150 seeded G(n, p) graphs with n <= 10, connected or not,
+    regular or not."""
+    graphs = [Graph(0), Graph(1), Graph(3), complete(5), cycle(7), path(4), star(5),
+              complete_bipartite(3, 4), hypercube(3), petersen(), cocktail_party(3),
+              near_cocktail(5)]
+    rng = random.Random(8)
+    for _ in range(150):
+        n, p = rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5, 0.8))
+        graphs.append(Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]))
+    return graphs
+
+
+def to_networkx(nx, g: Graph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h

@@ -156,6 +156,17 @@ def test_curvature_parse_failure_exits_2(tmp_path, capsys):
     assert "nor an edge list (edge list line 1: expected 'u v', got 'C')" in stderr
 
 
+def test_non_ascii_file_names_the_file(tmp_path, capsys):
+    # neither format has a byte outside ASCII; the error line names the file
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"0 \xc2 1\n")
+    for argv in (["curvature", str(bad)], ["verify", "--suite", "girth5", "--rf72", str(bad)]):
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+        assert stderr.startswith(f"error: {bad} is neither graph6 (")
+        assert "byte 0xc2 in position 2" in stderr and ") nor an edge list (" in stderr
+
+
 def test_curvature_bad_alpha_exits_2(tmp_path):
     # run as a child, so an uncaught exception shows as a traceback on stderr
     graph_file = tmp_path / "k3.g6"

@@ -7,9 +7,8 @@ from itertools import combinations, permutations
 import pytest
 
 from orckit import curvature, graphs, transport
-from orckit.curvature import (ConsistencyError, assignment_instance, curvature_gap,
-                              curvature_profile, edge_record, equality_holds, gap_formula,
-                              idleness_function, is_bone_idle,
+from orckit.curvature import (ConsistencyError, assignment_instance, curvature_profile,
+                              edge_record, idleness_function, is_bone_idle,
                               is_bone_idle_edge, is_ricci_flat, is_zero_ricci_flat,
                               kappa_alpha, kappa_lly, kappa_lly_assignment, kappa_zero,
                               kappa_zero_assignment, local_structure,
@@ -108,34 +107,50 @@ def test_route_agreement_across_small_graphs():
         _ = rng  # sampled corpus is already deterministic
 
 
+def _gap(rec):
+    """kappa - kappa_0 as the record's closed form gives it, with supsup."""
+    return F(rec.gap_c, rec.dx), rec.supsup
+
+
 def test_gap_examples():
     for n in range(3, 8):
-        gap, supsup = curvature_gap(complete(n), 0, 1)
-        assert gap == F(2, n - 1) and supsup is None
+        assert _gap(edge_record(complete(n), 0, 1)) == (F(2, n - 1), None)
     p = petersen()
-    assert curvature_gap(p, *p.edges()[0]) == (F(1, 3), 2)
-    assert curvature_gap(cycle(6), 0, 1) == (F(0), 3)
-    with pytest.raises(ValueError, match="unequal"):
-        curvature_gap(star(3), 0, 1)
+    assert _gap(edge_record(p, *p.edges()[0])) == (F(1, 3), 2)
+    assert _gap(edge_record(cycle(6), 0, 1)) == (F(0), 3)
+    rec = edge_record(star(3), 0, 1)  # unequal degrees: no gap
+    assert (rec.gap_c, rec.supsup) == (None, None)
 
 
 def test_gap_class_in_range():
     for g in (petersen(), cocktail_party(4), hypercube(4), cycle(9), complete(6)):
         for x, y in g.edges():
-            gap, _ = curvature_gap(g, x, y)
-            scaled = gap * g.degree(x)
-            assert scaled.denominator == 1 and int(scaled) in (0, 1, 2)
+            rec = edge_record(g, x, y)
+            assert type(rec.gap_c) is int and rec.gap_c in (0, 1, 2)
+            assert F(rec.gap_c, rec.dx) == rec.kappa_lly - rec.kappa0
 
 
 def test_equality_condition_examples():
-    assert equality_holds(cycle(6), 0, 1)
+    assert edge_record(cycle(6), 0, 1).gap_c == 0
     q3 = hypercube(3)
-    assert not equality_holds(q3, *q3.edges()[0])
-    assert not equality_holds(complete(4), 0, 1)
-    # equality iff the two curvatures agree
-    for g in (cycle(5), petersen(), cocktail_party(3), hypercube(4)):
+    assert edge_record(q3, *q3.edges()[0]).gap_c != 0
+    assert edge_record(complete(4), 0, 1).gap_c != 0
+    # gap_c == 0 iff the two curvatures agree iff some optimal assignment
+    # moves a vertex by distance 3
+    corpus = [cycle(5), cycle(6), complete(4), petersen(), hypercube(3), hypercube(4),
+              cocktail_party(3), complete_bipartite(3, 3), torus_grid(6, 6), dodecahedral(),
+              icosidodecahedron(), near_cocktail(5), random_regular(12, 3, 1),
+              random_regular(14, 4, 2)]
+    seen = set()
+    for g in corpus:
         for x, y in g.edges():
-            assert equality_holds(g, x, y) == (kappa_lly(g, x, y) == kappa_zero(g, x, y))
+            if g.degree(x) != g.degree(y):
+                continue
+            rec = edge_record(g, x, y)
+            holds = rec.gap_c == 0
+            assert holds == (kappa_lly(g, x, y) == kappa_zero(g, x, y)) == (rec.supsup == 3)
+            seen.add(holds)
+    assert seen == {True, False}
 
 
 def test_bone_idle_examples():
@@ -161,7 +176,8 @@ def test_local_structure_torus_case():
     t = torus_grid(6, 6)
     ls = local_structure(t, *t.edges()[0])
     # flat with a distance-3 pair: some optimal assignment has N1 = d-2 = 2, N2 = 0
-    assert ls.flat_case == "flat-distance3"
+    rec = edge_record(t, *t.edges()[0])
+    assert rec.nxy == 0 and rec.kappa_lly == 0 and rec.supsup == 3
     assert ls.bone_idle
     assert ls.k == 3 and ls.optimal_cost == 5
     assert ls.two_n1_plus_n2 == 2 * 4 - 4  # = 2*N1 + N2 with N1=2, N2=0
@@ -170,8 +186,7 @@ def test_local_structure_torus_case():
 def test_local_structure_hypercube_matching():
     q3 = hypercube(3)
     x, y = q3.edges()[0]
-    ls = local_structure(q3, x, y)
-    assert not ls.bone_idle and not ls.has_distance3_optimal
+    assert not local_structure(q3, x, y).bone_idle and edge_record(q3, x, y).supsup != 3
     # kappa_0 = 0 via a perfect matching between the full 1-spheres
     left, right, cost = zero_assignment_instance(q3, x, y)
     from orckit.transport import assignment_cost
@@ -180,9 +195,9 @@ def test_local_structure_hypercube_matching():
 
 
 def test_local_structure_k33():
-    ls = local_structure(complete_bipartite(3, 3), 0, 3)
-    assert not ls.has_distance3_optimal  # diameter 2
-    assert ls.flat_case == "not-flat"
+    rec = edge_record(complete_bipartite(3, 3), 0, 3)
+    assert rec.supsup != 3  # diameter 2
+    assert rec.nxy == 0 and rec.kappa_lly != 0  # triangle-free, not flat
 
 
 def test_local_structure_identity_enumerated():
@@ -359,21 +374,18 @@ def test_per_edge_work_runs_no_graph_search(monkeypatch):
 
 def test_deduplicated_cross_checks_still_fire(monkeypatch):
     # edge_record solves kappa and kappa_0 once each; the gap formula and the
-    # assignment routes must still be checked against them.
+    # assignment routes must still be checked against them. Every edge of
+    # cycle(6) has supsup 3.
     p = petersen()
-    x, y = p.edges()[0]
-    exact = curvature.gap_formula
-
-    def off_by_one_over_d(g, u, v):
-        gap, supsup = exact(g, u, v)
-        return gap + F(1, g.degree(u)), supsup
-
-    with monkeypatch.context() as m:
-        m.setattr(curvature, "gap_formula", off_by_one_over_d)
-        with pytest.raises(ConsistencyError, match="gap"):
-            edge_record(p, x, y)
-        with pytest.raises(ConsistencyError, match="gap"):
-            curvature_profile(cycle(6))
+    exact = curvature._Instance.supsup.func
+    for wrong in ({3: 2}, {3: 4}, {3: None}):
+        with monkeypatch.context() as m:
+            m.setattr(curvature._Instance, "supsup",
+                      property(lambda inst, w=wrong: w.get(exact(inst), exact(inst))))
+            with pytest.raises(ConsistencyError, match=r"gap\(0,1\)"):
+                edge_record(cycle(6), 0, 1)
+            with pytest.raises(ConsistencyError, match="gap"):
+                curvature_profile(cycle(6))
     for route, label in (("kappa_zero_assignment", r"kappa_0\("),
                          ("kappa_lly_assignment", r"kappa\(")):
         exact_route = getattr(curvature, route)
@@ -392,23 +404,6 @@ def test_curvature_runs_no_forced_resolve():
     # support off the one Hungarian solve of each assignment matrix.
     records = curvature_profile(complete_bipartite(6, 6))
     assert len(records) == 36 and all((r.gap_c, r.supsup) == (2, 1) for r in records)
-    for g in (cycle(6), petersen(), torus_grid(6, 6)):
-        for x, y in g.edges():
-            assert equality_holds(g, x, y) == local_structure(g, x, y).has_distance3_optimal
-
-
-def test_equality_holds_matches_gap_formula():
-    corpus = [cycle(5), cycle(6), complete(4), petersen(), hypercube(3), cocktail_party(3),
-              complete_bipartite(3, 3), torus_grid(6, 6), dodecahedral(), icosidodecahedron(),
-              near_cocktail(5), random_regular(12, 3, 1), random_regular(14, 4, 2)]
-    seen = set()
-    for g in corpus:
-        for x, y in g.edges():
-            if g.degree(x) == g.degree(y):
-                holds = equality_holds(g, x, y)
-                assert holds == (gap_formula(g, x, y)[1] == 3), (g, x, y)
-                seen.add(holds)
-    assert seen == {True, False}
 
 
 def test_support_feeds_cross_checked_gap(monkeypatch):
@@ -525,11 +520,11 @@ def test_edge_context_memo_keeps_edge_orientation():
     for x, y in _equal_degree_edges(g):
         left, right, cost = assignment_instance(g, x, y)
         zleft, zright, zcost = zero_assignment_instance(g, x, y)
-        values = (kappa_lly(g, x, y), kappa_zero(g, x, y), gap_formula(g, x, y))
+        values = (kappa_lly(g, x, y), kappa_zero(g, x, y), _gap(edge_record(g, x, y)))
         transposed = assignment_instance(g, y, x)
         assert transposed == (right, left, [list(col) for col in zip(*cost)])
         assert zero_assignment_instance(g, y, x) == (zright, zleft, [list(c) for c in zip(*zcost)])
-        assert (kappa_lly(g, y, x), kappa_zero(g, y, x), gap_formula(g, y, x)) == values
+        assert (kappa_lly(g, y, x), kappa_zero(g, y, x), _gap(edge_record(g, y, x))) == values
     assert any(left != right for left, right, _ in
                (assignment_instance(g, x, y) for x, y in g.edges()))
 

@@ -4,9 +4,11 @@ import pytest
 
 from orckit import cli, formats, graphs
 from orckit.families import (complete, cycle, dodecahedral, hypercube,
-                             icosidodecahedron, petersen, random_regular, star)
+                             icosidodecahedron, petersen, random_regular, star, torus_grid)
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from orckit.graphs import VERTEX_LIMIT, Graph
+
+from helpers import oracle_graphs, to_networkx
 
 
 def test_graph6_k4_frozen():
@@ -99,9 +101,16 @@ def test_edge_list_vertex_count_bound(monkeypatch):
     # replaced by a recorder, the count at the limit still reaches it.
     built = []
     monkeypatch.setattr(formats, "Graph", lambda n, edges: built.append(n))
-    for text in (f"n {VERTEX_LIMIT + 1}\n0 1", "n 1000000000", "0 999999999"):
+    # a number of 5,000 digits, past int()'s 4,300, is refused before int() reads it
+    huge = "9" * 5000
+    for text in (f"n {VERTEX_LIMIT + 1}\n0 1", "n 1000000000", "0 999999999",
+                 f"n {huge}", f"0 1\n0 {huge}"):
         with pytest.raises(ValueError, match=f"exceed the desk-scale limit of {VERTEX_LIMIT}"):
             parse_edge_list(text)
+    with pytest.raises(ValueError, match="^edge list line 2: a vertex of more than 7 digits"):
+        parse_edge_list(f"0 1\n0 {huge}")
+    with pytest.raises(ValueError, match="^edge list line 1: a count of more than 7 digits"):
+        parse_edge_list(f"n {huge}")
     assert built == []
     parse_edge_list(f"n {VERTEX_LIMIT}\n0 1")
     assert built == [VERTEX_LIMIT]
@@ -177,3 +186,17 @@ def test_graph6_parser_walks_set_bits_to_the_same_graph():
         text = write_graph6(g)
         assert text == _triangle_write(g), g.edges()
         assert parse_graph6(text) == _triangle_walk(text) == Graph(g.n, g.edges()), text
+
+
+def test_graph6_matches_networkx():
+    # both directions against networkx's own graph6 codec; hypercube(6) and
+    # torus_grid(9, 9) take the 4-byte size header
+    nx = pytest.importorskip("networkx")
+    for g in oracle_graphs() + [hypercube(6), torus_grid(9, 9)]:
+        ours = write_graph6(g)
+        theirs = nx.to_graph6_bytes(to_networkx(nx, g), nodes=range(g.n), header=False)
+        assert ours.encode("ascii") + b"\n" == theirs
+        assert parse_graph6(theirs.decode("ascii")) == g
+        back = nx.from_graph6_bytes(ours.encode("ascii"))
+        assert (back.number_of_nodes(), sorted(map(sorted, back.edges()))) == \
+            (g.n, [list(e) for e in g.edges()])

@@ -8,7 +8,7 @@ from orckit.graphs import (Graph, INFINITY, ball, cartesian_product, common_neig
                            diameter, distance, distances_from, girth, is_connected,
                            is_regular, min_degree, sphere)
 
-from helpers import brute_girth
+from helpers import brute_girth, oracle_graphs, to_networkx
 
 
 def test_constructor_validates():
@@ -145,3 +145,29 @@ def test_adjacency_is_sorted_and_symmetric():
         for v in g.adj[u]:
             assert u in g.adj[v]
             assert v != u
+
+
+def test_girth_and_diameter_match_networkx():
+    nx = pytest.importorskip("networkx")
+    connected = 0
+    for g in oracle_graphs():
+        h = to_networkx(nx, g)
+        assert girth(g) == nx.girth(h), g.edges()
+        if g.n and nx.is_connected(h):
+            assert diameter(g) == nx.diameter(h), g.edges()
+            connected += 1
+    assert connected > 50
+
+
+def test_cartesian_product_matches_networkx():
+    # networkx labels the product's vertices (x, y); orckit numbers them x*h.n + y
+    nx = pytest.importorskip("networkx")
+    graphs = [g for g in oracle_graphs() if g.n]
+    rng = random.Random(3)
+    for _ in range(60):
+        g, h = rng.choice(graphs), rng.choice(graphs)
+        theirs = nx.cartesian_product(to_networkx(nx, g), to_networkx(nx, h))
+        relabelled = Graph(g.n * h.n, [(x1 * h.n + y1, x2 * h.n + y2)
+                                       for (x1, y1), (x2, y2) in theirs.edges()])
+        assert theirs.number_of_nodes() == g.n * h.n
+        assert cartesian_product(g, h) == relabelled

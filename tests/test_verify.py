@@ -152,23 +152,18 @@ def test_wrong_idleness_shape_fails_reconstruction(monkeypatch, breakpoints, val
         [(label, edge, "idleness-reconstruction") for label, g in corpus for edge in g.edges()]
 
 
-@pytest.mark.parametrize("fault", ["gap off by 1/d", "supsup 4", "supsup 2 for 3"])
+@pytest.mark.parametrize("fault", ["supsup 2 for 3", "supsup 4", "supsup None for 3"])
 def test_wrong_gap_fails_route_agreement(monkeypatch, fault):
-    # edge_record raises unless gap_formula's gap equals kappa - kappa_0, so
-    # a wrong gap or a wrong supsup (the gap is (3 - supsup)/d) fails each
+    # edge_record raises unless its gap (3 - supsup)/d, or 2/d where supsup
+    # is None, equals kappa - kappa_0, so a wrong supsup fails each
     # equal-degree edge once, as route-agreement; every edge of cycle(6) and
     # torus_grid(6,6) has supsup 3, and path(3) has no equal-degree edge
-    exact = curvature.gap_formula
-
-    def wrong(g, x, y):
-        gap, supsup = exact(g, x, y)
-        d = g.degree(x)
-        return {"gap off by 1/d": (gap + F(1, d), supsup),
-                "supsup 4": (F(3 - 4, d), 4),
-                "supsup 2 for 3": (F(3 - 2, d), 2) if supsup == 3 else (gap, supsup)}[fault]
-
+    exact = curvature._Instance.supsup.func
+    wrong = {"supsup 2 for 3": {3: 2}, "supsup 4": {3: 4},
+             "supsup None for 3": {3: None}}[fault]
+    monkeypatch.setattr(curvature._Instance, "supsup",
+                        property(lambda inst: wrong.get(exact(inst), exact(inst))))
     corpus = [("cycle(6)", cycle(6)), ("torus_grid(6,6)", torus_grid(6, 6)), ("path(3)", path(3))]
-    monkeypatch.setattr(curvature, "gap_formula", wrong)
     report = check_edge_properties(corpus)
     assert [(f.graph, f.edge, f.check) for f in report.failures] == \
         [(label, (x, y), "route-agreement") for label, g in corpus for x, y in g.edges()
