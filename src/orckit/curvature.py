@@ -100,6 +100,28 @@ class _Edge:
         return ([tuple(pairs[v]) for v in send], [tuple(pairs[v]) for v in take],
                 _cost_matrix(g, send, take))
 
+    def sliced(self, p: int, q: int) -> tuple[list[int], list[int], tuple[int, ...],
+                                                tuple[int, ...], transport.CostTable]:
+        """The transport instance of alpha = p/q, sliced out of the table:
+        (rows, cols, supply, demand, cost). rows and cols index the send
+        and take vertices with positive supply and demand at alpha; supply,
+        demand and cost, their sub-table, are the tuples _transport_cost
+        keys on."""
+        send, take, table = self.table
+        r = q - p
+        rows, supply = [], []
+        for i, (a, b) in enumerate(send):
+            if (m := p * a + r * b) > 0:
+                rows.append(i)
+                supply.append(m)
+        cols, demand = [], []
+        for j, (a, b) in enumerate(take):
+            if (m := p * a + r * b) < 0:
+                cols.append(j)
+                demand.append(-m)
+        return (rows, cols, tuple(supply), tuple(demand),
+                tuple(tuple(table[i][j] for j in cols) for i in rows))
+
     @cached_property
     def instance(self) -> _Instance:  # S1(x)\B1(y) -> S1(y)\B1(x)
         nx, ny = set(self.g.adj[self.x]), set(self.g.adj[self.y])
@@ -132,10 +154,10 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     Mass the two share stays in place, and the rest moves from B1(x) to
     B1(y) by transport._transport_cost. The supplies and demands are
     p*a_v + (q-p)*b_v from the edge's transport table (_Edge.table), whose
-    rows and columns with positive supply and demand are sliced out as
-    tuples, the memo key of the solve, so the table's distances are built
-    once per edge and serve every alpha. The edge context keeps each value;
-    it reads no matrix or solve of the assignment route, to stay
+    rows and columns with positive supply and demand _Edge.sliced cuts out
+    as tuples, the memo key of the solve, so the table's distances are
+    built once per edge and serve every alpha. The edge context keeps each
+    value; it reads no matrix or solve of the assignment route, to stay
     independent of it.
     """
     e = _edge(g, x, y)
@@ -144,20 +166,7 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     if not (0 <= p <= q):
         raise ValueError("idleness must lie in [0, 1]")
     if (p, q) not in e.kappas:  # keyed by (p, q): hashing a Fraction costs a modular inverse
-        send, take, table = e.table
-        r = q - p
-        supply, rows = [], []
-        for (a, b), row in zip(send, table):
-            if (m := p * a + r * b) > 0:
-                supply.append(m)
-                rows.append(row)
-        demand, cols = [], []
-        for j, (a, b) in enumerate(take):
-            if (m := p * a + r * b) < 0:
-                demand.append(-m)
-                cols.append(j)
-        cost = transport._transport_cost(tuple(supply), tuple(demand),
-                                         tuple(tuple(row[j] for j in cols) for row in rows))
+        cost = transport._transport_cost(*e.sliced(p, q)[2:])[0]
         e.kappas[p, q] = Fraction(q * e.lcm - cost, q * e.lcm)
     return e.kappas[p, q]
 
@@ -386,6 +395,81 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
     if vals[-1] != kap * (1 - bp[-1]):
         raise ConsistencyError(f"idleness_function({x},{y}): last piece misses (1, 0)")
     return PiecewiseLinearFn((*bp, Fraction(1)), (*vals, Fraction(0)))
+
+
+def prove_idleness(g: Graph, x: int, y: int, fn: PiecewiseLinearFn) -> None:
+    """Prove fn(alpha) == kappa_alpha(x, y, alpha) on all of [0, 1], or
+    raise ConsistencyError naming the edge and the alpha where the proof
+    fails. No point of [0, 1] is left to sampling.
+
+    At alpha = p/q, the instance that kappa_alpha solves (_Edge.sliced)
+    has the optimal cost q*L*W1, so the claim is that this cost equals
+    q*L*(1 - fn(alpha)). Both bounds below read only the edge's transport
+    table and the memoized solves of the instances cut from it.
+
+    Upper bound: at each breakpoint, 0 and 1 included, the solve's plan is
+    feasible (positive cells, row and column sums equal to the supplies and
+    demands) and costs q*L*(1 - fn). Both measures are affine in alpha, so
+    W1 is convex in alpha and W1 <= 1 - fn on [0, 1], which is linear
+    between the breakpoints.
+
+    Lower bound: on each piece, the potentials u of the solve at its
+    midpoint (transport._potentials) give a price psi on every vertex of
+    the table: psi(t) = min_i (u_i + cost[i][t]) over the midpoint's
+    sources for each take vertex t, then psi(s) = max_t (psi(t) -
+    cost[s][t]) for each send vertex s, so psi(t) - psi(s) <= cost[s][t]
+    on every cell. x and y can be in both lists, at cost 0 from
+    themselves, and must get one price. Then -sum_v psi(v)*(p*a_v +
+    (q-p)*b_v) is at most the optimal cost at every alpha (weak LP
+    duality) and is q times a linear function of alpha. Where it equals
+    q*L*(1 - fn) at both ends of the piece, W1 >= 1 - fn on the piece.
+    """
+    e = _edge(g, x, y)
+    _, _, table = e.table
+    same = [(s, t) for s, row in enumerate(table) for t, c in enumerate(row) if c == 0]
+    bp = fn.breakpoints
+    ends = []  # per breakpoint: rows, cols, supply, demand and q*L*(1 - fn)
+    for b, v in zip(bp, fn.values):
+        rows, cols, supply, demand, cost = e.sliced(b.numerator, b.denominator)
+        target = b.denominator * e.lcm * (1 - v)
+        value, plan = transport._transport_cost(supply, demand, cost)
+        sent, taken, spent = [0] * len(supply), [0] * len(demand), 0
+        for i, j, units in plan or ():
+            if not (0 <= i < len(sent) and 0 <= j < len(taken) and units > 0):
+                raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: "
+                                       f"plan cell {(i, j, units)} is not a positive cell")
+            sent[i] += units
+            taken[j] += units
+            spent += units * cost[i][j]
+        if plan is None or tuple(sent) != supply or tuple(taken) != demand:
+            raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: "
+                                   "plan does not move the supplies to the demands")
+        if not value == spent == target:
+            raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: plan costs "
+                                   f"{spent}, solver value {value}, 1 - fn gives {target}")
+        ends.append((rows, cols, supply, demand, target))
+    for k in range(fn.segments):
+        m = (bp[k] + bp[k + 1]) / 2
+        rows, _, supply, demand, cost = e.sliced(m.numerator, m.denominator)
+        _, plan = transport._transport_cost(supply, demand, cost)
+        try:
+            u, _ = transport._potentials(cost, plan or ())
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {m}: {exc}") from None
+        psi_take = [min((ui + table[i][t] for i, ui in zip(rows, u)), default=0)
+                    for t in range(len(table[0]))]
+        psi_send = [max(pt - c for pt, c in zip(psi_take, row)) for row in table]
+        for s, t in same:
+            if psi_send[s] != psi_take[t]:
+                raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {m}: a vertex "
+                                       f"gets the prices {psi_send[s]} and {psi_take[t]}")
+        for b, (rows, cols, supply, demand, target) in zip(bp[k:k + 2], ends[k:k + 2]):
+            dual = (sum(psi_take[t] * n for t, n in zip(cols, demand))
+                    - sum(psi_send[s] * n for s, n in zip(rows, supply)))
+            if dual != target:
+                raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: dual bound "
+                                       f"{dual} of the piece [{bp[k]}, {bp[k + 1]}], "
+                                       f"1 - fn gives {target}")
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,12 @@ def _quoted(line: str) -> str:
     return repr(line) if len(line) <= _QUOTE_MAX else repr(line[:_QUOTE_MAX]) + "..."
 
 
+def _is_number(token: str) -> bool:
+    """Whether a count or vertex is plain ASCII digits, the only text int()
+    is given: int() would also read '+3', '1_0' and non-ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_edge_list(text: str) -> Graph:
     declared = None
     edges: list[tuple[int, int]] = []
@@ -105,7 +111,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "n":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_number(parts[1]):
                 raise ValueError(f"edge list line {lineno}: malformed header {_quoted(line)}")
             if declared is not None:
                 raise ValueError(f"edge list line {lineno}: duplicate header")
@@ -116,15 +122,14 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if len(parts) != 2:
             raise ValueError(f"edge list line {lineno}: expected 'u v', got {_quoted(line)}")
-        if (len(parts[0]) > digits or len(parts[1]) > digits) and (parts[0] + parts[1]).isdigit():
+        if not all(_is_number(t) or t[:1] == "-" and _is_number(t[1:]) for t in parts):
+            raise ValueError(f"edge list line {lineno}: non-integer vertex in {_quoted(line)}")
+        if not all(_is_number(t) for t in parts):
+            raise ValueError(f"edge list line {lineno}: negative vertex in {_quoted(line)}")
+        if len(parts[0]) > digits or len(parts[1]) > digits:
             raise ValueError(f"edge list line {lineno}: a vertex of more than {digits} digits "
                              f"would exceed the desk-scale limit of {VERTEX_LIMIT}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"edge list line {lineno}: non-integer vertex in {_quoted(line)}") from None
-        if u < 0 or v < 0:
-            raise ValueError(f"edge list line {lineno}: negative vertex in {_quoted(line)}")
+        u, v = int(parts[0]), int(parts[1])
         if u == v:
             raise ValueError(f"edge list line {lineno}: self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)

@@ -8,10 +8,11 @@ computation in this module.
 The transport solver remembers its answers: _transport_cost is an LRU
 cache over its own arguments, so callers pass the instance (supplies,
 demands and cost table) as tuples, and the _MEMO_SIZE most recently used
-instances are kept. An instance met again, as in the thousands of small
-graphs of an exhaustive suite, is solved once. The assignment route
-(_hungarian) is never memoized: it is the independent check on the
-transport route, so every equal-degree edge runs its own Hungarian solves.
+instances are kept, each with its value and optimal plan. An instance met
+again, as in the thousands of small graphs of an exhaustive suite, is
+solved once. The assignment route (_hungarian) is never memoized: it is
+the independent check on the transport route, so every equal-degree edge
+runs its own Hungarian solves.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .graphs import Graph, INFINITY, distances_from
 
 Measure = dict[int, Fraction]
 CostMatrix = list[list[int]]
+CostTable = tuple[tuple[Optional[int], ...], ...]  # a transport instance's costs; None: no route
+Plan = tuple[tuple[int, int, int], ...]  # (source, sink, units) per cell that carries flow
 
 _INT_INF = 1 << 60
 
@@ -112,7 +115,7 @@ def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
         dist = distances_from(g, u)
         cost.append(tuple(None if dist[v] is INFINITY else dist[v] for v in snk))
     value = _transport_cost(tuple(supply[u] for u in src), tuple(demand[v] for v in snk),
-                            tuple(cost))
+                            tuple(cost))[0]
     if value is None:
         raise ValueError("supports are not mutually reachable (infinite distance)")
     return Fraction(value, scale)
@@ -127,13 +130,15 @@ _MEMO_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...],
-                    cost: tuple[tuple[Optional[int], ...], ...]) -> Optional[int]:
-    """Minimum cost of moving integer supplies to integer demands of the
+def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: CostTable
+                    ) -> tuple[Optional[int], Optional[Plan]]:
+    """(value, plan) of moving integer supplies to integer demands of the
     same total, at cost[i][j] >= 0 per unit from source i to sink j (None:
-    no route); None when the demand cannot be met. The arguments are
-    tuples, so the instance is its own memo key (see the module
-    docstring): None results are kept, a solve that raises leaves no entry.
+    no route). value is the minimum cost, and plan an optimal flow: one
+    (i, j, units) per cell that carries flow. (None, None) when the demand
+    cannot be met. The arguments are tuples, so the instance is its own
+    memo key (see the module docstring): infeasible results are kept, a
+    solve that raises leaves no entry.
 
     Successive shortest paths on the table itself: the residual arcs are
     i -> j at cost[i][j], and j -> i at -cost[i][j] while cell (i, j)
@@ -185,7 +190,7 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...],
                                    "Bellman-Ford passes: the flow has a negative cycle")
         sink = min((j for j, d in enumerate(demand) if d), key=dt.__getitem__, default=None)
         if sink is None or dt[sink] == _INT_INF:
-            return None
+            return None, None
         path, j = [], sink  # (source, sink it sends to, sink it takes back from)
         while j >= 0:
             i = src[j]
@@ -201,7 +206,37 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...],
                 flow[i, b] -= push
                 if not flow[i, b]:
                     del flow[i, b]
-    return value
+    return value, tuple((i, j, units) for (i, j), units in flow.items())
+
+
+def _potentials(cost: CostTable, plan: Plan) -> tuple[list[int], list[int]]:
+    """Potentials (u, w) on the sources and sinks that prove `plan` optimal:
+    w[j] - u[i] <= cost[i][j] on every cell, with equality on the plan's
+    cells, so sum(w * demand) - sum(u * supply) is the plan's cost.
+
+    They are shortest distances in the plan's residual graph (arcs i -> j
+    at cost[i][j], and j -> i at -cost[i][j] on the plan's cells) from a
+    root with a zero arc to every source and sink, by one Bellman-Ford run.
+    A shortest path visits each source and sink at most once, so an optimal
+    plan, which leaves no negative cycle, settles within len(u) + len(w) + 1
+    passes; one that has not is not optimal and raises ConsistencyError.
+    """
+    u = [0] * len(cost)
+    w = [0] * (len(cost[0]) if cost else 0)
+    for _ in range(len(u) + len(w) + 1):
+        settled = True
+        for i, row in enumerate(cost):
+            ui = u[i]
+            for j, c in enumerate(row):
+                if c is not None and ui + c < w[j]:
+                    w[j], settled = ui + c, False
+        for i, j, _ in plan:
+            if w[j] - cost[i][j] < u[i]:
+                u[i], settled = w[j] - cost[i][j], False
+        if settled:
+            return u, w
+    raise ConsistencyError(f"potentials still relaxing after {len(u) + len(w) + 1} "
+                           "Bellman-Ford passes: the plan is not optimal")
 
 
 def _check_square(cost: CostMatrix) -> int:

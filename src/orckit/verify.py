@@ -12,7 +12,6 @@ reproducible run to run.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -326,30 +325,20 @@ def default_corpus(seed: int) -> list[tuple[str, Graph]]:
     return items
 
 
-_PROBES = 16  # idleness probes per edge
-
-
-def _probe_alphas(label: str, x: int, y: int) -> list[Fraction]:
-    rng = random.Random(f"{label}|{x}|{y}|idleness-probes")
-    out = []
-    for _ in range(_PROBES):
-        q = rng.randint(2, 48)
-        p = rng.randint(1, q - 1)
-        out.append(Fraction(p, q))
-    return out
-
-
 def check_edge_properties(corpus) -> VerificationReport:
     """Every per-edge invariant over the corpus: route agreement and the
     gap formula, which the one curvature.edge_record per edge (the record
     `orckit curvature` prints) checks by raising; the upper curvature
     bound, the sufficient condition for equality, the assignment identity
     2*N1 + N2 = 3k - C*, the idleness function shape (its first piece
-    reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398, and its value at 16
-    probes), and the diameter bound on positively curved graphs.
+    reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398), the idleness
+    function's proof on all of [0, 1] (curvature.prove_idleness: an upper
+    bound from the plans at its breakpoints, a lower bound from the
+    potentials at its piece midpoints), and the diameter bound on
+    positively curved graphs.
 
     Each edge's curvature calls run under the guards route-agreement,
-    local-structure, idleness-reconstruction and idleness-probe: a fault
+    local-structure, idleness-reconstruction and idleness-proof: a fault
     inside one is a Failure of that check, and the suite goes on with the
     next edge. PiecewiseLinearFn refuses a function that is nonzero at 1,
     has more than 3 pieces or is not strictly concave, so such a shape
@@ -391,10 +380,8 @@ def check_edge_properties(corpus) -> VerificationReport:
                              fn.breakpoints[-2] <= Fraction(1, max(dx, dy) + 1))
                 report.check(label, edge, "idleness-first-piece", True,
                              fn.breakpoints[1] >= Fraction(1, math.lcm(dx, dy) + 1))
-                with report.guard(label, edge, "idleness-probe"):
-                    for a in _probe_alphas(label, x, y):
-                        report.check(label, edge, "idleness-probe",
-                                     curvature.kappa_alpha(g, x, y, a), fn.value_at(a))
+                with report.guard(label, edge, "idleness-proof"):
+                    curvature.prove_idleness(g, x, y, fn)
         if min_kappa is not None and min_kappa > 0 and is_connected(g):
             report.check(label, None, "bonnet-myers", True,
                          diameter(g) <= Fraction(2) / min_kappa)

@@ -1,5 +1,5 @@
-"""Shared brute-force oracles, random instance builders and one fault
-injector for the tests.
+"""Shared brute-force oracles, random instance builders and two fault
+injectors for the tests.
 
 The oracles are deliberately independent of the library's own
 algorithms: girth by explicit cycle enumeration, connectivity by plain
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -205,6 +206,41 @@ def corrupt_assignment_optimum(monkeypatch) -> None:
         return (optimum + 1, *duals)
 
     monkeypatch.setattr(transport, "_hungarian", off_by_one)
+
+
+def _moved_cell(args, result):
+    """The first plan cell moved to the next sink: the row sums still hold,
+    two column sums do not."""
+    value, plan = result
+    if not plan:
+        return result
+    (i, j, units), rest = plan[0], plan[1:]
+    return value, ((i, (j + 1) % len(args[1]), units),) + rest
+
+
+# fault -> (transport function, what the corruption makes of its result)
+PROOF_FAULTS = {
+    "plan cell": ("_transport_cost", _moved_cell),
+    "plan value": ("_transport_cost", lambda args, result: (result[0] + 1, result[1])),
+    "potential": ("_potentials", lambda args, result: ([result[0][0] - 1, *result[0][1:]],
+                                                       result[1])),
+}
+
+
+def corrupt_proof_input(monkeypatch, fault: str) -> None:
+    """Corrupt what curvature.prove_idleness reads of a solve, as PROOF_FAULTS
+    names it, only where prove_idleness itself calls: kappa_alpha and so
+    the reconstruction stay exact."""
+    name, corrupt = PROOF_FAULTS[fault]
+    exact = getattr(transport, name)
+
+    def patched(*args):
+        result = exact(*args)
+        if sys._getframe(1).f_code.co_name == "prove_idleness":
+            return corrupt(args, result)
+        return result
+
+    monkeypatch.setattr(transport, name, patched)
 
 
 def oracle_graphs() -> list[Graph]:

@@ -139,7 +139,7 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_idleness_structure(edge_report):
-    with criterion(8, "idleness functions: concave, <= 3 parts, f(1)=0, slope -kappa, probes"):
+    with criterion(8, "idleness functions: concave, <= 3 parts, f(1)=0, slope -kappa, proof"):
         bad = [f for f in edge_report.failures if f.check.startswith("idleness")]
         assert bad == []
 

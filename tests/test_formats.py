@@ -111,6 +111,13 @@ def test_edge_list_vertex_count_bound(monkeypatch):
         parse_edge_list(f"0 1\n0 {huge}")
     with pytest.raises(ValueError, match="^edge list line 1: a count of more than 7 digits"):
         parse_edge_list(f"n {huge}")
+    # only ASCII digits reach int(), which would also read these signs,
+    # underscores and Arabic-Indic digits; a minus sign is refused at any length
+    for text, message in (("0 1_0", "non-integer vertex"), ("+0 3", "non-integer vertex"),
+                          (f"0 -{huge}", "negative vertex"),
+                          ("0 \u0661", "non-integer vertex"), ("n \u0661", "malformed header")):
+        with pytest.raises(ValueError, match=f"^edge list line 1: {message} "):
+            parse_edge_list(text)
     assert built == []
     parse_edge_list(f"n {VERTEX_LIMIT}\n0 1")
     assert built == [VERTEX_LIMIT]

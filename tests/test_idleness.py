@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations
 from fractions import Fraction as F
 
@@ -10,12 +11,12 @@ import pytest
 
 from orckit import curvature
 from orckit.curvature import (ConsistencyError, PiecewiseLinearFn, idleness_function,
-                              kappa_alpha, kappa_lly)
-from orckit.families import (cocktail_party, complete, cycle, hypercube, petersen,
-                             random_regular, star)
+                              kappa_alpha, kappa_lly, prove_idleness)
+from orckit.families import (cocktail_party, complete, cycle, hypercube, near_cocktail,
+                             petersen, random_regular, star)
 from orckit.graphs import Graph
 
-from helpers import child_env, random_connected_graph
+from helpers import PROOF_FAULTS, child_env, corrupt_proof_input, random_connected_graph
 
 
 def test_bone_idle_edge_is_identically_zero():
@@ -153,15 +154,131 @@ def test_shape_properties_on_sample():
             assert slopes[-1] == -kappa_lly(g, x, y)
 
 
+THREE_PIECE = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+
+
 def test_random_probes_match_direct_evaluation():
-    rng = random.Random(77)
-    for g in (cycle(5), petersen(), star(4), cocktail_party(3)):
-        x, y = g.edges()[0]
+    # The 16 idleness values per edge that `verify --suite edge-properties`
+    # drew before prove_idleness replaced them, seeded by label and edge:
+    # each reconstruction must equal a direct transport solve there.
+    graphs = [("petersen", petersen()), ("star(4)", star(4)),
+              ("near_cocktail(7)", near_cocktail(7)), ("three-piece", THREE_PIECE)]
+    rng = random.Random(21)
+    graphs += [(f"random_connected_graph({k})", random_connected_graph(rng, rng.randint(4, 10)))
+               for k in range(20)]
+    segments = set()
+    for label, g in graphs:
+        for x, y in g.edges():
+            fn = idleness_function(g, x, y)
+            segments.add(fn.segments)
+            draw = random.Random(f"{label}|{x}|{y}|idleness-probes")
+            for _ in range(16):
+                q = draw.randint(2, 48)
+                a = F(draw.randint(1, q - 1), q)
+                assert fn.value_at(a) == kappa_alpha(g, x, y, a), (label, x, y, a)
+    assert segments == {1, 2, 3}
+
+
+def _mutants(fn):
+    """fn with one non-final value or one interior breakpoint moved by
+    +-1/997, or one interior breakpoint dropped, each as (breakpoints,
+    values). A dropped breakpoint leaves every remaining value exact, so
+    only the proof's lower bound can refuse it."""
+    bp, vals = fn.breakpoints, fn.values
+    for delta in (F(1, 997), F(-1, 997)):
+        for k in range(len(vals) - 1):
+            yield bp, vals[:k] + (vals[k] + delta,) + vals[k + 1:]
+        for k in range(1, len(bp) - 1):
+            yield bp[:k] + (bp[k] + delta,) + bp[k + 1:], vals
+    for k in range(1, len(bp) - 1):
+        yield bp[:k] + bp[k + 1:], vals[:k] + vals[k + 1:]
+
+
+def _refused(g, x, y, breakpoints, values) -> bool:
+    try:
+        prove_idleness(g, x, y, PiecewiseLinearFn(breakpoints, values))
+    except ConsistencyError:
+        return True
+    return False
+
+
+def test_proof_refuses_every_mutant():
+    # Every reconstruction is proven, and every mutant of it is refused, by
+    # its shape or by the proof, on K2 (an empty instance at the breakpoint
+    # 1/2), a two-piece and a three-piece function.
+    for g, (x, y), pieces in ((complete(2), (0, 1), 2), (petersen(), petersen().edges()[0], 2),
+                              (THREE_PIECE, (0, 2), 3)):
         fn = idleness_function(g, x, y)
-        for _ in range(16):
-            q = rng.randint(2, 48)
-            a = F(rng.randint(1, q - 1), q)
-            assert fn.value_at(a) == kappa_alpha(g, x, y, a)
+        assert fn.segments == pieces
+        prove_idleness(g, x, y, fn)
+        mutants = list(_mutants(fn))
+        assert len(mutants) == 2 * (2 * pieces - 1) + pieces - 1
+        assert all(_refused(g, x, y, *m) for m in mutants), (g, x, y)
+
+
+def test_proof_needs_one_price_per_vertex():
+    # x and y lie in both lists of the transport table. With a distance
+    # that breaks the triangle inequality (leaf 2 of star(3) put at 4 from
+    # the centre x, though it is 2 from y and y is 1 from x) x gets two
+    # prices, so the dual bound is not linear in alpha and the proof
+    # refuses the function rebuilt from that table.
+    g = star(3)
+    e = curvature._edge(g, 0, 1)
+    send, take, table = e.table
+    assert (send[2], take[0], table[2][0], table[2][1]) == ((0, 1), (3, -3), 1, 2)
+    bad = [list(row) for row in table]
+    bad[2][0] = 4
+    e.__dict__["table"] = (send, take, bad)
+    e.kappas.clear()
+    fn = idleness_function(g, 0, 1)
+    with pytest.raises(ConsistencyError, match=r"^idleness proof \(0,1\) at alpha 1/8: "
+                                               r"a vertex gets the prices -1 and -2$"):
+        prove_idleness(g, 0, 1, fn)
+
+
+@pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
+def test_proof_refuses_a_corrupted_solve(monkeypatch, fault):
+    # Only what prove_idleness reads is corrupted: a plan cell moved to
+    # another sink, a solver value one above its plan's cost, a potential
+    # one lower. Each edge of petersen and cycle(5) has two sinks at
+    # alpha = 0 and more than one source at its piece midpoints, so each
+    # fault breaks the proof on every edge.
+    for g in (petersen(), cycle(5)):
+        fns = {(x, y): idleness_function(g, x, y) for x, y in g.edges()}
+        for (x, y), fn in fns.items():
+            prove_idleness(g, x, y, fn)
+        with monkeypatch.context() as m:
+            corrupt_proof_input(m, fault)
+            for (x, y), fn in fns.items():
+                message = rf"^idleness proof \({x},{y}\) at alpha "
+                with pytest.raises(ConsistencyError, match=message):
+                    prove_idleness(g, x, y, fn)
+
+
+def test_proof_property_on_random_graphs():
+    # G(n, p) graphs with n <= 10, mostly irregular and often disconnected:
+    # on every oriented edge the reconstruction is proven and each of its
+    # mutants is refused.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = Counter()
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2))))
+    def proven(graph):
+        n, bits = graph
+        g = Graph(n, [e for e, bit in zip(combinations(range(n), 2), bits) if bit])
+        for u, v in g.edges():
+            for x, y in ((u, v), (v, u)):
+                fn = idleness_function(g, x, y)
+                prove_idleness(g, x, y, fn)
+                assert all(_refused(g, x, y, *m) for m in _mutants(fn)), (g.edges(), x, y)
+                seen[fn.segments, g.degree(x) == g.degree(y)] += 1
+
+    proven()
+    assert seen[3, False] > 0 and seen[2, True] > 0, seen
 
 
 def _interpolate(fn, a):

@@ -103,9 +103,9 @@ def test_wasserstein_is_metric_on_walk_measures():
 
 def test_transport_cost_pinned_cases():
     # the optimum 0 -> 1, 1 -> 0 needs the first greedy unit sent back
-    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == 3
-    assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) is None
-    assert _transport_cost((3,), (1, 2), ((1, 2),)) == 5
+    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == (3, ((0, 1, 1), (1, 0, 1)))
+    assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None)
+    assert _transport_cost((3,), (1, 2), ((1, 2),)) == (5, ((0, 0, 1), (0, 1, 2)))
 
 
 def test_transport_cost_raises_on_a_negative_cycle():
@@ -139,14 +139,14 @@ def test_transport_memo_solves_each_instance_once():
     # test_transport_cost_raises_on_a_negative_cycle)
     _transport_cost.cache_clear()
     for _ in range(2):
-        assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == 3
-        assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) is None
-    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 8))) == 3
+        assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9)))[0] == 3
+        assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None)
+    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 8)))[0] == 3
     info = _transport_cost.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
     for k in range(transport._MEMO_SIZE + 100):
-        assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == k + 1
+        assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == (k + 1, ((0, 0, k + 1),))
     assert _transport_cost.cache_info().currsize == transport._MEMO_SIZE
     _transport_cost.cache_clear()
 
@@ -199,7 +199,7 @@ def test_transport_cost_matches_token_brute_force():
             if kind == "least-zero":
                 cost[rng.randrange(len(supply))][rng.randrange(len(demand))] = 0
             expected = brute_transport_cost(supply, demand, cost)
-            assert _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost))) \
+            assert _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost)))[0] \
                 == expected, (kind, supply, demand, cost)
             infeasible += expected is None
             if kind == "greedy-undone" and expected is not None:
@@ -222,7 +222,7 @@ def test_transport_cost_matches_linprog():
         lp = optimize.linprog([c for row in cost for c in row], A_eq=rows + cols,
                               b_eq=supply + demand, bounds=(0, None), method="highs")
         assert lp.status == 0
-        assert _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost))) \
+        assert _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost)))[0] \
             == round(lp.fun), (supply, demand, cost)
 
 
