@@ -4,7 +4,7 @@ from .curvature import (ConsistencyError, EdgeCurvatureRecord, LocalStructure,
                         PiecewiseLinearFn, curvature_profile, idleness_function,
                         is_bone_idle, is_bone_idle_edge, is_ricci_flat, is_zero_ricci_flat,
                         kappa_alpha, kappa_lly, kappa_lly_assignment, kappa_zero,
-                        kappa_zero_assignment, local_structure, prove_idleness)
+                        kappa_zero_assignment, local_structure)
 from .graphs import (Graph, INFINITY, ball, cartesian_product, common_neighbors,
                      diameter, distance, girth, is_connected, is_regular,
                      min_degree, sphere)
@@ -18,7 +18,7 @@ __all__ = [
     "is_regular", "is_ricci_flat", "is_zero_ricci_flat", "kappa_alpha",
     "kappa_lly", "kappa_lly_assignment", "kappa_zero", "kappa_zero_assignment",
     "local_structure", "min_degree", "mu_alpha", "optimal_pair_support",
-    "prove_idleness", "sphere", "wasserstein1",
+    "sphere", "wasserstein1",
 ]
 
 __version__ = "0.1.0"

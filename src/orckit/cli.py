@@ -223,11 +223,11 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 
 def _cmd_idleness(args: argparse.Namespace) -> int:
-    try:
-        u, v = (int(part) for part in args.edge.split(","))
-    except ValueError:
-        raise ValueError(f"--edge expects 'u,v', got {args.edge!r}") from None
-    fn = curvature.idleness_function(read_graph(args.input), u, v)
+    u, _, v = args.edge.partition(",")
+    # ASCII digits only, as in parse_edge_list: int() also reads '1_0', '+1', ' 1' and '١'
+    if not all(part.isascii() and part.isdigit() for part in (u, v)):
+        raise ValueError(f"--edge expects 'u,v', got {args.edge!r}")
+    fn = curvature.idleness_function(read_graph(args.input), int(u), int(v))
     lines = ["alpha,kappa_alpha,alpha_decimal,kappa_alpha_decimal"]
     for a, val in zip(fn.breakpoints, fn.values):
         lines.append(f"{a},{rational_str(val)},{decimal_str(a, 6)},{decimal_str(val, 6)}")

@@ -12,9 +12,15 @@ call. Disagreement between routes raises ConsistencyError.
 Every quantity of an edge depends on B1(x) and B1(y) alone, where all
 distances are 1, 2 or 3 and follow from adjacency tests, so the work per
 edge does not grow with the size of the graph. Each edge's neighbourhood
-data, transport table, assignment matrices and kappa_alpha values are built
-once: the one transport table serves every idleness, and each assignment
-matrix is solved once, which gives both C* and the optimal-pair support.
+data, transport table, assignment matrices and transport solves are built
+once: the one transport table serves every idleness, each idleness is
+solved once with its value and plan, and each assignment matrix is solved
+once, which gives both C* and the optimal-pair support.
+
+The idleness function alpha -> kappa_alpha is built from the dual lines of
+a few solves, one strictly inside each linear piece, and the same pass
+proves it exact on all of [0, 1]: the plans at its breakpoints bound W1
+from above and each piece's dual line bounds it from below.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import transport
 from .graphs import Graph
@@ -52,10 +58,10 @@ class _Instance:
 
 class _Edge:
     """The edge x ~ y of g, checked once, with its degrees, L = lcm(d_x, d_y)
-    and the transport values kappa_alpha solved so far, keyed by (p, q) for
-    alpha = p/q. The rest is computed once, on first use, so an edge pays
-    only for what its callers read: the transport table, nxy and the kappa
-    and kappa_0 assignment instances."""
+    and the transport instances solved so far, keyed by (p, q) for alpha =
+    p/q. The rest is computed once, on first use, so an edge pays only for
+    what its callers read: the transport table, nxy and the kappa and
+    kappa_0 assignment instances."""
 
     def __init__(self, g: Graph, x: int, y: int) -> None:
         if not g.has_edge(x, y):
@@ -63,7 +69,7 @@ class _Edge:
         self.g, self.x, self.y = g, x, y
         self.dx, self.dy = len(g.adj[x]), len(g.adj[y])
         self.lcm = math.lcm(self.dx, self.dy)
-        self.kappas: dict[tuple[int, int], Fraction] = {}
+        self.solves: dict[tuple[int, int], tuple] = {}
 
     @property
     def d(self) -> int:
@@ -87,7 +93,7 @@ class _Edge:
         holds the pairs of the vertices that can have positive excess, all
         in B1(x); `take` those that can have negative excess, all in B1(y);
         cost[i][j] is the distance between the i-th and the j-th of them.
-        x and y may lie in both lists, but at any one alpha no vertex both
+        x and y lie in both lists, but at any one alpha no vertex both
         sends and takes."""
         g, x, y, lcm = self.g, self.x, self.y, self.lcm
         pairs = {x: [lcm, 0], y: [-lcm, 0]}
@@ -100,27 +106,32 @@ class _Edge:
         return ([tuple(pairs[v]) for v in send], [tuple(pairs[v]) for v in take],
                 _cost_matrix(g, send, take))
 
-    def sliced(self, p: int, q: int) -> tuple[list[int], list[int], tuple[int, ...],
-                                                tuple[int, ...], transport.CostTable]:
-        """The transport instance of alpha = p/q, sliced out of the table:
-        (rows, cols, supply, demand, cost). rows and cols index the send
-        and take vertices with positive supply and demand at alpha; supply,
-        demand and cost, their sub-table, are the tuples _transport_cost
-        keys on."""
-        send, take, table = self.table
-        r = q - p
-        rows, supply = [], []
-        for i, (a, b) in enumerate(send):
-            if (m := p * a + r * b) > 0:
-                rows.append(i)
-                supply.append(m)
-        cols, demand = [], []
-        for j, (a, b) in enumerate(take):
-            if (m := p * a + r * b) < 0:
-                cols.append(j)
-                demand.append(-m)
-        return (rows, cols, tuple(supply), tuple(demand),
-                tuple(tuple(table[i][j] for j in cols) for i in rows))
+    def solved(self, p: int, q: int) -> tuple:
+        """The transport instance of alpha = p/q sliced out of the table,
+        with its solve, kept per (p, q) (hashing a Fraction costs a modular
+        inverse): (rows, supply, demand, cost, kappa, plan). rows index the
+        send vertices with positive supply at alpha; supply, demand and
+        cost are the tuples _transport_cost keys on; kappa is kappa_alpha
+        and plan the solve's optimal plan."""
+        if (p, q) not in self.solves:
+            send, take, table = self.table
+            r = q - p
+            rows, supply = [], []
+            for i, (a, b) in enumerate(send):
+                if (m := p * a + r * b) > 0:
+                    rows.append(i)
+                    supply.append(m)
+            cols, demand = [], []
+            for j, (a, b) in enumerate(take):
+                if (m := p * a + r * b) < 0:
+                    cols.append(j)
+                    demand.append(-m)
+            supply, demand = tuple(supply), tuple(demand)
+            cost = tuple(tuple(table[i][j] for j in cols) for i in rows)
+            value, plan = transport._transport_cost(supply, demand, cost)
+            self.solves[p, q] = (rows, supply, demand, cost,
+                                 Fraction(q * self.lcm - value, q * self.lcm), plan)
+        return self.solves[p, q]
 
     @cached_property
     def instance(self) -> _Instance:  # S1(x)\B1(y) -> S1(y)\B1(x)
@@ -154,10 +165,10 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     Mass the two share stays in place, and the rest moves from B1(x) to
     B1(y) by transport._transport_cost. The supplies and demands are
     p*a_v + (q-p)*b_v from the edge's transport table (_Edge.table), whose
-    rows and columns with positive supply and demand _Edge.sliced cuts out
+    rows and columns with positive supply and demand _Edge.solved cuts out
     as tuples, the memo key of the solve, so the table's distances are
     built once per edge and serve every alpha. The edge context keeps each
-    value; it reads no matrix or solve of the assignment route, to stay
+    solve; it reads no matrix or solve of the assignment route, to stay
     independent of it.
     """
     e = _edge(g, x, y)
@@ -165,10 +176,7 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     p, q = alpha.numerator, alpha.denominator
     if not (0 <= p <= q):
         raise ValueError("idleness must lie in [0, 1]")
-    if (p, q) not in e.kappas:  # keyed by (p, q): hashing a Fraction costs a modular inverse
-        cost = transport._transport_cost(*e.sliced(p, q)[2:])[0]
-        e.kappas[p, q] = Fraction(q * e.lcm - cost, q * e.lcm)
-    return e.kappas[p, q]
+    return e.solved(p, q)[4]
 
 
 def _cost_matrix(g: Graph, left: list[int], right: list[int]) -> transport.CostMatrix:
@@ -335,141 +343,121 @@ class PiecewiseLinearFn:
         raise AssertionError("unreachable")
 
 
-_PROBE_BUDGET = 64
+def _fail(e: _Edge, alpha: Fraction, why) -> NoReturn:
+    raise ConsistencyError(f"idleness proof ({e.x},{e.y}) at alpha {alpha}: {why}")
 
 
-def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
-    """Exact reconstruction of alpha -> kappa_alpha(x, y), from kappa_0 at 0.
+def _dual_line(e: _Edge, a: Fraction) -> tuple[Fraction, Fraction]:
+    """(value at 0, slope) of the dual line of the solve at a: a line that
+    lies on or above kappa_alpha at every alpha and meets it at a.
 
-    The function is concave and piecewise linear with at most 3 parts, and
-    is linear on [1/(D+1), 1] with slope -kappa. For a concave piecewise
-    linear f, f((a+b)/2) == (f(a)+f(b))/2 certifies linearity on all of
-    [a, b], so bisection on rational midpoints pins each slope down exactly,
-    the first from 1/(lcm(d_x, d_y) + 1) (arXiv:1704.04398). One loop walks
-    the pieces left to right: the current piece meets the last line
-    kappa*(1 - alpha) at c. If f(c) lies on the piece, c is the last
-    breakpoint; otherwise the slope read at c must lie strictly between the
-    piece's slope and -kappa, and the next piece starts where the two lines
-    meet. Every breakpoint value is re-checked
-    against a direct evaluation, and a piece of slope -kappa must pass
-    through (1, 0). More than 64 new evaluations would contradict the
-    3-piece structure and raise ConsistencyError.
+    The potentials u of that solve (transport._potentials) give a price psi
+    on every vertex of the table: psi(t) = min_i (u_i + cost[i][t]) over the
+    solve's sources for each take vertex t, then psi(s) = max_t (psi(t) -
+    cost[s][t]) for each send vertex s, so psi(t) - psi(s) <= cost[s][t] on
+    every cell. x and y lie in both lists, at cost 0 from themselves, and
+    must get one price. Then -sum_v psi(v)*(p*a_v + (q-p)*b_v) is at most
+    the optimal cost q*L*W1 at every alpha = p/q (weak LP duality), and at
+    a at least the potentials' own dual value, which is that cost.
     """
-    e = _edge(g, x, y)
-    limit = len(e.kappas) + _PROBE_BUDGET
-    a_star = Fraction(1, max(e.dx, e.dy) + 1)
-    kap, f0 = kappa_lly(g, x, y), kappa_zero(g, x, y)
-
-    def f(a: Fraction) -> Fraction:
-        value = kappa_alpha(g, x, y, a)
-        if len(e.kappas) > limit:
-            raise ConsistencyError(f"idleness_function({x},{y}) did not stabilize "
-                                   f"within {_PROBE_BUDGET} evaluations")
-        return value
-
-    def slope_from(a: Fraction, width: Fraction) -> Fraction:
-        """Slope of f on [a, a + width], the width halved until f is linear there."""
-        while 2 * f(a + width / 2) != f(a) + f(a + width):
-            width /= 2
-        return (f(a + width) - f(a)) / width
-
-    bp, vals = [Fraction(0)], [f0]
-    s = slope_from(bp[0], Fraction(1, e.lcm + 1))
-    while s != -kap:
-        a, v = bp[-1], vals[-1]
-        c = (kap - v + s * a) / (s + kap)  # where this piece meets kappa*(1 - alpha)
-        fc = f(c)
-        if fc == v + s * (c - a):  # c starts the last piece
-            bp.append(c)
-            vals.append(fc)
-            break
-        if not s > (s_next := slope_from(c, (a_star - c) / 2)) > -kap:
-            raise ConsistencyError(f"idleness_function({x},{y}): no slope strictly between "
-                                   f"{s} and {-kap} after {c}")
-        b = (fc - s_next * c - v + s * a) / (s - s_next)  # where this piece meets the next
-        bp.append(b)
-        vals.append(f(b))
-        if vals[-1] != v + s * (b - a):
-            raise ConsistencyError("reconstructed breakpoint disagrees with direct evaluation")
-        s = s_next
-    if vals[-1] != kap * (1 - bp[-1]):
-        raise ConsistencyError(f"idleness_function({x},{y}): last piece misses (1, 0)")
-    return PiecewiseLinearFn((*bp, Fraction(1)), (*vals, Fraction(0)))
-
-
-def prove_idleness(g: Graph, x: int, y: int, fn: PiecewiseLinearFn) -> None:
-    """Prove fn(alpha) == kappa_alpha(x, y, alpha) on all of [0, 1], or
-    raise ConsistencyError naming the edge and the alpha where the proof
-    fails. No point of [0, 1] is left to sampling.
-
-    At alpha = p/q, the instance that kappa_alpha solves (_Edge.sliced)
-    has the optimal cost q*L*W1, so the claim is that this cost equals
-    q*L*(1 - fn(alpha)). Both bounds below read only the edge's transport
-    table and the memoized solves of the instances cut from it.
-
-    Upper bound: at each breakpoint, 0 and 1 included, the solve's plan is
-    feasible (positive cells, row and column sums equal to the supplies and
-    demands) and costs q*L*(1 - fn). Both measures are affine in alpha, so
-    W1 is convex in alpha and W1 <= 1 - fn on [0, 1], which is linear
-    between the breakpoints.
-
-    Lower bound: on each piece, the potentials u of the solve at its
-    midpoint (transport._potentials) give a price psi on every vertex of
-    the table: psi(t) = min_i (u_i + cost[i][t]) over the midpoint's
-    sources for each take vertex t, then psi(s) = max_t (psi(t) -
-    cost[s][t]) for each send vertex s, so psi(t) - psi(s) <= cost[s][t]
-    on every cell. x and y can be in both lists, at cost 0 from
-    themselves, and must get one price. Then -sum_v psi(v)*(p*a_v +
-    (q-p)*b_v) is at most the optimal cost at every alpha (weak LP
-    duality) and is q times a linear function of alpha. Where it equals
-    q*L*(1 - fn) at both ends of the piece, W1 >= 1 - fn on the piece.
-    """
-    e = _edge(g, x, y)
-    _, _, table = e.table
+    rows, _, _, cost, _, plan = e.solved(a.numerator, a.denominator)
+    try:
+        u, _ = transport._potentials(cost, plan or ())
+    except ConsistencyError as exc:
+        _fail(e, a, exc)
+    send, take, table = e.table
+    psi_take = [min((ui + table[i][t] for i, ui in zip(rows, u)), default=0)
+                for t in range(len(take))]
+    psi_send = [max(pt - c for pt, c in zip(psi_take, row)) for row in table]
     same = [(s, t) for s, row in enumerate(table) for t, c in enumerate(row) if c == 0]
-    bp = fn.breakpoints
-    ends = []  # per breakpoint: rows, cols, supply, demand and q*L*(1 - fn)
-    for b, v in zip(bp, fn.values):
-        rows, cols, supply, demand, cost = e.sliced(b.numerator, b.denominator)
-        target = b.denominator * e.lcm * (1 - v)
-        value, plan = transport._transport_cost(supply, demand, cost)
+    for s, t in same:
+        if psi_send[s] != psi_take[t]:
+            _fail(e, a, f"a vertex gets the prices {psi_send[s]} and {psi_take[t]}")
+    shared = {t for _, t in same}
+    priced = [*zip(psi_send, send), *(pair for t, pair in enumerate(zip(psi_take, take))
+                                      if t not in shared)]  # one price per vertex
+    return (1 + Fraction(sum(psi * pb for psi, (_, pb) in priced), e.lcm),
+            Fraction(sum(psi * (pa - pb) for psi, (pa, pb) in priced), e.lcm))
+
+
+def _prove(e: _Edge, breakpoints, values, lines) -> None:
+    """Prove that the function through (breakpoints, values), linear in
+    between, is kappa_alpha on all of [0, 1], lines[k] being the dual line
+    of its k-th piece, or raise ConsistencyError naming the edge and the
+    alpha where the proof fails. No point of [0, 1] is left to sampling.
+
+    From below: at each breakpoint b = p/q, 0 and 1 included, the plan of
+    the solve at b is feasible (positive cells, row and column sums equal
+    to the supplies and demands) and costs q*L*(1 - fn(b)). Both measures
+    are affine in alpha, so W1 is convex in alpha and W1 <= 1 - fn on
+    [0, 1], which is linear between the breakpoints. From above: each line
+    lies on or above kappa_alpha everywhere (_dual_line) and meets fn at
+    both ends of its piece, so kappa_alpha <= fn on the piece.
+    """
+    for k, (b, v) in enumerate(zip(breakpoints, values)):
+        _, supply, demand, cost, _, plan = e.solved(b.numerator, b.denominator)
         sent, taken, spent = [0] * len(supply), [0] * len(demand), 0
         for i, j, units in plan or ():
             if not (0 <= i < len(sent) and 0 <= j < len(taken) and units > 0):
-                raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: "
-                                       f"plan cell {(i, j, units)} is not a positive cell")
+                _fail(e, b, f"plan cell {(i, j, units)} is not a positive cell")
             sent[i] += units
             taken[j] += units
             spent += units * cost[i][j]
         if plan is None or tuple(sent) != supply or tuple(taken) != demand:
-            raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: "
-                                   "plan does not move the supplies to the demands")
-        if not value == spent == target:
-            raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: plan costs "
-                                   f"{spent}, solver value {value}, 1 - fn gives {target}")
-        ends.append((rows, cols, supply, demand, target))
-    for k in range(fn.segments):
-        m = (bp[k] + bp[k + 1]) / 2
-        rows, _, supply, demand, cost = e.sliced(m.numerator, m.denominator)
-        _, plan = transport._transport_cost(supply, demand, cost)
-        try:
-            u, _ = transport._potentials(cost, plan or ())
-        except ConsistencyError as exc:
-            raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {m}: {exc}") from None
-        psi_take = [min((ui + table[i][t] for i, ui in zip(rows, u)), default=0)
-                    for t in range(len(table[0]))]
-        psi_send = [max(pt - c for pt, c in zip(psi_take, row)) for row in table]
-        for s, t in same:
-            if psi_send[s] != psi_take[t]:
-                raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {m}: a vertex "
-                                       f"gets the prices {psi_send[s]} and {psi_take[t]}")
-        for b, (rows, cols, supply, demand, target) in zip(bp[k:k + 2], ends[k:k + 2]):
-            dual = (sum(psi_take[t] * n for t, n in zip(cols, demand))
-                    - sum(psi_send[s] * n for s, n in zip(rows, supply)))
-            if dual != target:
-                raise ConsistencyError(f"idleness proof ({x},{y}) at alpha {b}: dual bound "
-                                       f"{dual} of the piece [{bp[k]}, {bp[k + 1]}], "
-                                       f"1 - fn gives {target}")
+            _fail(e, b, "plan does not move the supplies to the demands")
+        if (target := b.denominator * e.lcm * (1 - v)) != spent:
+            _fail(e, b, f"plan costs {spent}, 1 - fn gives {target}")
+        for v0, slope in lines[max(k - 1, 0):k + 1]:
+            if v0 + slope * b != v:
+                _fail(e, b, f"dual line {v0} + {slope}*alpha misses fn = {v}")
+
+
+def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
+    """alpha -> kappa_alpha(x, y), built from the dual lines of its solves
+    and proven exact on all of [0, 1].
+
+    The function is concave with at most 3 linear pieces, linear on
+    [0, 1/(lcm(d_x, d_y) + 1)] (arXiv:1704.04398) and equal to
+    kappa*(1 - alpha) on [1/(D+1), 1], D = max(d_x, d_y). A dual line
+    (_dual_line) lies on or above it and meets it where it was solved, so
+    the dual line of a solve strictly inside a piece is that piece's line.
+    The first line comes from 1/(2(lcm + 1)); if it is kappa*(1 - alpha),
+    there is one piece. Otherwise the line from (1 + 1/(D+1))/2 must be
+    kappa*(1 - alpha), and the two lines meet at c. If the function meets
+    them there, c is the one inner breakpoint. Otherwise it lies below both
+    at c, so c is strictly inside a middle piece, whose line is the dual
+    line at c, and the breakpoints are where that line meets the other
+    two. The values are kappa_0 at 0 and kappa_alpha at the other
+    breakpoints, and _prove proves the result. Any failure raises
+    ConsistencyError "idleness proof (x,y) at alpha ...".
+    """
+    e = _edge(g, x, y)
+    kap = kappa_lly(g, x, y)
+    last = (kap, -kap)  # kappa*(1 - alpha)
+
+    def meet(l1, l2, a: Fraction) -> Fraction:  # a concave corner in (0, 1); l2 solved at a
+        if l1[1] > l2[1] and 0 < (m := (l2[0] - l1[0]) / (l1[1] - l2[1])) < 1:
+            return m
+        _fail(e, a, f"the dual line {l2[0]} + {l2[1]}*alpha makes no concave corner "
+                    f"inside (0, 1) with {l1[0]} + {l1[1]}*alpha")
+
+    first = _dual_line(e, Fraction(1, 2 * (e.lcm + 1)))
+    if first == last:
+        bp, lines = (Fraction(0), Fraction(1)), [first]
+    else:
+        a = (1 + Fraction(1, max(e.dx, e.dy) + 1)) / 2
+        if _dual_line(e, a) != last:
+            _fail(e, a, f"the dual line is not kappa*(1 - alpha), kappa = {kap}")
+        c = meet(first, last, a)
+        if first[0] + first[1] * c == kappa_alpha(g, x, y, c):
+            bp, lines = (Fraction(0), c, Fraction(1)), [first, last]
+        else:
+            middle = _dual_line(e, c)
+            bp = (Fraction(0), meet(first, middle, c), meet(middle, last, c), Fraction(1))
+            lines = [first, middle, last]
+    values = (kappa_zero(g, x, y), *(kappa_alpha(g, x, y, b) for b in bp[1:]))
+    _prove(e, bp, values, lines)
+    return PiecewiseLinearFn(bp, values)
 
 
 @dataclass(frozen=True)

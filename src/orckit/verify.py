@@ -132,9 +132,9 @@ def _check_edges(report: VerificationReport, label: str, g: Graph, guard: str, c
 
 
 def check_main_theorem(n_max: int) -> VerificationReport:
-    """Exhaustive check over connected labeled graphs on up to n_max
-    vertices: every edge has kappa >= 1 iff the minimum degree is at least
-    n - 2."""
+    """Claim: every edge has kappa >= 1 iff the minimum degree is at least
+    n - 2. Scope: exhaustive over connected labeled graphs on up to n_max
+    vertices."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if n_max > 7:
@@ -152,8 +152,8 @@ def check_main_theorem(n_max: int) -> VerificationReport:
 
 
 def check_ric_one_classification() -> VerificationReport:
-    """Cocktail party graphs and the odd near-cocktail graphs carry
-    curvature exactly 1 on every edge; complete graphs carry n/(n-1)."""
+    """Claim: cocktail party and odd near-cocktail graphs carry curvature 1
+    on every edge, complete graphs n/(n-1). Scope: 14 graphs."""
     report = VerificationReport("ric-one-classification")
     cases = [(_named(cocktail_party, k), Fraction(1)) for k in (2, 3, 4, 5)]
     cases += [(_named(near_cocktail, n), Fraction(1)) for n in (5, 7, 9)]
@@ -165,7 +165,8 @@ def check_ric_one_classification() -> VerificationReport:
 
 
 def check_family_values() -> VerificationReport:
-    """Closed-form curvature table for the named families."""
+    """Claim: the closed-form kappa and kappa_0 of the named families.
+    Scope: a fixed table of 31 graphs."""
     report = VerificationReport("family-values")
     # (label, graph), kappa, kappa_0; None leaves that value unchecked
     table = []
@@ -191,8 +192,10 @@ def bone_idle_family_instances() -> list[tuple[str, Graph]]:
 
 
 def check_bone_idle_families() -> VerificationReport:
-    """The 4-regular families are bone-idle on every edge; hypercubes and
-    complete bipartite graphs are not (positive kappa, vanishing kappa_0)."""
+    """Claim: the 4-regular families are bone-idle on every edge;
+    hypercubes and complete bipartite graphs are not (positive kappa,
+    vanishing kappa_0). Scope: the "if" half of the 4-regular
+    characterization, on 20 instances."""
     report = VerificationReport("bone-idle-families")
     for label, g in bone_idle_family_instances():
         _check_edges(report, label, g, "bone-idle", [(
@@ -217,9 +220,8 @@ def cubic_corpus(corpus_seed: int, trials: int) -> list[tuple[str, Graph]]:
 
 
 def check_no_cubic_bone_idle(corpus_seed: int, trials: int) -> VerificationReport:
-    """Falsification attempt: every 3-regular graph in the corpus must
-    expose at least one edge that is not bone-idle. Not exhaustive; the
-    classification claim covers all cubic graphs, this samples it."""
+    """Claim: every 3-regular graph has an edge that is not bone-idle.
+    Scope: sampled: 11 fixed cubic graphs, `trials` random ones per order."""
     if not 1 <= trials <= 1000:  # 1000 trials, 4,000 random graphs: about 1.5 s on a 2-core Xeon
         raise ValueError(f"trials must be from 1 to 1000, got {trials}")
     report = VerificationReport("no-cubic-bone-idle", notes=[
@@ -239,9 +241,9 @@ def check_no_cubic_bone_idle(corpus_seed: int, trials: int) -> VerificationRepor
 
 
 def check_girth5_bone_idle() -> VerificationReport:
-    """Girth-5 flat graphs are not bone-idle: Petersen and the dodecahedral
-    graph are flat but not 0-flat; cycles C_n are bone-idle from n = 6 on
-    but C_5 is not."""
+    """Claim: girth-5 flat graphs are not bone-idle: Petersen and the
+    dodecahedral graph are flat but not 0-flat; cycles C_n are bone-idle
+    from n = 6 on but C_5 is not. Scope: those 10 graphs."""
     report = VerificationReport("girth5-bone-idle")
     for label, g in (_named(petersen), _named(dodecahedral)):
         report.instances += 1
@@ -266,10 +268,11 @@ def default_product_pairs() -> list[tuple[str, Graph, str, Graph]]:
 
 
 def check_product_formula(pairs=None) -> VerificationReport:
-    """Every edge of a box product of regular graphs carries the factor
-    curvature scaled by d_factor/(d_G + d_H), for kappa and kappa_0 both. A
-    fault in a factor's curvature fails as product-factor, on that factor's
-    label and edge, and skips the checks of that product edge."""
+    """Claim: every edge of a box product of regular graphs carries the
+    factor curvature scaled by d_factor/(d_G + d_H), for kappa and kappa_0
+    both, as "no product 5-regular bone-idle graph" uses. Scope: 5 pairs.
+    A fault in a factor's curvature fails as product-factor, on that
+    factor's label and edge, and skips the checks of that product edge."""
     report = VerificationReport("product-formula")
     for g_label, g, h_label, h in (pairs if pairs is not None else default_product_pairs()):
         dg, dh = is_regular(g), is_regular(h)
@@ -326,23 +329,23 @@ def default_corpus(seed: int) -> list[tuple[str, Graph]]:
 
 
 def check_edge_properties(corpus) -> VerificationReport:
-    """Every per-edge invariant over the corpus: route agreement and the
-    gap formula, which the one curvature.edge_record per edge (the record
+    """Claims: the gap formula with its equality condition, bone-idle
+    edges and the idleness function's shape, on every edge of the corpus:
+    route agreement and the gap formula, which the one curvature.edge_record per edge (the record
     `orckit curvature` prints) checks by raising; the upper curvature
     bound, the sufficient condition for equality, the assignment identity
-    2*N1 + N2 = 3k - C*, the idleness function shape (its first piece
-    reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398), the idleness
-    function's proof on all of [0, 1] (curvature.prove_idleness: an upper
-    bound from the plans at its breakpoints, a lower bound from the
-    potentials at its piece midpoints), and the diameter bound on
-    positively curved graphs.
+    2*N1 + N2 = 3k - C*, the idleness function's shape (its first piece
+    reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398, its last piece of
+    slope -kappa from 1/(max(d_x, d_y) + 1) on), and the diameter bound on
+    positively curved graphs. curvature.idleness_function proves the
+    function exact on all of [0, 1] as it builds it.
 
     Each edge's curvature calls run under the guards route-agreement,
-    local-structure, idleness-reconstruction and idleness-proof: a fault
-    inside one is a Failure of that check, and the suite goes on with the
-    next edge. PiecewiseLinearFn refuses a function that is nonzero at 1,
-    has more than 3 pieces or is not strictly concave, so such a shape
-    fails as idleness-reconstruction."""
+    local-structure and idleness-reconstruction: a fault inside one is a
+    Failure of that check, and the suite goes on with the next edge. A
+    failed idleness proof, or a shape PiecewiseLinearFn refuses (nonzero at
+    1, more than 3 pieces, not strictly concave), fails as
+    idleness-reconstruction."""
     report = VerificationReport("edge-properties")
     for label, g in corpus:
         min_kappa = None
@@ -380,8 +383,6 @@ def check_edge_properties(corpus) -> VerificationReport:
                              fn.breakpoints[-2] <= Fraction(1, max(dx, dy) + 1))
                 report.check(label, edge, "idleness-first-piece", True,
                              fn.breakpoints[1] >= Fraction(1, math.lcm(dx, dy) + 1))
-                with report.guard(label, edge, "idleness-proof"):
-                    curvature.prove_idleness(g, x, y, fn)
         if min_kappa is not None and min_kappa > 0 and is_connected(g):
             report.check(label, None, "bonnet-myers", True,
                          diameter(g) <= Fraction(2) / min_kappa)

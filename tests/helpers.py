@@ -218,9 +218,20 @@ def _moved_cell(args, result):
     return value, ((i, (j + 1) % len(args[1]), units),) + rest
 
 
+def _negative_cell(args, result):
+    """The first plan cell doubled, and a cell of minus its units added:
+    every row and column sum and the cost still hold."""
+    value, plan = result
+    if not plan:
+        return result
+    (i, j, units), rest = plan[0], plan[1:]
+    return value, ((i, j, 2 * units), (i, j, -units)) + rest
+
+
 # fault -> (transport function, what the corruption makes of its result)
 PROOF_FAULTS = {
     "plan cell": ("_transport_cost", _moved_cell),
+    "negative cell": ("_transport_cost", _negative_cell),
     "plan value": ("_transport_cost", lambda args, result: (result[0] + 1, result[1])),
     "potential": ("_potentials", lambda args, result: ([result[0][0] - 1, *result[0][1:]],
                                                        result[1])),
@@ -228,17 +239,20 @@ PROOF_FAULTS = {
 
 
 def corrupt_proof_input(monkeypatch, fault: str) -> None:
-    """Corrupt what curvature.prove_idleness reads of a solve, as PROOF_FAULTS
-    names it, only where prove_idleness itself calls: kappa_alpha and so
-    the reconstruction stay exact."""
+    """Corrupt what curvature.idleness_function reads of a solve, as
+    PROOF_FAULTS names it. kappa_alpha reads only the values of solves, so a
+    plan cell or a potential is corrupted in every call, and a value only in
+    the calls made while idleness_function runs: kappa and kappa_0 solved
+    before it, as edge_record solves them, stay exact, and the routes agree."""
     name, corrupt = PROOF_FAULTS[fault]
     exact = getattr(transport, name)
 
     def patched(*args):
         result = exact(*args)
-        if sys._getframe(1).f_code.co_name == "prove_idleness":
-            return corrupt(args, result)
-        return result
+        frame = sys._getframe(1)
+        while fault == "plan value" and frame and frame.f_code.co_name != "idleness_function":
+            frame = frame.f_back
+        return corrupt(args, result) if frame else result
 
     monkeypatch.setattr(transport, name, patched)
 

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -190,7 +192,8 @@ def test_bad_flags_exit_2_before_the_graph_is_read(tmp_path):
     missing = str(tmp_path / "missing.g6")
     cases = [(["curvature", missing, "--decimals", d], "--decimals")
              for d in ("-1", "65", "10000000")]
-    cases += [(["idleness", missing, "--edge", e], "--edge") for e in ("0", "a,b", "0,1,2")]
+    cases += [(["idleness", missing, "--edge", e], "--edge")
+              for e in ("0", "a,b", "0,1,2", "0,1_0", "\u0660,+1", " 0 , 1 ", "0,-1", "")]
     for args, flag in cases:
         proc = subprocess.run([sys.executable, "-m", "orckit.cli", *args],
                               capture_output=True, text=True, env=child_env(), timeout=30)
@@ -470,3 +473,14 @@ def test_family_size_checks_use_exact_counts(monkeypatch):
     for n, m in ((VERTEX_LIMIT + 1, 0), (0, EDGE_LIMIT + 1)):
         with pytest.raises(ValueError, match="desk-scale limit"):
             graphs.check_size("past a limit", n, m)
+
+
+def test_claims_table_names_every_suite():
+    # the README's ledger of the paper's claims names each verify suite in
+    # its suite column, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## The paper's claims", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith("| claim |")]
+    assert len(rows) == 8
+    assert {name for row in rows for name in re.findall(r"`([^`]+)`", row[2])} == set(cli._SUITES)

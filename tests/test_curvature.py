@@ -308,10 +308,29 @@ def test_kappa_alpha_matches_wasserstein_on_unequal_degree_edges():
 
 def test_kappa_alpha_matches_linprog_on_unequal_degree_edges():
     # wasserstein1 runs the same transport solver as kappa_alpha; scipy's LP
-    # over BFS distances shares no code with it. At alpha = p/q both measures
-    # become integers when scaled by q*L, L = lcm(d_x, d_y), and the LP moves
-    # every unit, shared mass included, between the two whole supports.
+    # over BFS distances shares no code with it, nor with the idleness
+    # construction. At alpha = p/q both measures become integers when scaled
+    # by q*L, L = lcm(d_x, d_y), and the LP moves every unit, shared mass
+    # included, between the two whole supports. The inputs: kappa_alpha at a
+    # random alpha on unequal-degree edges, and each idleness function at
+    # every breakpoint and piece midpoint, on equal- and unequal-degree
+    # edges with one, two and three pieces.
     optimize = pytest.importorskip("scipy.optimize")
+
+    def lp_kappa(g, x, y, alpha):
+        p, q = alpha.numerator, alpha.denominator
+        lcm = math.lcm(g.degree(x), g.degree(y))
+        mu, nu = ({c: p * lcm, **{w: (q - p) * lcm // g.degree(c) for w in g.adj[c]}}
+                  for c in (x, y))
+        cost = [distances_from(g, a)[b] for a in mu for b in nu]
+        ns, nd = len(mu), len(nu)
+        rows = [[int(k // nd == i) for k in range(ns * nd)] for i in range(ns)]
+        cols = [[int(k % nd == j) for k in range(ns * nd)] for j in range(nd)]
+        lp = optimize.linprog(cost, A_eq=rows + cols, b_eq=[*mu.values(), *nu.values()],
+                              bounds=(0, None), method="highs")
+        assert lp.status == 0
+        return 1 - F(round(lp.fun), q * lcm)
+
     rng = random.Random(1711)
     checked = 0
     while checked < 240:
@@ -322,19 +341,19 @@ def test_kappa_alpha_matches_linprog_on_unequal_degree_edges():
             for x, y in ((u, v), (v, u)):
                 q = rng.randint(2, 12)
                 p = rng.randint(0, q)
-                lcm = math.lcm(g.degree(x), g.degree(y))
-                mu, nu = ({c: p * lcm, **{w: (q - p) * lcm // g.degree(c) for w in g.adj[c]}}
-                          for c in (x, y))
-                cost = [distances_from(g, a)[b] for a in mu for b in nu]
-                ns, nd = len(mu), len(nu)
-                rows = [[int(k // nd == i) for k in range(ns * nd)] for i in range(ns)]
-                cols = [[int(k % nd == j) for k in range(ns * nd)] for j in range(nd)]
-                lp = optimize.linprog(cost, A_eq=rows + cols, b_eq=[*mu.values(), *nu.values()],
-                                      bounds=(0, None), method="highs")
-                assert lp.status == 0
-                assert kappa_alpha(g, x, y, F(p, q)) == 1 - F(round(lp.fun), q * lcm), \
+                assert kappa_alpha(g, x, y, F(p, q)) == lp_kappa(g, x, y, F(p, q)), \
                     (g.edges(), x, y, p, q)
                 checked += 1
+    shapes = set()
+    for g in (Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]), complete_bipartite(2, 3),
+              petersen(), cycle(6), star(4)):
+        for x, y in g.edges():
+            fn = idleness_function(g, x, y)
+            bp = fn.breakpoints
+            for a in (*bp, *((a + b) / 2 for a, b in zip(bp, bp[1:]))):
+                assert fn.value_at(a) == lp_kappa(g, x, y, a), (g.edges(), x, y, a)
+            shapes.add((fn.segments, g.degree(x) == g.degree(y)))
+    assert {(1, True), (2, True), (2, False), (3, False)} <= shapes, shapes
 
 
 def test_kappa_lly_matches_limit_free_oracle():
@@ -549,9 +568,10 @@ def test_edge_context_memo_keeps_transport_values(monkeypatch):
 
 
 def test_idleness_after_edge_record_solves_once(monkeypatch):
-    # edge_record leaves kappa and kappa_0 in the edge context, so on an
-    # equal-degree edge the idleness function needs only the midpoint of
-    # its first piece: one transport solve.
+    # edge_record leaves kappa and kappa_0 in the edge context. On an
+    # equal-degree edge every breakpoint is 0, 1/(d+1) or 1, so the idleness
+    # function solves once for each piece's dual line and once at alpha = 1,
+    # and never the same instance twice.
     solves = []
     exact = transport._transport_cost
     monkeypatch.setattr(transport, "_transport_cost",
@@ -560,8 +580,8 @@ def test_idleness_after_edge_record_solves_once(monkeypatch):
         for x, y in _equal_degree_edges(g):
             edge_record(g, x, y)
             solves.clear()
-            idleness_function(g, x, y)
-            assert len(solves) == 1, (g, x, y)
+            fn = idleness_function(g, x, y)
+            assert len(solves) == len(set(solves)) == fn.segments + 1, (g, x, y)
 
 
 def test_assignment_instances_are_copies():

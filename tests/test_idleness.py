@@ -1,8 +1,5 @@
 import hashlib
 import random
-import subprocess
-import sys
-import textwrap
 from collections import Counter
 from itertools import combinations
 from fractions import Fraction as F
@@ -10,13 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from orckit import curvature
-from orckit.curvature import (ConsistencyError, PiecewiseLinearFn, idleness_function,
-                              kappa_alpha, kappa_lly, prove_idleness)
-from orckit.families import (cocktail_party, complete, cycle, hypercube, near_cocktail,
-                             petersen, random_regular, star)
+from orckit.curvature import (ConsistencyError, PiecewiseLinearFn, edge_record,
+                              idleness_function, kappa_alpha, kappa_lly)
+from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
+                             near_cocktail, petersen, random_regular, star)
 from orckit.graphs import Graph
 
-from helpers import PROOF_FAULTS, child_env, corrupt_proof_input, random_connected_graph
+from helpers import PROOF_FAULTS, corrupt_proof_input, random_connected_graph
 
 
 def test_bone_idle_edge_is_identically_zero():
@@ -67,9 +64,8 @@ def test_three_segment_reconstruction_on_random_graphs():
 
 def test_idleness_evaluations_pinned():
     # For both orientations of every edge of 300 seeded graphs: the
-    # breakpoints, the values and the kappa_alpha keys the edge context
-    # stored, in the order it stored them. A rewrite of the reconstruction
-    # must give the same functions from the same evaluations.
+    # breakpoints and the values. A rewrite of the construction must give
+    # the same functions.
     rng = random.Random(7)
     digest = hashlib.sha256()
     edges = three = 0
@@ -78,64 +74,55 @@ def test_idleness_evaluations_pinned():
         for u, v in g.edges():
             for x, y in ((u, v), (v, u)):
                 fn = idleness_function(g, x, y)
-                keys = list(curvature._edge(g, x, y).kappas)
-                digest.update(repr((fn.breakpoints, fn.values, keys)).encode("ascii"))
+                digest.update(repr((fn.breakpoints, fn.values)).encode("ascii"))
             edges += 1
             three += fn.segments == 3
     assert (edges, three) == (3785, 1313)
     assert digest.hexdigest() == \
-        "10b5d91cd2b130178ec67fd17f12a1e28ef2aa69834ff06a2953cb54116ac4c0"
+        "756c14335bb6aadb24122d37ba19be1e04d97f11d442809c72b0beb2b4828f05"
 
 
-def test_wrong_shapes_raise_consistency_error():
-    # kappa_alpha patched to a polyline, so the reconstruction itself must
-    # refuse the shape: a fourth piece; a slope read at c equal to the
-    # piece's own, which would divide by zero where the two lines meet; a
-    # breakpoint whose direct value is off its piece; a first slope of
-    # -kappa from kappa_0 != kappa. K2's polylines keep its kappa = 2 and
-    # kappa_0 = 0, so both routes agree; the edge (0, 2) of K(2,3) has
-    # unequal degrees and no assignment route. A child process with a
-    # timeout turns a hang into a failure.
-    code = textwrap.dedent("""
-        from fractions import Fraction as F
-        from orckit import curvature
-        from orckit.families import complete, complete_bipartite
+THREE_PIECE = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+TWO_PIECE = Graph(5, [(0, 3), (0, 4), (1, 4), (2, 3), (2, 4)])  # (0, 4) breaks at 1/7, not 1/4
 
-        def polyline(points):
-            def value(g, x, y, alpha):
-                a = F(alpha)
-                for (a1, v1), (a2, v2) in zip(points, points[1:]):
-                    if a <= a2:
-                        return v1 + (v2 - v1) * (a - a1) / (a2 - a1)
-            return value
 
-        k2, k23 = complete(2), complete_bipartite(2, 3)
-        shapes = {
-            "fourth piece": (k2, 0, 1, [(0, 0), (F(1, 8), F(3, 4)), (F(3, 10), F(37, 40)),
-                                        (F(1, 2), 1), (1, 0)]),
-            "equal slopes": (k2, 0, 1, [(0, 0), (F(1, 8), F(3, 4)), (F(3, 16), F(3, 4)),
-                                        (F(9, 32), F(21, 16)), (F(1, 2), 1), (1, 0)]),
-            "breakpoint off its piece": (k23, 0, 2, [
-                (0, F(1, 3)), (F(179, 1400), F(153, 280)), (F(57, 350), F(407, 700)),
-                (F(1, 4), F(5, 8)), (1, 0)]),
-            "kappa_0 off the last line": (k23, 0, 2, [
-                (0, F(11, 10)), (F(1, 7), F(67, 70)), (F(1, 4), F(3, 4)), (1, 0)]),
-        }
-        for name, (g, x, y, points) in shapes.items():
-            curvature.kappa_alpha = polyline(points)
-            try:
-                curvature.idleness_function(g, x, y)
-            except curvature.ConsistencyError as exc:
-                print(f"{name}: {exc}")
-        """)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "fourth piece: more than 3 linear segments",
-        "equal slopes: idleness_function(0,1): no slope strictly between 6 and -2 after 1/4",
-        "breakpoint off its piece: reconstructed breakpoint disagrees with direct evaluation",
-        "kappa_0 off the last line: idleness_function(0,2): last piece misses (1, 0)"]
+def test_wrong_shapes_raise_consistency_error(monkeypatch):
+    # kappa_alpha moved by 1/997 at one alpha the construction reads, so it
+    # must refuse the function it would build from that value
+    cases = [
+        # kappa, read at 1/(D+1) = 1/4, off the last dual line, solved at 5/8
+        (THREE_PIECE, (0, 2), F(1, 4),
+         r"at alpha 5/8: the dual line is not kappa\*\(1 - alpha\), kappa = 4993/5982$"),
+        # the value at c = 1/7 of a two-piece edge off its first line, so c
+        # would lie inside a middle piece, but the dual line solved at the
+        # corner 1/7 is the first line itself
+        (TWO_PIECE, (0, 4), F(1, 7),
+         r"at alpha 1/7: the dual line 0 \+ 2\*alpha makes no concave corner inside \(0, 1\) "
+         r"with 0 \+ 2\*alpha$"),
+        # a breakpoint value off the cost of its plan
+        (THREE_PIECE, (0, 2), F(1, 7), r"at alpha 1/7: plan costs 18, 1 - fn gives 17904/997$"),
+        # kappa_0 off, on an unequal-degree edge, which has no assignment route
+        (complete_bipartite(2, 3), (0, 2), F(0), r"at alpha 0: plan costs 6, 1 - fn gives 5976/997$"),
+    ]
+    exact = curvature.kappa_alpha
+    for g, (x, y), at, message in cases:
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "kappa_alpha",
+                      lambda g, x, y, a, at=at: exact(g, x, y, a) + F(1, 997) * (a == at))
+            with pytest.raises(ConsistencyError, match=rf"^idleness proof \({x},{y}\) {message}"):
+                idleness_function(Graph(g.n, g.edges()), x, y)  # a fresh twin: no solve kept
+
+
+def test_lines_must_meet_inside_the_unit_interval(monkeypatch):
+    # A first line of K2 that lies below kappa*(1 - alpha) = 2 - 2*alpha at
+    # 1 meets it at alpha = 2; the construction refuses it before it solves
+    # anything there.
+    exact = curvature._dual_line
+    monkeypatch.setattr(curvature, "_dual_line",
+                        lambda e, a: (F(1), F(-3, 2)) if a == F(1, 4) else exact(e, a))
+    with pytest.raises(ConsistencyError, match=r"^idleness proof \(0,1\) at alpha 3/4: the dual "
+                                               r"line 2 \+ -2\*alpha makes no concave corner"):
+        idleness_function(complete(2), 0, 1)
 
 
 def test_shape_properties_on_sample():
@@ -154,13 +141,10 @@ def test_shape_properties_on_sample():
             assert slopes[-1] == -kappa_lly(g, x, y)
 
 
-THREE_PIECE = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
-
-
 def test_random_probes_match_direct_evaluation():
     # The 16 idleness values per edge that `verify --suite edge-properties`
-    # drew before prove_idleness replaced them, seeded by label and edge:
-    # each reconstruction must equal a direct transport solve there.
+    # once drew, seeded by label and edge: each function must equal a
+    # direct transport solve there.
     graphs = [("petersen", petersen()), ("star(4)", star(4)),
               ("near_cocktail(7)", near_cocktail(7)), ("three-piece", THREE_PIECE)]
     rng = random.Random(21)
@@ -179,49 +163,62 @@ def test_random_probes_match_direct_evaluation():
     assert segments == {1, 2, 3}
 
 
-def _mutants(fn):
-    """fn with one non-final value or one interior breakpoint moved by
-    +-1/997, or one interior breakpoint dropped, each as (breakpoints,
-    values). A dropped breakpoint leaves every remaining value exact, so
-    only the proof's lower bound can refuse it."""
-    bp, vals = fn.breakpoints, fn.values
+def _proofs(monkeypatch) -> list:
+    """The arguments (e, breakpoints, values, lines) of every call of
+    curvature._prove from here on, recorded as idleness_function makes it."""
+    calls = []
+    monkeypatch.setattr(curvature, "_prove", lambda *args: calls.append(args) or _PROVE(*args))
+    return calls
+
+
+_PROVE = curvature._prove
+
+
+def _mutants(bp, vals, lines):
+    """The claim (bp, vals, lines) with one non-final value or one interior
+    breakpoint moved by +-1/997, or one interior breakpoint dropped, the
+    merged piece keeping the line of either piece. A dropped breakpoint
+    leaves every remaining value exact, so only the lines can refuse it."""
     for delta in (F(1, 997), F(-1, 997)):
         for k in range(len(vals) - 1):
-            yield bp, vals[:k] + (vals[k] + delta,) + vals[k + 1:]
+            yield bp, vals[:k] + (vals[k] + delta,) + vals[k + 1:], lines
         for k in range(1, len(bp) - 1):
-            yield bp[:k] + (bp[k] + delta,) + bp[k + 1:], vals
+            yield bp[:k] + (bp[k] + delta,) + bp[k + 1:], vals, lines
     for k in range(1, len(bp) - 1):
-        yield bp[:k] + bp[k + 1:], vals[:k] + vals[k + 1:]
+        for kept in (k - 1, k):
+            yield bp[:k] + bp[k + 1:], vals[:k] + vals[k + 1:], [*lines[:k - 1], lines[kept],
+                                                                 *lines[k + 1:]]
 
 
-def _refused(g, x, y, breakpoints, values) -> bool:
+def _refused(e, breakpoints, values, lines) -> bool:
     try:
-        prove_idleness(g, x, y, PiecewiseLinearFn(breakpoints, values))
-    except ConsistencyError:
-        return True
+        _PROVE(e, breakpoints, values, lines)
+    except ConsistencyError as exc:
+        return str(exc).startswith(f"idleness proof ({e.x},{e.y}) at alpha ")
     return False
 
 
-def test_proof_refuses_every_mutant():
-    # Every reconstruction is proven, and every mutant of it is refused, by
-    # its shape or by the proof, on K2 (an empty instance at the breakpoint
-    # 1/2), a two-piece and a three-piece function.
+def test_proof_refuses_every_mutant(monkeypatch):
+    # The proof inside the construction refuses every mutant of the claim
+    # it proves, on K2 (an empty instance at the breakpoint 1/2), a
+    # two-piece and a three-piece function.
+    proofs = _proofs(monkeypatch)
     for g, (x, y), pieces in ((complete(2), (0, 1), 2), (petersen(), petersen().edges()[0], 2),
                               (THREE_PIECE, (0, 2), 3)):
         fn = idleness_function(g, x, y)
-        assert fn.segments == pieces
-        prove_idleness(g, x, y, fn)
-        mutants = list(_mutants(fn))
-        assert len(mutants) == 2 * (2 * pieces - 1) + pieces - 1
-        assert all(_refused(g, x, y, *m) for m in mutants), (g, x, y)
+        e, bp, vals, lines = proofs[-1]
+        assert (fn.segments, bp, vals, len(lines)) == (pieces, fn.breakpoints, fn.values, pieces)
+        mutants = list(_mutants(bp, vals, lines))
+        assert len(mutants) == 2 * (2 * pieces - 1) + 2 * (pieces - 1)
+        assert all(_refused(e, *m) for m in mutants), (g, x, y)
 
 
 def test_proof_needs_one_price_per_vertex():
     # x and y lie in both lists of the transport table. With a distance
     # that breaks the triangle inequality (leaf 2 of star(3) put at 4 from
     # the centre x, though it is 2 from y and y is 1 from x) x gets two
-    # prices, so the dual bound is not linear in alpha and the proof
-    # refuses the function rebuilt from that table.
+    # prices, so the dual bound is not linear in alpha and the construction
+    # refuses the first line it reads from that table.
     g = star(3)
     e = curvature._edge(g, 0, 1)
     send, take, table = e.table
@@ -229,52 +226,57 @@ def test_proof_needs_one_price_per_vertex():
     bad = [list(row) for row in table]
     bad[2][0] = 4
     e.__dict__["table"] = (send, take, bad)
-    e.kappas.clear()
-    fn = idleness_function(g, 0, 1)
     with pytest.raises(ConsistencyError, match=r"^idleness proof \(0,1\) at alpha 1/8: "
                                                r"a vertex gets the prices -1 and -2$"):
-        prove_idleness(g, 0, 1, fn)
+        idleness_function(g, 0, 1)
 
 
 @pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
 def test_proof_refuses_a_corrupted_solve(monkeypatch, fault):
-    # Only what prove_idleness reads is corrupted: a plan cell moved to
-    # another sink, a solver value one above its plan's cost, a potential
-    # one lower. Each edge of petersen and cycle(5) has two sinks at
-    # alpha = 0 and more than one source at its piece midpoints, so each
-    # fault breaks the proof on every edge.
+    # A plan cell moved to another sink, a cell of negative units that
+    # keeps every sum and the cost, a solver value one above its plan's
+    # cost, a potential one lower (helpers.corrupt_proof_input). Each
+    # edge of petersen and cycle(5) has two sinks at alpha = 0 and more than
+    # one source where its lines are solved, so each fault breaks the proof
+    # on every edge. edge_record solves kappa and kappa_0 first, as verify
+    # does, so a corrupted value reaches only the construction.
     for g in (petersen(), cycle(5)):
-        fns = {(x, y): idleness_function(g, x, y) for x, y in g.edges()}
-        for (x, y), fn in fns.items():
-            prove_idleness(g, x, y, fn)
+        for x, y in g.edges():
+            idleness_function(g, x, y)
         with monkeypatch.context() as m:
             corrupt_proof_input(m, fault)
-            for (x, y), fn in fns.items():
-                message = rf"^idleness proof \({x},{y}\) at alpha "
-                with pytest.raises(ConsistencyError, match=message):
-                    prove_idleness(g, x, y, fn)
+            for x, y in g.edges():
+                edge_record(g, x, y)
+                with pytest.raises(ConsistencyError, match=rf"^idleness proof \({x},{y}\) at alpha "):
+                    idleness_function(g, x, y)
 
 
-def test_proof_property_on_random_graphs():
+def test_proof_property_on_random_graphs(monkeypatch):
     # G(n, p) graphs with n <= 10, mostly irregular and often disconnected:
-    # on every oriented edge the reconstruction is proven and each of its
-    # mutants is refused.
+    # on every oriented edge the construction proves its function and
+    # refuses each mutant of it, and relabelling the graph by a permutation,
+    # which reorders the transport table and can change which dual the
+    # solver returns, gives the same function on the mapped edge.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    proofs = _proofs(monkeypatch)
     seen = Counter()
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @hypothesis.given(st.integers(2, 10).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
-                             max_size=n * (n - 1) // 2))))
+                             max_size=n * (n - 1) // 2), st.permutations(range(n)))))
     def proven(graph):
-        n, bits = graph
+        n, bits, perm = graph
         g = Graph(n, [e for e, bit in zip(combinations(range(n), 2), bits) if bit])
+        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
         for u, v in g.edges():
             for x, y in ((u, v), (v, u)):
                 fn = idleness_function(g, x, y)
-                prove_idleness(g, x, y, fn)
-                assert all(_refused(g, x, y, *m) for m in _mutants(fn)), (g.edges(), x, y)
+                claim = proofs[-1]
+                assert all(_refused(*claim[:1], *m) for m in _mutants(*claim[1:])), \
+                    (g.edges(), x, y)
+                assert idleness_function(h, perm[x], perm[y]) == fn, (g.edges(), perm, x, y)
                 seen[fn.segments, g.degree(x) == g.degree(y)] += 1
 
     proven()

@@ -125,26 +125,26 @@ def test_edge_properties_small_corpus():
 def test_edge_properties_checks_the_first_idleness_piece(monkeypatch):
     # K2 has lcm(d_x, d_y) = 1, so its first piece must reach 1/2. This
     # function keeps kappa_0 = 0, the last piece from 1/2 and its slope
-    # -kappa = -2, but breaks at 1/4; without the proof only the first-piece
-    # check sees it.
+    # -kappa = -2, but breaks at 1/4; returned without the construction and
+    # its proof, only the first-piece check sees it.
     corpus = [("path(2)", path(2))]
     assert check_edge_properties(corpus).passed
     early = PiecewiseLinearFn((F(0), F(1, 4), F(1, 2), F(1)), (F(0), F(3, 4), F(1), F(0)))
     monkeypatch.setattr(curvature, "idleness_function", lambda g, x, y: early)
-    monkeypatch.setattr(curvature, "prove_idleness", lambda g, x, y, fn: None)
     report = check_edge_properties(corpus)
     assert [(f.edge, f.check) for f in report.failures] == [((0, 1), "idleness-first-piece")]
 
 
 @pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
 def test_corrupted_solve_fails_the_idleness_proof(monkeypatch, fault):
-    # a corrupted plan cell, solver value or potential, read only by the
-    # proof, is one idleness-proof Failure on each edge and no other Failure
+    # a corrupted plan cell, negative cell, solver value or potential, which
+    # only the idleness construction reads, is one idleness-reconstruction
+    # Failure on each edge, from the construction's proof, and no other
     corpus = [("petersen", petersen()), ("cycle(5)", cycle(5))]
     corrupt_proof_input(monkeypatch, fault)
     report = check_edge_properties(corpus)
     assert [(f.graph, f.edge, f.check) for f in report.failures] == \
-        [(label, edge, "idleness-proof") for label, g in corpus for edge in g.edges()]
+        [(label, edge, "idleness-reconstruction") for label, g in corpus for edge in g.edges()]
     assert all(f.actual.startswith(f"ConsistencyError: idleness proof ({f.edge[0]},{f.edge[1]})")
                for f in report.failures)
 
@@ -204,7 +204,6 @@ CALLERS = {
     "kappa_lly": [name for name in SMALL_SUITES if name not in ("girth5", "edge-properties")],
     "kappa_zero": ["family-values", "bone-idle-families", "no-cubic-bone-idle",
                    "product-formula", "rf72"],
-    "prove_idleness": ["edge-properties"],
     "edge_record": ["edge-properties"],
     "local_structure": ["edge-properties"],
     "assignment_instance": ["edge-properties"],
