@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import NoReturn, Optional
 
 from . import curvature, families, verify
-from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
-from .graphs import Graph
+from .formats import _quoted, parse_edge_list, parse_graph6, write_edge_list, write_graph6
+from .graphs import VERTEX_LIMIT, Graph
 
 
 def rational_str(value: Fraction) -> str:
@@ -224,9 +224,11 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 def _cmd_idleness(args: argparse.Namespace) -> int:
     u, _, v = args.edge.partition(",")
-    # ASCII digits only, as in parse_edge_list: int() also reads '1_0', '+1', ' 1' and '١'
-    if not all(part.isascii() and part.isdigit() for part in (u, v)):
-        raise ValueError(f"--edge expects 'u,v', got {args.edge!r}")
+    # ASCII digits no longer than VERTEX_LIMIT's, as in parse_edge_list: int()
+    # also reads '1_0', '+1', ' 1' and '١', and refuses 4301 digits in its own words
+    if not all(part.isascii() and part.isdigit() and len(part) <= len(str(VERTEX_LIMIT))
+               for part in (u, v)):
+        raise ValueError(f"--edge expects 'u,v', got {_quoted(args.edge)}")
     fn = curvature.idleness_function(read_graph(args.input), int(u), int(v))
     lines = ["alpha,kappa_alpha,alpha_decimal,kappa_alpha_decimal"]
     for a, val in zip(fn.breakpoints, fn.values):

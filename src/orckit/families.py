@@ -182,19 +182,21 @@ def klein_bottle(n: int, m: int) -> Graph:
     return _wrapped_grid(n, m, seam)
 
 
-_MAX_RESTARTS = 10_000
-# expected stub placements one call may cost: a shuffle places a stub in
-# about 0.5 us on a 2-core Xeon under CPython 3.11, so under a minute
+# stub placements one call may make, up front in expectation and then in
+# fact: a pairing places and checks a stub in 0.15 to 0.2 us on a 2-core
+# Xeon under CPython 3.11, so 15 to 20 s
 _PAIRING_BUDGET = 10**8
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Uniform-ish d-regular simple graph from the pairing model: pair up
-    n*d stubs at random and restart on any loop or repeated edge.
-    Deterministic for a fixed seed. A pairing is simple with probability
-    about exp(-(d*d - 1)/4), so the expected work is n*d*exp((d*d - 1)/4)
-    stub placements: ValueError before any pairing when that exceeds
-    _PAIRING_BUDGET, and after _MAX_RESTARTS failed pairings."""
+    """d-regular simple graph from the pairing model: pair up n*d stubs at
+    random and restart on any loop or repeated edge. A pairing conditioned
+    on being simple is uniform over the simple labelled d-regular graphs on
+    n vertices. Deterministic for a fixed seed. A pairing is simple with
+    probability about exp(-(d*d - 1)/4), so the expected work is
+    n*d*exp((d*d - 1)/4) stub placements: ValueError before any pairing
+    when that exceeds _PAIRING_BUDGET, and once the placements made reach
+    it."""
     if d < 0 or d >= n:
         raise ValueError("random_regular requires 0 <= d < n")
     if (n * d) % 2 != 0:
@@ -203,10 +205,17 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     if n * d and math.log(n * d) + (d * d - 1) / 4 > math.log(_PAIRING_BUDGET):
         raise ValueError(f"random_regular({n},{d}): the pairing model's expected work "
                          f"n*d*exp((d*d-1)/4) exceeds {_PAIRING_BUDGET:.0e} stub placements")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(_MAX_RESTARTS):
-        rng.shuffle(stubs)
+    # random.Random(seed).shuffle(stubs) draw for draw: randbelow(i + 1)
+    # redraws getrandbits(k) until it is at most i, then swaps
+    steps = [(i, (i + 1).bit_length()) for i in range(len(stubs) - 1, 0, -1)]
+    for _ in range(0, _PAIRING_BUDGET, max(len(stubs), 1)):  # the placements made so far
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
         seen = set()
         ok = True
         for i in range(0, len(stubs), 2):
@@ -221,7 +230,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             seen.add(key)
         if ok:
             return Graph(n, seen)
-    raise ValueError(f"pairing model failed after {_MAX_RESTARTS} restarts (n={n}, d={d})")
+    raise ValueError(f"random_regular({n},{d}): the pairing model found no simple pairing "
+                     f"in {_PAIRING_BUDGET:.0e} stub placements")
 
 
 def _mask_connected(n: int, nbr: list[int]) -> bool:

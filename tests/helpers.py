@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import orckit
-from orckit import transport
+from orckit import families, transport
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
                              near_cocktail, path, petersen, star)
 from orckit.graphs import INFINITY, Graph, distances_from
@@ -185,6 +185,33 @@ def random_token_measure(rng: random.Random, g: Graph, tokens: int) -> dict[int,
     for _ in range(tokens):
         weights[rng.randrange(len(support))] += 1
     return {v: Fraction(w, tokens) for v, w in zip(support, weights) if w}
+
+
+def stdlib_random_regular(n: int, d: int, seed: int) -> Graph:
+    """The pairing loop of families.random_regular written on the stdlib's
+    random.Random.shuffle, with the same stop rule and error: the reference
+    that its replay of the shuffle's draws must match, graph for graph.
+    Skips random_regular's argument and expected-work checks."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    for _ in range(0, families._PAIRING_BUDGET, max(len(stubs), 1)):
+        rng.shuffle(stubs)
+        seen = set()
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v:
+                ok = False
+                break
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                ok = False
+                break
+            seen.add(key)
+        if ok:
+            return Graph(n, seen)
+    raise ValueError(f"random_regular({n},{d}): the pairing model found no simple pairing "
+                     f"in {families._PAIRING_BUDGET:.0e} stub placements")
 
 
 def child_env(**extra: str) -> dict[str, str]:

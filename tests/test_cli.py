@@ -193,7 +193,8 @@ def test_bad_flags_exit_2_before_the_graph_is_read(tmp_path):
     cases = [(["curvature", missing, "--decimals", d], "--decimals")
              for d in ("-1", "65", "10000000")]
     cases += [(["idleness", missing, "--edge", e], "--edge")
-              for e in ("0", "a,b", "0,1,2", "0,1_0", "\u0660,+1", " 0 , 1 ", "0,-1", "")]
+              for e in ("0", "a,b", "0,1,2", "0,1_0", "\u0660,+1", " 0 , 1 ", "0,-1", "",
+                        "12345678,0", "0," + "9" * 5000)]
     for args, flag in cases:
         proc = subprocess.run([sys.executable, "-m", "orckit.cli", *args],
                               capture_output=True, text=True, env=child_env(), timeout=30)
@@ -201,6 +202,7 @@ def test_bad_flags_exit_2_before_the_graph_is_read(tmp_path):
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], args
+        assert len(lines[0]) < 200, args
 
 
 def test_repeated_alpha_exits_2(tmp_path):

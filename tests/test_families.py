@@ -1,16 +1,20 @@
+import re
 import subprocess
 import sys
 from itertools import combinations
 
 import pytest
 
+from orckit import families
+from orckit.cli import main
 from orckit.families import (bi_antiprism, cocktail_party, complete, complete_bipartite,
                              cycle, dodecahedral, enumerate_graphs, hypercube,
                              icosidodecahedron, klein_bottle, near_cocktail, path,
                              petersen, random_regular, star, torus_grid, twisted_torus)
 from orckit.graphs import diameter, girth, is_connected, is_regular
+from orckit.verify import default_corpus
 
-from helpers import brute_connected, child_env
+from helpers import brute_connected, child_env, stdlib_random_regular
 
 
 def test_basic_families():
@@ -130,23 +134,54 @@ def test_random_regular():
         random_regular(5, 3, 0)
     with pytest.raises(ValueError):
         random_regular(4, 4, 0)
-    # only K7 is 6-regular on 7 vertices, and with this seed the pairing
-    # model gives up before it finds it: a bad value, so `gen` exits 2 with
-    # one error line
-    with pytest.raises(ValueError, match=r"pairing model failed after \d+ restarts"):
-        random_regular(7, 6, 0)
-    # K10 is rarer still: its expected pairing work is refused before any pairing
+    # K10 is rare: its expected pairing work is refused before any pairing
     with pytest.raises(ValueError, match=r"random_regular\(10,9\): .* exceeds 1e\+08 stub"):
         random_regular(10, 9, 1)
     # the 20000-vertex 40-regular request would shuffle 800,000 stubs per
     # pairing for over an hour; the timeout fails the test if it is not refused
-    for n, d, seed, message in (("7", "6", "0", "error: pairing model failed"),
-                                ("20000", "40", "1", "error: random_regular(20000,40): ")):
-        proc = subprocess.run([sys.executable, "-m", "orckit.cli", "gen", "--family",
-                               "random-regular", "--n", n, "--d", d, "--seed", seed],
-                              capture_output=True, text=True, env=child_env(), timeout=30)
-        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
-        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    proc = subprocess.run([sys.executable, "-m", "orckit.cli", "gen", "--family",
+                           "random-regular", "--n", "20000", "--d", "40", "--seed", "1"],
+                          capture_output=True, text=True, env=child_env(), timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: random_regular(20000,40): ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_random_regular_replays_the_stdlib_shuffle():
+    # every random graph of a default corpus; d = 0 and d = 1; and K6 and
+    # 5-regular graphs on 8 vertices, whose pairings restart 141 to 6,181
+    # times over these seeds
+    shapes = {(n, d) for n in (1, 2, 5, 8) for d in (0, 1) if d < n and n * d % 2 == 0}
+    shapes |= {(6, 5), (8, 5), (9, 4), (13, 2)}
+    for seed in range(4):
+        for n, d in sorted(shapes):
+            assert random_regular(n, d, seed) == stdlib_random_regular(n, d, seed), (n, d, seed)
+    corpus = [(label, g) for label, g in default_corpus(2024) if label.startswith("random_regular")]
+    assert len(corpus) == 50
+    for label, g in corpus:
+        n, d, seed = map(int, re.findall(r"\d+", label))
+        assert g == stdlib_random_regular(n, d, seed), label
+
+
+def test_random_regular_stops_when_its_placements_reach_the_budget(monkeypatch, capsys):
+    # random_regular(9, 6, 44) finds a simple pairing on its 10,091st
+    # shuffle, after 544,914 stub placements: well inside the 10^8 budget
+    g = random_regular(9, 6, 44)
+    assert is_regular(g) == 6 and g == stdlib_random_regular(9, 6, 44)
+    for budget, found in ((54 * 10_091, True), (54 * 10_090 + 1, True), (54 * 10_090, False)):
+        monkeypatch.setattr(families, "_PAIRING_BUDGET", budget)
+        if found:
+            assert random_regular(9, 6, 44) == g
+            continue
+        message = f"random_regular(9,6): the pairing model found no simple pairing in {budget:.0e}"
+        for build in (random_regular, stdlib_random_regular):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(9, 6, 44)
+        assert main(["gen", "--family", "random-regular", "--n", "9", "--d", "6",
+                     "--seed", "44"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: " + message)
 
 
 def test_enumerate_counts():
