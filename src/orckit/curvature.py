@@ -14,8 +14,8 @@ distances are 1, 2 or 3 and follow from adjacency tests, so the work per
 edge does not grow with the size of the graph. Each edge's neighbourhood
 data, transport table, assignment matrices and transport solves are built
 once: the one transport table serves every idleness, each idleness is
-solved once with its value and plan, and each assignment matrix is solved
-once, which gives both C* and the optimal-pair support.
+solved once with its value, plan and potentials, and each assignment
+matrix is solved once, which gives both C* and the optimal-pair support.
 
 The idleness function alpha -> kappa_alpha is built from the dual lines of
 a few solves, one strictly inside each linear piece, and the same pass
@@ -109,10 +109,10 @@ class _Edge:
     def solved(self, p: int, q: int) -> tuple:
         """The transport instance of alpha = p/q sliced out of the table,
         with its solve, kept per (p, q) (hashing a Fraction costs a modular
-        inverse): (rows, supply, demand, cost, kappa, plan). rows index the
-        send vertices with positive supply at alpha; supply, demand and
-        cost are the tuples _transport_cost keys on; kappa is kappa_alpha
-        and plan the solve's optimal plan."""
+        inverse): (rows, supply, demand, cost, kappa, plan, u). rows index
+        the send vertices with positive supply at alpha; supply, demand and
+        cost are the tuples _transport_cost keys on; kappa is kappa_alpha,
+        plan the solve's optimal plan and u its potentials on the rows."""
         if (p, q) not in self.solves:
             send, take, table = self.table
             r = q - p
@@ -128,9 +128,9 @@ class _Edge:
                     demand.append(-m)
             supply, demand = tuple(supply), tuple(demand)
             cost = tuple(tuple(table[i][j] for j in cols) for i in rows)
-            value, plan = transport._transport_cost(supply, demand, cost)
+            value, plan, u, _ = transport._transport_cost(supply, demand, cost)
             self.solves[p, q] = (rows, supply, demand, cost,
-                                 Fraction(q * self.lcm - value, q * self.lcm), plan)
+                                 Fraction(q * self.lcm - value, q * self.lcm), plan, u)
         return self.solves[p, q]
 
     @cached_property
@@ -351,20 +351,17 @@ def _dual_line(e: _Edge, a: Fraction) -> tuple[Fraction, Fraction]:
     """(value at 0, slope) of the dual line of the solve at a: a line that
     lies on or above kappa_alpha at every alpha and meets it at a.
 
-    The potentials u of that solve (transport._potentials) give a price psi
+    The potentials u that the solve returns with its plan give a price psi
     on every vertex of the table: psi(t) = min_i (u_i + cost[i][t]) over the
     solve's sources for each take vertex t, then psi(s) = max_t (psi(t) -
     cost[s][t]) for each send vertex s, so psi(t) - psi(s) <= cost[s][t] on
     every cell. x and y lie in both lists, at cost 0 from themselves, and
     must get one price. Then -sum_v psi(v)*(p*a_v + (q-p)*b_v) is at most
     the optimal cost q*L*W1 at every alpha = p/q (weak LP duality), and at
-    a at least the potentials' own dual value, which is that cost.
+    a at least the potentials' own dual value, which is that cost when they
+    prove the plan; the line of potentials that do not is refused.
     """
-    rows, _, _, cost, _, plan = e.solved(a.numerator, a.denominator)
-    try:
-        u, _ = transport._potentials(cost, plan or ())
-    except ConsistencyError as exc:
-        _fail(e, a, exc)
+    rows, *_, u = e.solved(a.numerator, a.denominator)
     send, take, table = e.table
     psi_take = [min((ui + table[i][t] for i, ui in zip(rows, u)), default=0)
                 for t in range(len(take))]
@@ -395,7 +392,7 @@ def _prove(e: _Edge, breakpoints, values, lines) -> None:
     both ends of its piece, so kappa_alpha <= fn on the piece.
     """
     for k, (b, v) in enumerate(zip(breakpoints, values)):
-        _, supply, demand, cost, _, plan = e.solved(b.numerator, b.denominator)
+        _, supply, demand, cost, _, plan, _ = e.solved(b.numerator, b.denominator)
         sent, taken, spent = [0] * len(supply), [0] * len(demand), 0
         for i, j, units in plan or ():
             if not (0 <= i < len(sent) and 0 <= j < len(taken) and units > 0):

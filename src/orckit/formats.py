@@ -6,7 +6,8 @@ big-endian six bits per byte. The edge-list format is one "u v" pair per
 line, '#' comments, and an optional "n <count>" header line that declares
 the vertex count (needed for isolated vertices). The vertex and edge
 counts may not exceed graphs.VERTEX_LIMIT and graphs.EDGE_LIMIT; larger
-input is rejected before any graph is built.
+input is rejected before any graph is built. write_graph6 refuses a body
+of more than _G6_BODY_BUDGET bytes before it allocates one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ _QUOTE_MAX = 64  # longest input line quoted whole in an error message
 _SET_BITS = {b: bin(b - 63).count("1") for b in range(63, 127)}  # graph6 byte -> set bits
 _PLUS_63 = bytes((b + 63) % 256 for b in range(256))  # six body bits -> graph6 byte
 
+# most graph6 body bytes write_graph6 allocates: a body has n(n-1)/12
+# bytes whatever the edge count, so graphs within the desk-scale limits
+# could ask for gigabytes (5.2 GB for the 500x500 torus) and end in a
+# MemoryError. 2**27 admits n <= 40,132, the 200x200 torus (133,330,000
+# bytes) included; the edge-list format is linear in the edges.
+_G6_BODY_BUDGET = 1 << 27
+
 
 def write_graph6(g: Graph) -> str:
     n = g.n
@@ -31,7 +39,11 @@ def write_graph6(g: Graph) -> str:
         head = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise ValueError(f"graph6 writer supports n <= {_G6_MAX}")
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    size = (n * (n - 1) // 2 + 5) // 6
+    if size > _G6_BODY_BUDGET:
+        raise ValueError(f"graph6: n={n} needs {size} body bytes, over the budget of "
+                         f"{_G6_BODY_BUDGET}; write the edge-list format (--format edgelist)")
+    body = bytearray(size)
     for i, j in g.edges():  # set bits only: the pair (i, j), i < j, is bit k = j(j-1)/2 + i
         k = j * (j - 1) // 2 + i
         body[k // 6] |= 32 >> k % 6

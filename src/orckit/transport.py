@@ -8,11 +8,11 @@ computation in this module.
 The transport solver remembers its answers: _transport_cost is an LRU
 cache over its own arguments, so callers pass the instance (supplies,
 demands and cost table) as tuples, and the _MEMO_SIZE most recently used
-instances are kept, each with its value and optimal plan. An instance met
-again, as in the thousands of small graphs of an exhaustive suite, is
-solved once. The assignment route (_hungarian) is never memoized: it is
-the independent check on the transport route, so every equal-degree edge
-runs its own Hungarian solves.
+instances are kept, each with its value, optimal plan and potentials. An
+instance met again, as in the thousands of small graphs of an exhaustive
+suite, is solved once. The assignment route (_hungarian) is never
+memoized: it is the independent check on the transport route, so every
+equal-degree edge runs its own Hungarian solves.
 """
 
 from __future__ import annotations
@@ -131,14 +131,18 @@ _MEMO_SIZE = 1024
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: CostTable
-                    ) -> tuple[Optional[int], Optional[Plan]]:
-    """(value, plan) of moving integer supplies to integer demands of the
-    same total, at cost[i][j] >= 0 per unit from source i to sink j (None:
-    no route). value is the minimum cost, and plan an optimal flow: one
-    (i, j, units) per cell that carries flow. (None, None) when the demand
-    cannot be met. The arguments are tuples, so the instance is its own
-    memo key (see the module docstring): infeasible results are kept, a
-    solve that raises leaves no entry.
+                    ) -> tuple[Optional[int], Optional[Plan], Optional[tuple[int, ...]],
+                               Optional[tuple[int, ...]]]:
+    """(value, plan, u, w) of moving integer supplies to integer demands of
+    the same total, at cost[i][j] >= 0 per unit from source i to sink j
+    (None: no route). value is the minimum cost, plan an optimal flow (one
+    (i, j, units) per cell that carries flow), and, on a table with no None
+    cell, u and w are potentials on the sources and sinks that prove it:
+    w[j] - u[i] <= cost[i][j] on every cell, with equality on the plan's
+    cells. All four are None when the demand cannot be met. The arguments
+    are tuples, so the instance is its own memo key (see the module
+    docstring), and so is the result, which no caller can change:
+    infeasible results are kept, a solve that raises leaves no entry.
 
     Successive shortest paths on the table itself: the residual arcs are
     i -> j at cost[i][j], and j -> i at -cost[i][j] while cell (i, j)
@@ -153,6 +157,12 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
     round that needs more than len(supply) + len(demand) + 1 passes has
     met a negative cycle, which only a start that is not min-cost can
     leave; that raises ConsistencyError instead of looping forever.
+
+    u and w are the distances of the last round, which settles with w[j] <=
+    u[i] + cost[i][j] on every cell and equality on the cells that carry
+    flow, then pushes along a shortest path, whose cells are tight too.
+    Without a None cell every sink is reached, and so is every source of
+    positive supply. With no round, u is 0 and w is c everywhere.
     """
     supply, demand = list(supply), list(demand)
     arcs = [[(j, c) for j, c in enumerate(row) if c is not None] for row in cost]
@@ -165,6 +175,7 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
                 supply[i] -= push
                 demand[j] -= push
     value = least * sum(flow.values())
+    ds, dt = [0] * len(supply), [least] * len(demand)
     max_passes = len(supply) + len(demand) + 1
     while any(supply):
         ds = [0 if s else _INT_INF for s in supply]
@@ -190,7 +201,7 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
                                    "Bellman-Ford passes: the flow has a negative cycle")
         sink = min((j for j, d in enumerate(demand) if d), key=dt.__getitem__, default=None)
         if sink is None or dt[sink] == _INT_INF:
-            return None, None
+            return None, None, None, None
         path, j = [], sink  # (source, sink it sends to, sink it takes back from)
         while j >= 0:
             i = src[j]
@@ -206,37 +217,7 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
                 flow[i, b] -= push
                 if not flow[i, b]:
                     del flow[i, b]
-    return value, tuple((i, j, units) for (i, j), units in flow.items())
-
-
-def _potentials(cost: CostTable, plan: Plan) -> tuple[list[int], list[int]]:
-    """Potentials (u, w) on the sources and sinks that prove `plan` optimal:
-    w[j] - u[i] <= cost[i][j] on every cell, with equality on the plan's
-    cells, so sum(w * demand) - sum(u * supply) is the plan's cost.
-
-    They are shortest distances in the plan's residual graph (arcs i -> j
-    at cost[i][j], and j -> i at -cost[i][j] on the plan's cells) from a
-    root with a zero arc to every source and sink, by one Bellman-Ford run.
-    A shortest path visits each source and sink at most once, so an optimal
-    plan, which leaves no negative cycle, settles within len(u) + len(w) + 1
-    passes; one that has not is not optimal and raises ConsistencyError.
-    """
-    u = [0] * len(cost)
-    w = [0] * (len(cost[0]) if cost else 0)
-    for _ in range(len(u) + len(w) + 1):
-        settled = True
-        for i, row in enumerate(cost):
-            ui = u[i]
-            for j, c in enumerate(row):
-                if c is not None and ui + c < w[j]:
-                    w[j], settled = ui + c, False
-        for i, j, _ in plan:
-            if w[j] - cost[i][j] < u[i]:
-                u[i], settled = w[j] - cost[i][j], False
-        if settled:
-            return u, w
-    raise ConsistencyError(f"potentials still relaxing after {len(u) + len(w) + 1} "
-                           "Bellman-Ford passes: the plan is not optimal")
+    return value, tuple((i, j, units) for (i, j), units in flow.items()), tuple(ds), tuple(dt)
 
 
 def _check_square(cost: CostMatrix) -> int:

@@ -238,30 +238,38 @@ def corrupt_assignment_optimum(monkeypatch) -> None:
 def _moved_cell(args, result):
     """The first plan cell moved to the next sink: the row sums still hold,
     two column sums do not."""
-    value, plan = result
+    value, plan, *duals = result
     if not plan:
         return result
     (i, j, units), rest = plan[0], plan[1:]
-    return value, ((i, (j + 1) % len(args[1]), units),) + rest
+    return value, ((i, (j + 1) % len(args[1]), units),) + rest, *duals
 
 
 def _negative_cell(args, result):
     """The first plan cell doubled, and a cell of minus its units added:
     every row and column sum and the cost still hold."""
-    value, plan = result
+    value, plan, *duals = result
     if not plan:
         return result
     (i, j, units), rest = plan[0], plan[1:]
-    return value, ((i, j, 2 * units), (i, j, -units)) + rest
+    return value, ((i, j, 2 * units), (i, j, -units)) + rest, *duals
 
 
-# fault -> (transport function, what the corruption makes of its result)
+def _lowered_potential(args, result):
+    """The first source's potential one lower: the plan and value still
+    hold, the potentials no longer prove them."""
+    value, plan, u, w = result
+    if not u:
+        return result
+    return value, plan, (u[0] - 1, *u[1:]), w
+
+
+# fault -> what the corruption makes of a _transport_cost result
 PROOF_FAULTS = {
-    "plan cell": ("_transport_cost", _moved_cell),
-    "negative cell": ("_transport_cost", _negative_cell),
-    "plan value": ("_transport_cost", lambda args, result: (result[0] + 1, result[1])),
-    "potential": ("_potentials", lambda args, result: ([result[0][0] - 1, *result[0][1:]],
-                                                       result[1])),
+    "plan cell": _moved_cell,
+    "negative cell": _negative_cell,
+    "plan value": lambda args, result: (result[0] + 1, *result[1:]),
+    "potential": _lowered_potential,
 }
 
 
@@ -271,8 +279,8 @@ def corrupt_proof_input(monkeypatch, fault: str) -> None:
     plan cell or a potential is corrupted in every call, and a value only in
     the calls made while idleness_function runs: kappa and kappa_0 solved
     before it, as edge_record solves them, stay exact, and the routes agree."""
-    name, corrupt = PROOF_FAULTS[fault]
-    exact = getattr(transport, name)
+    corrupt = PROOF_FAULTS[fault]
+    exact = transport._transport_cost
 
     def patched(*args):
         result = exact(*args)
@@ -281,7 +289,7 @@ def corrupt_proof_input(monkeypatch, fault: str) -> None:
             frame = frame.f_back
         return corrupt(args, result) if frame else result
 
-    monkeypatch.setattr(transport, name, patched)
+    monkeypatch.setattr(transport, "_transport_cost", patched)
 
 
 def oracle_graphs() -> list[Graph]:

@@ -457,6 +457,16 @@ def test_gen_oversized_family_exits_2(capsys, monkeypatch):
         assert f"desk-scale limit of {limit}\n" in stderr, (args, stderr)
 
 
+def test_gen_graph6_over_its_body_budget_exits_2(capsys):
+    # the 500x500 torus is within the desk-scale limits, but its graph6 body
+    # would be 5.2 GB: refused before it is allocated, in one line
+    code, stdout, stderr = run_cli(["gen", "--family", "torus", "--n", "500", "--m", "500"],
+                                   capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: graph6: n=250000 needs 5208312500 body bytes")
+    assert stderr.count("\n") == 1 and stderr.endswith("(--format edgelist)\n"), stderr
+
+
 def test_family_size_checks_use_exact_counts(monkeypatch):
     # each builder's closed-form counts are those of the graph it builds, so
     # the limits hold exactly: a family at the limit is built, one past it is not

@@ -37,6 +37,20 @@ def test_graph6_large_n_header():
     assert parse_graph6(text) == g
 
 
+def test_graph6_writer_body_budget(monkeypatch):
+    # a graph6 body has n(n-1)/12 bytes whatever the edge count: one past the
+    # budget is refused before it is allocated, naming the edge-list format,
+    # and n = 40,132 is the largest the budget admits
+    with pytest.raises(ValueError, match=r"^graph6: n=40133 needs 134218130 body bytes, "
+                                         r"over the budget of 134217728; .*edgelist"):
+        write_graph6(Graph(40_133))
+    assert (40_132 * 40_131 // 2 + 5) // 6 <= formats._G6_BODY_BUDGET
+    monkeypatch.setattr(formats, "_G6_BODY_BUDGET", 8)  # n = 10: 45 bits, 8 bytes
+    assert parse_graph6(write_graph6(cycle(10))) == cycle(10)
+    with pytest.raises(ValueError, match="needs 10 body bytes"):
+        write_graph6(Graph(11))
+
+
 def test_graph6_optional_prefix_and_whitespace():
     g = petersen()
     assert parse_graph6(">>graph6<<" + write_graph6(g)) == g

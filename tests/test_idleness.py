@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -227,7 +228,7 @@ def test_proof_needs_one_price_per_vertex():
     bad[2][0] = 4
     e.__dict__["table"] = (send, take, bad)
     with pytest.raises(ConsistencyError, match=r"^idleness proof \(0,1\) at alpha 1/8: "
-                                               r"a vertex gets the prices -1 and -2$"):
+                                               r"a vertex gets the prices 3 and 2$"):
         idleness_function(g, 0, 1)
 
 
@@ -256,7 +257,8 @@ def test_proof_property_on_random_graphs(monkeypatch):
     # on every oriented edge the construction proves its function and
     # refuses each mutant of it, and relabelling the graph by a permutation,
     # which reorders the transport table and can change which dual the
-    # solver returns, gives the same function on the mapped edge.
+    # solver returns, gives the same function and the same edge record
+    # (kappa, kappa_0, gap_c, supsup, bone_idle) on the mapped edge.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     proofs = _proofs(monkeypatch)
@@ -277,6 +279,8 @@ def test_proof_property_on_random_graphs(monkeypatch):
                 assert all(_refused(*claim[:1], *m) for m in _mutants(*claim[1:])), \
                     (g.edges(), x, y)
                 assert idleness_function(h, perm[x], perm[y]) == fn, (g.edges(), perm, x, y)
+                assert edge_record(h, perm[x], perm[y]) == dataclasses.replace(
+                    edge_record(g, x, y), x=perm[x], y=perm[y]), (g.edges(), perm, x, y)
                 seen[fn.segments, g.degree(x) == g.degree(y)] += 1
 
     proven()

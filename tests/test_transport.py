@@ -102,10 +102,14 @@ def test_wasserstein_is_metric_on_walk_measures():
 
 
 def test_transport_cost_pinned_cases():
-    # the optimum 0 -> 1, 1 -> 0 needs the first greedy unit sent back
-    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == (3, ((0, 1, 1), (1, 0, 1)))
-    assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None)
-    assert _transport_cost((3,), (1, 2), ((1, 2),)) == (5, ((0, 0, 1), (0, 1, 2)))
+    # (value, plan, u, w). The optimum 0 -> 1, 1 -> 0 needs the first greedy
+    # unit sent back, and the last round's distances prove it.
+    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == \
+        (3, ((0, 1, 1), (1, 0, 1)), (0, 0), (1, 2))
+    assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None, None, None)
+    assert _transport_cost((3,), (1, 2), ((1, 2),)) == (5, ((0, 0, 1), (0, 1, 2)), (0,), (1, 2))
+    # the greedy fill meets every demand, no round runs: u is 0, w the least entry
+    assert _transport_cost((1,), (1,), ((1,),)) == (1, ((0, 0, 1),), (0,), (1,))
 
 
 def test_transport_cost_raises_on_a_negative_cycle():
@@ -140,13 +144,14 @@ def test_transport_memo_solves_each_instance_once():
     _transport_cost.cache_clear()
     for _ in range(2):
         assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9)))[0] == 3
-        assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None)
+        assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None, None, None)
     assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 8)))[0] == 3
     info = _transport_cost.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
     for k in range(transport._MEMO_SIZE + 100):
-        assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == (k + 1, ((0, 0, k + 1),))
+        assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == \
+            (k + 1, ((0, 0, k + 1),), (0,), (1,))
     assert _transport_cost.cache_info().currsize == transport._MEMO_SIZE
     _transport_cost.cache_clear()
 
@@ -154,7 +159,8 @@ def test_transport_memo_solves_each_instance_once():
 def test_public_api():
     assert [name for name in orckit.__all__ if not hasattr(orckit, name)] == []
     for gone in ("Assignment", "min_cost_assignment", "forced_assignment_cost",
-                 "wasserstein1_oracle", "gap_formula", "curvature_gap", "equality_holds"):
+                 "wasserstein1_oracle", "gap_formula", "curvature_gap", "equality_holds",
+                 "_potentials"):
         assert not any(hasattr(m, gone) for m in (orckit, transport, orckit.curvature)), gone
     assert orckit.ConsistencyError is orckit.curvature.ConsistencyError is transport.ConsistencyError
 
@@ -185,9 +191,10 @@ def test_transport_cost_matches_token_brute_force():
     # The solver starts from a greedy fill of the table's least-cost cells.
     # Three kinds of table: least entry 0, no entry below 2, and cheap cells
     # that tempt the fill where the optimum must send some of it back
-    # through a backward arc. None entries make some instances infeasible.
+    # through a backward arc. None entries make some instances infeasible;
+    # on a table without them the returned potentials must prove the plan.
     rng = random.Random(53)
-    undone = infeasible = 0
+    undone = infeasible = certified = 0
     for kind, entries in (("least-zero", [None, 0, 1, 2, 3, 4]),
                           ("no-entry-below-2", [None, 2, 3, 4, 5]),
                           ("greedy-undone", [None, 1, 1, 2, 3, 9])):
@@ -199,14 +206,25 @@ def test_transport_cost_matches_token_brute_force():
             if kind == "least-zero":
                 cost[rng.randrange(len(supply))][rng.randrange(len(demand))] = 0
             expected = brute_transport_cost(supply, demand, cost)
-            assert _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost)))[0] \
-                == expected, (kind, supply, demand, cost)
+            value, plan, u, w = _transport_cost(tuple(supply), tuple(demand),
+                                                tuple(map(tuple, cost)))
+            assert value == expected, (kind, supply, demand, cost)
             infeasible += expected is None
+            if not any(None in row for row in cost):
+                # the potentials prove the plan: dual feasible everywhere,
+                # tight on the plan's cells, and their dual value is the value
+                assert all(w[j] - u[i] <= c for i, row in enumerate(cost)
+                           for j, c in enumerate(row)), (supply, demand, cost, u, w)
+                assert all(w[j] - u[i] == cost[i][j] for i, j, _ in plan), (cost, plan, u, w)
+                dual = sum(wj * dj for wj, dj in zip(w, demand)) - sum(
+                    ui * si for ui, si in zip(u, supply))
+                assert dual == value, (supply, demand, cost, u, w)
+                certified += 1
             if kind == "greedy-undone" and expected is not None:
                 filled, rest_supply, rest_demand = _greedy_start(supply, demand, cost)
                 rest = brute_transport_cost(rest_supply, rest_demand, cost)
                 undone += rest is None or filled + rest > expected
-    assert undone >= 20 and infeasible >= 20, (undone, infeasible)
+    assert undone >= 20 and infeasible >= 20 and certified >= 300, (undone, infeasible, certified)
 
 
 def test_transport_cost_matches_linprog():
