@@ -111,12 +111,16 @@ def read_graph(path: str) -> Graph:
                      f"nor an edge list ({errors[1]})")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str], end: str = "") -> None:
+    """Write text, then end, to the file out or to stdout; a separate end
+    spares a copy of a large text just to append a newline."""
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
 def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction],
@@ -193,10 +197,9 @@ def _rows_to_csv(rows: list[dict], alphas: list[Fraction], decimals: Optional[in
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = _build_family(args)
     if args.format == "edgelist":
-        text = write_edge_list(g)
+        _emit(write_edge_list(g), args.out)
     else:
-        text = write_graph6(g) + "\n"
-    _emit(text, args.out)
+        _emit(write_graph6(g), args.out, end="\n")
     return 0
 
 

@@ -96,14 +96,15 @@ class _Edge:
         x and y lie in both lists, but at any one alpha no vertex both
         sends and takes."""
         g, x, y, lcm = self.g, self.x, self.y, self.lcm
-        pairs = {x: [lcm, 0], y: [-lcm, 0]}
-        for w in g.adj[x]:
-            pairs.setdefault(w, [0, 0])[1] += lcm // self.dx
-        for w in g.adj[y]:
-            pairs.setdefault(w, [0, 0])[1] -= lcm // self.dy
-        send = sorted(v for v, (a, b) in pairs.items() if a > 0 or b > 0)
-        take = sorted(v for v, (a, b) in pairs.items() if a < 0 or b < 0)
-        return ([tuple(pairs[v]) for v in send], [tuple(pairs[v]) for v in take],
+        nx, ny = g.adj[x], g.adj[y]
+        bx, by = lcm // self.dx, lcm // self.dy
+        sx, sy = set(nx), set(ny)  # y in N(x), x in N(y)
+        # the pairs of x, y, a common neighbour, and one of N(x) or N(y) alone
+        px, py, common, only_x, only_y = (lcm, -by), (-lcm, bx), (0, bx - by), (0, bx), (0, -by)
+        send = sorted([x, *nx] if bx > by else [x, *sx.difference(sy)])
+        take = sorted([y, *ny] if by > bx else [y, *sy.difference(sx)])
+        return ([px if v == x else py if v == y else common if v in sy else only_x for v in send],
+                [py if v == y else px if v == x else common if v in sx else only_y for v in take],
                 _cost_matrix(g, send, take))
 
     def solved(self, p: int, q: int) -> tuple:
@@ -237,8 +238,9 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     well and must agree exactly.
     """
     e = _edge(g, x, y)
-    a = Fraction(1, max(e.dx, e.dy) + 1)
-    value = kappa_alpha(g, x, y, a) / (1 - a)
+    d = max(e.dx, e.dy)
+    k = kappa_alpha(g, x, y, Fraction(1, d + 1))
+    value = Fraction(k.numerator * (d + 1), k.denominator * d)  # k / (1 - 1/(d+1))
     if e.dx == e.dy:
         _check_routes("kappa", x, y, value, kappa_lly_assignment(g, x, y))
     return value

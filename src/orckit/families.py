@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from .graphs import Graph, check_size
@@ -249,22 +249,35 @@ def _mask_connected(n: int, nbr: list[int]) -> bool:
     return reach == (1 << n) - 1
 
 
+def _row_masks(n: int, u: int) -> list[int]:
+    """Row u of the edge mask, the pairs (u, v) for v = u+1..n-1, as the
+    neighbour bitmasks each of its values adds: vertex i's mask sits in bits
+    n*i .. n*i+n-1 of one integer, and the rows add disjoint bits."""
+    masks = []
+    for r in range(1 << n - 1 - u):
+        up = [v for v in range(u + 1, n) if r >> v - u - 1 & 1]  # bit i of r is the pair (u, u+1+i)
+        masks.append(sum(1 << n * u + v for v in up) + sum(1 << n * v + u for v in up))
+    return masks
+
+
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled simple graphs on n vertices in ascending
-    edge-mask order, optionally filtered to connected ones. Refuses n > 7."""
+    edge-mask order, optionally filtered to connected ones. Refuses n > 7.
+
+    Bit b of an edge mask is the b-th pair of combinations(range(n), 2), so
+    row u's pairs fill one run of bits and a mask is its tuple of row
+    values, the last row most significant: the product of the rows' value
+    ranges, last row first, is ascending mask order. The neighbour bitmasks
+    of a graph are the sum of its rows' entries in _row_masks; the
+    connectivity test reads them, and a table of each bitmask's ascending
+    bits turns them into the graph's adjacency tuples."""
     if not (1 <= n <= 7):
         raise ValueError("enumerate_graphs supports 1 <= n <= 7")
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        if connected_only:
-            nbr = [0] * n
-            bits = mask
-            while bits:
-                b = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                u, v = pairs[b]
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-            if not _mask_connected(n, nbr):
-                continue
-        yield Graph(n, (pairs[b] for b in range(len(pairs)) if (mask >> b) & 1))
+    full, shifts = (1 << n) - 1, range(0, n * n, n)
+    bits_of = [tuple(v for v in range(n) if m >> v & 1) for m in range(1 << n)]
+    for rows in product(*(_row_masks(n, u) for u in reversed(range(n - 1)))):
+        packed = sum(rows)
+        nbr = [packed >> s & full for s in shifts]
+        if connected_only and not _mask_connected(n, nbr):
+            continue
+        yield Graph._from_adjacency(tuple([bits_of[m] for m in nbr]))

@@ -21,7 +21,6 @@ _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # 3-byte extended size header
 _QUOTE_MAX = 64  # longest input line quoted whole in an error message
 _SET_BITS = {b: bin(b - 63).count("1") for b in range(63, 127)}  # graph6 byte -> set bits
-_PLUS_63 = bytes((b + 63) % 256 for b in range(256))  # six body bits -> graph6 byte
 
 # most graph6 body bytes write_graph6 allocates: a body has n(n-1)/12
 # bytes whatever the edge count, so graphs within the desk-scale limits
@@ -32,22 +31,27 @@ _G6_BODY_BUDGET = 1 << 27
 
 
 def write_graph6(g: Graph) -> str:
+    """The graph6 text of g, without a newline. The header and body are
+    built as graph6 bytes in one buffer, which the decode copies once into
+    the returned str: at most two body-sized buffers are alive at once."""
     n = g.n
     if n <= _G6_MAX_SMALL:
-        head = chr(n + 63)
+        head = bytes([n + 63])
     elif n <= _G6_MAX:
-        head = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
+        head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError(f"graph6 writer supports n <= {_G6_MAX}")
     size = (n * (n - 1) // 2 + 5) // 6
     if size > _G6_BODY_BUDGET:
         raise ValueError(f"graph6: n={n} needs {size} body bytes, over the budget of "
                          f"{_G6_BODY_BUDGET}; write the edge-list format (--format edgelist)")
-    body = bytearray(size)
+    at = len(head)
+    data = bytearray(b"?") * (at + size)  # '?' is 63, a body byte with no bit set
+    data[:at] = head
     for i, j in g.edges():  # set bits only: the pair (i, j), i < j, is bit k = j(j-1)/2 + i
         k = j * (j - 1) // 2 + i
-        body[k // 6] |= 32 >> k % 6
-    return head + body.translate(_PLUS_63).decode("ascii")
+        data[at + k // 6] += 32 >> k % 6  # each bit once, so adding sets it
+    return data.decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

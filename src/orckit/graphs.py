@@ -37,6 +37,19 @@ class Graph:
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
 
+    @classmethod
+    def _from_adjacency(cls, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """The graph whose adjacency is `adj`, taken as it is: none of the
+        checks of __init__ run. Precondition: adj[u] is sorted ascending,
+        loop-free (u not in adj[u]) and in range (every entry in 0..n-1,
+        n = len(adj)), and symmetric (v in adj[u] exactly when u in
+        adj[v]). Only families.enumerate_graphs calls it, on adjacency it
+        read off its own edge masks."""
+        g = object.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        return g
+
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")

@@ -467,6 +467,29 @@ def test_gen_graph6_over_its_body_budget_exits_2(capsys):
     assert stderr.count("\n") == 1 and stderr.endswith("(--format edgelist)\n"), stderr
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_gen_graph6_holds_at_most_two_bodies(tmp_path):
+    # the 150x150 torus's graph6 body is 42,185,625 bytes. The edge-list
+    # run of the same graph holds no body, so the graph6 run's peak RSS
+    # above it is what its body-sized buffers cost: the writer's buffer and
+    # the str decoded from it, about two bodies, where three copies or more
+    # would exceed 2.5 bodies. Each peak is the child's, from os.wait4.
+    def peak_rss(fmt):
+        out = tmp_path / f"t.{fmt}"
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "orckit.cli", "gen",
+                                              "--family", "torus", "--n", "150", "--m", "150",
+                                              "--format", fmt, "--out", str(out)], child_env())
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0, fmt
+        return usage.ru_maxrss * 1024, out.stat().st_size
+
+    body = 150 * 150 * (150 * 150 - 1) // 12
+    graph6_peak, size = peak_rss("graph6")
+    edgelist_peak, _ = peak_rss("edgelist")
+    assert size == 4 + body + 1  # '~' and three size bytes, then the body and a newline
+    assert graph6_peak - edgelist_peak < 2.5 * body, (graph6_peak, edgelist_peak)
+
+
 def test_family_size_checks_use_exact_counts(monkeypatch):
     # each builder's closed-form counts are those of the graph it builds, so
     # the limits hold exactly: a family at the limit is built, one past it is not

@@ -20,7 +20,8 @@ from orckit.graphs import Graph, distances_from
 from orckit.transport import mu_alpha, wasserstein1
 from orckit.verify import check_edge_properties
 
-from helpers import corrupt_assignment_optimum, mw_kappa, random_connected_graph
+from helpers import (corrupt_assignment_optimum, mw_kappa, oracle_graphs, random_connected_graph,
+                     to_networkx)
 
 
 def test_kappa_alpha_examples():
@@ -279,6 +280,54 @@ def test_local_distances_match_bfs_oracle():
                     dist = distances_from(g, z)
                     assert row == [dist[w] for w in right], (g, x, y, z)
     assert unequal and triangles
+
+
+def _orientations(g):
+    return [(x, y) for u, v in g.edges() for x, y in ((u, v), (v, u))]
+
+
+def _oracle_table(g, x, y):
+    """The edge's transport table from the definition of mu alone: mass
+    alpha at the centre and 1 - alpha spread evenly over its neighbours.
+    A vertex's pair is L*(mu_x - mu_y) at alpha = 1 and at alpha = 0,
+    L = lcm(d_x, d_y); the excess is affine in alpha, so a vertex can send
+    (take) exactly when one of the two is positive (negative). Returns the
+    send and take vertices, each ascending, with their pairs."""
+    lcm = math.lcm(len(g.adj[x]), len(g.adj[y]))
+
+    def mu(c, alpha, v):
+        return (alpha if v == c else 0) + (F(1 - alpha, len(g.adj[c])) if v in g.adj[c] else 0)
+
+    pairs = {v: (lcm * (mu(x, 1, v) - mu(y, 1, v)), lcm * (mu(x, 0, v) - mu(y, 0, v)))
+             for v in range(g.n)}
+    send = [v for v, (a, b) in pairs.items() if a > 0 or b > 0]
+    take = [v for v, (a, b) in pairs.items() if a < 0 or b < 0]
+    return send, take, [pairs[v] for v in send], [pairs[v] for v in take]
+
+
+def test_edge_table_matches_its_definition():
+    # every send and take pair is the scaled excess of mu_x^alpha - mu_y^alpha
+    # at alpha = 1 and 0, and kappa is kappa_alpha / (1 - alpha) at
+    # alpha = 1/(D+1) exactly, on both orientations of every oracle edge
+    checked = 0
+    for g in oracle_graphs():
+        for x, y in _orientations(g):
+            _, _, send, take = _oracle_table(g, x, y)
+            assert curvature._edge(g, x, y).table[:2] == (send, take), (g, x, y)
+            a = F(1, max(len(g.adj[x]), len(g.adj[y])) + 1)
+            assert kappa_lly(g, x, y) == kappa_alpha(g, x, y, a) / (1 - a), (g, x, y)
+            checked += 1
+    assert checked == 2852, checked  # 1,426 edges
+
+
+def test_edge_table_costs_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in oracle_graphs():
+        dist = dict(nx.shortest_path_length(to_networkx(nx, g)))
+        for x, y in _orientations(g):
+            send, take, _, _ = _oracle_table(g, x, y)
+            cost = curvature._edge(g, x, y).table[2]
+            assert cost == [[dist[s][t] for t in take] for s in send], (g, x, y)
 
 
 def test_kappa_alpha_matches_wasserstein_on_unequal_degree_edges():

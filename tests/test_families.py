@@ -11,10 +11,10 @@ from orckit.families import (bi_antiprism, cocktail_party, complete, complete_bi
                              cycle, dodecahedral, enumerate_graphs, hypercube,
                              icosidodecahedron, klein_bottle, near_cocktail, path,
                              petersen, random_regular, star, torus_grid, twisted_torus)
-from orckit.graphs import diameter, girth, is_connected, is_regular
+from orckit.graphs import Graph, diameter, girth, is_connected, is_regular
 from orckit.verify import default_corpus
 
-from helpers import brute_connected, child_env, stdlib_random_regular
+from helpers import brute_connected, child_env, stdlib_random_regular, to_networkx
 
 
 def test_basic_families():
@@ -193,14 +193,33 @@ def test_enumerate_counts():
         next(enumerate_graphs(8))
 
 
+def _bit_by_bit_graphs(n):
+    """Every labeled graph on n vertices in ascending edge-mask order, one
+    mask bit at a time through Graph(n, edges): bit b is the b-th pair of
+    combinations(range(n), 2)."""
+    pairs = list(combinations(range(n), 2))
+    return [Graph(n, [pairs[b] for b in range(len(pairs)) if mask >> b & 1])
+            for mask in range(1 << len(pairs))]
+
+
 def test_enumerate_connected_matches_brute_force():
-    count = 0
-    for g in enumerate_graphs(5, connected_only=True):
-        assert brute_connected(g)
-        count += 1
-    assert count == 728
-    # complementary count: disconnected ones are the rest of 2^10
-    assert sum(1 for _ in enumerate_graphs(5)) == 1024
+    connected_counts = [1, 1, 4, 38, 728, 26704]  # OEIS A001187
+    for n in range(1, 7):
+        every = _bit_by_bit_graphs(n)
+        connected = [g for g in every if brute_connected(g)]
+        assert len(connected) == connected_counts[n - 1]
+        for only, want in ((False, every), (True, connected)):
+            got = list(enumerate_graphs(n, connected_only=only))
+            assert got == want, (n, only)
+            assert [hash(g) for g in got] == [hash(g) for g in want], (n, only)
+
+
+def test_enumerate_connected_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 6):
+        connected = set(enumerate_graphs(n, connected_only=True))
+        for g in enumerate_graphs(n):
+            assert (g in connected) == nx.is_connected(to_networkx(nx, g)), g.adj
 
 
 def test_generators_produce_valid_graphs():
