@@ -129,7 +129,7 @@ class _Edge:
                     demand.append(-m)
             supply, demand = tuple(supply), tuple(demand)
             cost = tuple(tuple(table[i][j] for j in cols) for i in rows)
-            value, plan, u, _ = transport._transport_cost(supply, demand, cost)
+            value, plan, u = transport._transport_cost(supply, demand, cost)
             self.solves[p, q] = (rows, supply, demand, cost,
                                  Fraction(q * self.lcm - value, q * self.lcm), plan, u)
         return self.solves[p, q]
@@ -396,13 +396,13 @@ def _prove(e: _Edge, breakpoints, values, lines) -> None:
     for k, (b, v) in enumerate(zip(breakpoints, values)):
         _, supply, demand, cost, _, plan, _ = e.solved(b.numerator, b.denominator)
         sent, taken, spent = [0] * len(supply), [0] * len(demand), 0
-        for i, j, units in plan or ():
+        for i, j, units in plan:
             if not (0 <= i < len(sent) and 0 <= j < len(taken) and units > 0):
                 _fail(e, b, f"plan cell {(i, j, units)} is not a positive cell")
             sent[i] += units
             taken[j] += units
             spent += units * cost[i][j]
-        if plan is None or tuple(sent) != supply or tuple(taken) != demand:
+        if tuple(sent) != supply or tuple(taken) != demand:
             _fail(e, b, "plan does not move the supplies to the demands")
         if (target := b.denominator * e.lcm * (1 - v)) != spent:
             _fail(e, b, f"plan costs {spent}, 1 - fn gives {target}")

@@ -5,14 +5,17 @@ solver internals are arbitrary-precision integers obtained by scaling all
 masses with the common denominator. No floating point enters any
 computation in this module.
 
-The transport solver remembers its answers: _transport_cost is an LRU
-cache over its own arguments, so callers pass the instance (supplies,
-demands and cost table) as tuples, and the _MEMO_SIZE most recently used
-instances are kept, each with its value, optimal plan and potentials. An
-instance met again, as in the thousands of small graphs of an exhaustive
-suite, is solved once. The assignment route (_hungarian) is never
-memoized: it is the independent check on the transport route, so every
-equal-degree edge runs its own Hungarian solves.
+The transport solver, _transport_cost, takes a complete integer cost
+table (every source can reach every sink) with supplies and demands of
+the same total, and returns the value, an optimal plan and source
+potentials that prove it; wasserstein1 poses one such instance per
+connected component. It is an LRU cache over its own arguments, so
+callers pass the instance as tuples, and the _MEMO_SIZE most recently
+used instances are kept with their answers. An instance met again, as in
+the thousands of small graphs of an exhaustive suite, is solved once.
+The assignment route (_hungarian) is never memoized: it is the
+independent check on the transport route, so every equal-degree edge
+runs its own Hungarian solves.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .graphs import Graph, INFINITY, distances_from
 
 Measure = dict[int, Fraction]
 CostMatrix = list[list[int]]
-CostTable = tuple[tuple[Optional[int], ...], ...]  # a transport instance's costs; None: no route
+CostTable = tuple[tuple[int, ...], ...]  # a transport instance's costs, one row per source
 Plan = tuple[tuple[int, int, int], ...]  # (source, sink, units) per cell that carries flow
 
 _INT_INF = 1 << 60
@@ -64,7 +66,8 @@ def validate_measure(g: Graph, mu: Measure) -> None:
     total = Fraction(0)
     for v, mass in mu.items():
         g.check_vertex(v)
-        mass = Fraction(mass)
+        if not isinstance(mass, (int, Fraction)):
+            raise ValueError(f"mass {mass!r} at vertex {v} is not an int or a Fraction")
         if mass <= 0:
             raise ValueError(f"non-positive mass {mass} at vertex {v}")
         total += mass
@@ -72,52 +75,30 @@ def validate_measure(g: Graph, mu: Measure) -> None:
         raise ValueError(f"masses sum to {total}, not 1")
 
 
-def _scaled_supplies(masses: dict[int, Fraction], scale: int) -> dict[int, int]:
-    out = {}
-    for v, m in masses.items():
-        num = m.numerator * scale
-        assert num % m.denominator == 0
-        out[v] = num // m.denominator
-    return out
-
-
 def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
     """Exact Wasserstein-1 distance between two probability measures.
 
     Mass shared by both measures stays in place, as it does in some
-    optimal plan. The rest is scaled by the common denominator to integer
-    supplies and demands, and the resulting transportation problem over
-    hop-distance costs is solved exactly by _transport_cost.
+    optimal plan. The rest is scaled once to integers, and each connected
+    component's part of it is a balanced transportation problem over hop
+    distances, solved exactly by _transport_cost; a component whose part
+    does not sum to 0 makes the distance infinite.
     """
     validate_measure(g, mu)
     validate_measure(g, nu)
-    sources: dict[int, Fraction] = {}
-    sinks: dict[int, Fraction] = {}
-    for v in set(mu) | set(nu):
-        r = mu.get(v, Fraction(0)) - nu.get(v, Fraction(0))
-        if r > 0:
-            sources[v] = r
-        elif r < 0:
-            sinks[v] = -r
-    if not sources:
-        return Fraction(0)
-
-    scale = math.lcm(*(m.denominator for m in sources.values()),
-                     *(m.denominator for m in sinks.values()))
-    supply = _scaled_supplies(sources, scale)
-    demand = _scaled_supplies(sinks, scale)
-    assert sum(supply.values()) == sum(demand.values())
-
-    src = sorted(supply)
-    snk = sorted(demand)
-    cost = []
-    for u in src:
-        dist = distances_from(g, u)
-        cost.append(tuple(None if dist[v] is INFINITY else dist[v] for v in snk))
-    value = _transport_cost(tuple(supply[u] for u in src), tuple(demand[v] for v in snk),
-                            tuple(cost))[0]
-    if value is None:
-        raise ValueError("supports are not mutually reachable (infinite distance)")
+    excess = {v: r for v in set(mu) | set(nu) if (r := mu.get(v, 0) - nu.get(v, 0))}
+    scale = math.lcm(*(r.denominator for r in excess.values()))
+    left = {v: r.numerator * (scale // r.denominator) for v, r in excess.items()}
+    value = 0
+    while left:
+        reach = distances_from(g, min(left))
+        part = {v: left.pop(v) for v in sorted(left) if reach[v] is not INFINITY}
+        if sum(part.values()):
+            raise ValueError("supports are not mutually reachable (infinite distance)")
+        supply = {v: m for v, m in part.items() if m > 0}
+        demand = {v: -m for v, m in part.items() if m < 0}
+        cost = tuple(tuple(distances_from(g, u)[v] for v in demand) for u in supply)
+        value += _transport_cost(tuple(supply.values()), tuple(demand.values()), cost)[0]
     return Fraction(value, scale)
 
 
@@ -131,18 +112,17 @@ _MEMO_SIZE = 1024
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: CostTable
-                    ) -> tuple[Optional[int], Optional[Plan], Optional[tuple[int, ...]],
-                               Optional[tuple[int, ...]]]:
-    """(value, plan, u, w) of moving integer supplies to integer demands of
-    the same total, at cost[i][j] >= 0 per unit from source i to sink j
-    (None: no route). value is the minimum cost, plan an optimal flow (one
-    (i, j, units) per cell that carries flow), and, on a table with no None
-    cell, u and w are potentials on the sources and sinks that prove it:
-    w[j] - u[i] <= cost[i][j] on every cell, with equality on the plan's
-    cells. All four are None when the demand cannot be met. The arguments
-    are tuples, so the instance is its own memo key (see the module
-    docstring), and so is the result, which no caller can change:
-    infeasible results are kept, a solve that raises leaves no entry.
+                    ) -> tuple[int, Plan, tuple[int, ...]]:
+    """(value, plan, u) of moving positive integer supplies to positive
+    integer demands of the same total, at cost[i][j] >= 0 per unit from
+    source i to sink j, on a complete table: every source can send to every
+    sink. value is the minimum cost, plan an optimal flow (one (i, j, units)
+    per cell that carries flow), and u potentials on the sources that prove
+    it: with w[j] = min_i (u[i] + cost[i][j]), w[j] - u[i] equals cost[i][j]
+    on the plan's cells, and sum(w*demand) - sum(u*supply) equals value.
+    The arguments are tuples, so the instance is its own memo key (see the
+    module docstring), and so is the result, which no caller can change; a
+    solve that raises leaves no entry.
 
     Successive shortest paths on the table itself: the residual arcs are
     i -> j at cost[i][j], and j -> i at -cost[i][j] while cell (i, j)
@@ -158,24 +138,24 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
     met a negative cycle, which only a start that is not min-cost can
     leave; that raises ConsistencyError instead of looping forever.
 
-    u and w are the distances of the last round, which settles with w[j] <=
-    u[i] + cost[i][j] on every cell and equality on the cells that carry
-    flow, then pushes along a shortest path, whose cells are tight too.
-    Without a None cell every sink is reached, and so is every source of
-    positive supply. With no round, u is 0 and w is c everywhere.
+    u holds the source distances of the last round, which settles with the
+    sink distances at w and equality on the cells that carry flow, then
+    pushes along a shortest path, whose cells are tight too. The table is
+    complete, so the round's first pass reaches every sink, and every
+    source that has sent its supply carries flow and is reached back. With
+    no round, u is 0 and w is c everywhere.
     """
     supply, demand = list(supply), list(demand)
-    arcs = [[(j, c) for j, c in enumerate(row) if c is not None] for row in cost]
-    least = min((c for row in arcs for _, c in row), default=0)
+    least = min((c for row in cost for c in row), default=0)
     flow: dict[tuple[int, int], int] = {}  # only the cells that carry flow
-    for i, row in enumerate(arcs):
-        for j, c in row:
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
             if c == least and supply[i] and demand[j]:
                 flow[i, j] = push = min(supply[i], demand[j])
                 supply[i] -= push
                 demand[j] -= push
     value = least * sum(flow.values())
-    ds, dt = [0] * len(supply), [least] * len(demand)
+    ds = [0] * len(supply)
     max_passes = len(supply) + len(demand) + 1
     while any(supply):
         ds = [0 if s else _INT_INF for s in supply]
@@ -188,20 +168,18 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
                 break
             for i in active:
                 di = ds[i]
-                for j, c in arcs[i]:
+                for j, c in enumerate(cost[i]):
                     if di + c < dt[j]:
                         dt[j], src[j] = di + c, i
             active = set()
             for i, j in flow:
-                if dt[j] < _INT_INF and dt[j] - cost[i][j] < ds[i]:
+                if dt[j] - cost[i][j] < ds[i]:
                     ds[i], via[i] = dt[j] - cost[i][j], j
                     active.add(i)
         if active:
             raise ConsistencyError(f"transport round still relaxing after {max_passes} "
                                    "Bellman-Ford passes: the flow has a negative cycle")
-        sink = min((j for j, d in enumerate(demand) if d), key=dt.__getitem__, default=None)
-        if sink is None or dt[sink] == _INT_INF:
-            return None, None, None, None
+        sink = min((j for j, d in enumerate(demand) if d), key=dt.__getitem__)
         path, j = [], sink  # (source, sink it sends to, sink it takes back from)
         while j >= 0:
             i = src[j]
@@ -217,7 +195,7 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
                 flow[i, b] -= push
                 if not flow[i, b]:
                     del flow[i, b]
-    return value, tuple((i, j, units) for (i, j), units in flow.items()), tuple(ds), tuple(dt)
+    return value, tuple((i, j, units) for (i, j), units in flow.items()), tuple(ds)
 
 
 def _check_square(cost: CostMatrix) -> int:

@@ -150,16 +150,20 @@ def mw_kappa(g: Graph, x: int, y: int) -> Fraction:
 
 def brute_transport_cost(supply, demand, cost):
     """Cheapest pairing of unit supply tokens with unit demand tokens over
-    every permutation (None entries of cost forbid a pair); None when no
-    pairing avoids them all."""
+    every permutation."""
     left = [i for i, s in enumerate(supply) for _ in range(s)]
     right = [j for j, d in enumerate(demand) for _ in range(d)]
-    best = None
-    for perm in set(permutations(right)):
-        pairs = [cost[i][j] for i, j in zip(left, perm)]
-        if None not in pairs and (best is None or sum(pairs) < best):
-            best = sum(pairs)
-    return best
+    return min(sum(cost[i][j] for i, j in zip(left, perm)) for perm in set(permutations(right)))
+
+
+def disjoint_union(graphs: list[Graph]) -> tuple[Graph, list[int]]:
+    """The disjoint union of graphs, their vertices renumbered in order, and
+    the index of the graph each vertex comes from."""
+    edges, part = [], []
+    for k, h in enumerate(graphs):
+        edges += [(u + len(part), v + len(part)) for u, v in h.edges()]
+        part += [k] * h.n
+    return Graph(len(part), edges), part
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:
@@ -258,10 +262,10 @@ def _negative_cell(args, result):
 def _lowered_potential(args, result):
     """The first source's potential one lower: the plan and value still
     hold, the potentials no longer prove them."""
-    value, plan, u, w = result
+    value, plan, u = result
     if not u:
         return result
-    return value, plan, (u[0] - 1, *u[1:]), w
+    return value, plan, (u[0] - 1, *u[1:])
 
 
 # fault -> what the corruption makes of a _transport_cost result

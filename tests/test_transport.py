@@ -14,8 +14,8 @@ from orckit.transport import (_hungarian, _transport_cost, assignment_cost, mu_a
                               optimal_pair_support, validate_measure, wasserstein1)
 
 from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_transport_cost,
-                     brute_wasserstein1, child_env, forced_cost, random_connected_graph,
-                     random_token_measure)
+                     brute_wasserstein1, child_env, disjoint_union, forced_cost,
+                     random_connected_graph, random_token_measure)
 
 
 def test_mu_alpha_examples():
@@ -48,6 +48,12 @@ def test_measure_validation():
         validate_measure(g, {0: F(1, 2), 1: F(-1, 2), 2: F(1)})
     with pytest.raises(ValueError):
         wasserstein1(g, {0: F(1, 2)}, {0: F(1)})
+    # masses are ints or Fractions: a float is refused, naming its vertex
+    validate_measure(g, {1: 1})
+    with pytest.raises(ValueError, match="vertex 1"):
+        validate_measure(g, {0: F(1, 2), 1: 0.5})
+    with pytest.raises(ValueError, match="vertex 2 is not an int or a Fraction"):
+        wasserstein1(g, {0: F(1, 2), 1: F(1, 2)}, {2: 1.0})
 
 
 def test_wasserstein_basics():
@@ -87,6 +93,68 @@ def test_wasserstein_matches_oracle_on_random_instances():
         nu = random_token_measure(rng, g, tokens)
         expected = brute_wasserstein1(g, mu, nu)
         assert wasserstein1(g, mu, nu) == expected
+    # disjoint unions of 2-3 connected graphs: the moving mass of each
+    # component must balance within it, or the distance is infinite. Half
+    # the nu move each mass of mu within its component, so they balance.
+    spanning = refused = 0
+    for _ in range(300):
+        g, part = disjoint_union([random_connected_graph(rng, rng.randint(1, 4))
+                                  for _ in range(rng.randint(2, 3))])
+        tokens = rng.randint(1, 8)
+        mu, nu = (random_token_measure(rng, g, tokens) for _ in range(2))
+        if rng.random() < 0.5:
+            nu = {}
+            for v, m in mu.items():
+                w = rng.choice([w for w in range(g.n) if part[w] == part[v]])
+                nu[w] = nu.get(w, 0) + m
+        try:
+            expected = brute_wasserstein1(g, mu, nu)
+        except ValueError as exc:
+            assert "reachable" in str(exc)
+            with pytest.raises(ValueError, match="reachable"):
+                wasserstein1(g, mu, nu)
+            refused += 1
+            continue
+        assert wasserstein1(g, mu, nu) == expected, (g.edges(), mu, nu)
+        moving = {part[v] for v in set(mu) | set(nu) if mu.get(v, 0) != nu.get(v, 0)}
+        spanning += len(moving) >= 2
+    assert spanning >= 20 and refused >= 50, (spanning, refused)
+
+
+def test_wasserstein_matches_linprog():
+    # scipy's LP over networkx distances shares no code with wasserstein1.
+    # Masses are multiples of 1/tokens, up to 30 tokens, beyond the reach of
+    # brute_wasserstein1. Scaled by tokens, the LP moves integer units
+    # between the whole supports, shared mass included, and none along an
+    # unreachable pair, so it is infeasible exactly when W1 is infinite.
+    optimize = pytest.importorskip("scipy.optimize")
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(61)
+    finite = refused = 0
+    for case in range(150):
+        g, _ = disjoint_union([random_connected_graph(rng, rng.randint(1, 6))
+                               for _ in range(1 + case % 3)])
+        tokens = rng.randint(9, 30)
+        mu, nu = (random_token_measure(rng, g, tokens) for _ in range(2))
+        graph = nx.Graph(g.edges())
+        graph.add_nodes_from(range(g.n))
+        dist = {u: nx.shortest_path_length(graph, source=u) for u in mu}
+        pairs = [(u, v) for u in mu for v in nu]
+        lp = optimize.linprog([dist[u].get(v, 0) for u, v in pairs],
+                              A_eq=[[int(a == u) for a, _ in pairs] for u in mu]
+                              + [[int(b == v) for _, b in pairs] for v in nu],
+                              b_eq=[int(m * tokens) for m in (*mu.values(), *nu.values())],
+                              bounds=[(0, None if v in dist[u] else 0) for u, v in pairs],
+                              method="highs")
+        if lp.status == 2:
+            with pytest.raises(ValueError, match="reachable"):
+                wasserstein1(g, mu, nu)
+            refused += 1
+        else:
+            assert lp.status == 0 and abs(lp.fun - round(lp.fun)) < 1e-6, lp
+            assert wasserstein1(g, mu, nu) == F(round(lp.fun), tokens), (g.edges(), mu, nu)
+            finite += 1
+    assert finite >= 40 and refused >= 40, (finite, refused)
 
 
 def test_wasserstein_is_metric_on_walk_measures():
@@ -102,14 +170,14 @@ def test_wasserstein_is_metric_on_walk_measures():
 
 
 def test_transport_cost_pinned_cases():
-    # (value, plan, u, w). The optimum 0 -> 1, 1 -> 0 needs the first greedy
-    # unit sent back, and the last round's distances prove it.
-    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == \
-        (3, ((0, 1, 1), (1, 0, 1)), (0, 0), (1, 2))
-    assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None, None, None)
-    assert _transport_cost((3,), (1, 2), ((1, 2),)) == (5, ((0, 0, 1), (0, 1, 2)), (0,), (1, 2))
-    # the greedy fill meets every demand, no round runs: u is 0, w the least entry
-    assert _transport_cost((1,), (1,), ((1,),)) == (1, ((0, 0, 1),), (0,), (1,))
+    # (value, plan, u). The optimum 0 -> 1, 1 -> 0 needs the first greedy
+    # unit sent back, and the last round's source distances prove it.
+    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == (3, ((0, 1, 1), (1, 0, 1)), (0, 0))
+    assert _transport_cost((3,), (1, 2), ((1, 2),)) == (5, ((0, 0, 1), (0, 1, 2)), (0,))
+    # the greedy fill meets every demand, no round runs: u is 0
+    assert _transport_cost((1,), (1,), ((1,),)) == (1, ((0, 0, 1),), (0,))
+    # nothing to move, as on an edge of a complete graph at alpha = 1/n
+    assert _transport_cost((), (), ()) == (0, (), ())
 
 
 def test_transport_cost_raises_on_a_negative_cycle():
@@ -138,20 +206,19 @@ def test_transport_cost_raises_on_a_negative_cycle():
 
 
 def test_transport_memo_solves_each_instance_once():
-    # the memo keys on the exact instance, keeps None results and never
-    # grows past its bound (a solve that raises stores nothing: see
+    # the memo keys on the exact instance and never grows past its bound (a solve that raises stores nothing: see
     # test_transport_cost_raises_on_a_negative_cycle)
     _transport_cost.cache_clear()
     for _ in range(2):
         assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9)))[0] == 3
-        assert _transport_cost((2, 1), (1, 2), ((1, None), (None, 1))) == (None, None, None, None)
+        assert _transport_cost((3,), (1, 2), ((1, 2),))[0] == 5
     assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 8)))[0] == 3
     info = _transport_cost.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
     for k in range(transport._MEMO_SIZE + 100):
         assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == \
-            (k + 1, ((0, 0, k + 1),), (0,), (1,))
+            (k + 1, ((0, 0, k + 1),), (0,))
     assert _transport_cost.cache_info().currsize == transport._MEMO_SIZE
     _transport_cost.cache_clear()
 
@@ -160,7 +227,7 @@ def test_public_api():
     assert [name for name in orckit.__all__ if not hasattr(orckit, name)] == []
     for gone in ("Assignment", "min_cost_assignment", "forced_assignment_cost",
                  "wasserstein1_oracle", "gap_formula", "curvature_gap", "equality_holds",
-                 "_potentials"):
+                 "_potentials", "_scaled_supplies"):
         assert not any(hasattr(m, gone) for m in (orckit, transport, orckit.curvature)), gone
     assert orckit.ConsistencyError is orckit.curvature.ConsistencyError is transport.ConsistencyError
 
@@ -175,7 +242,7 @@ def _greedy_start(supply, demand, cost):
     filled in row-major order. Returns its cost and what it leaves of the
     supply and the demand."""
     supply, demand = list(supply), list(demand)
-    least = min((c for row in cost for c in row if c is not None), default=0)
+    least = min(c for row in cost for c in row)
     filled = 0
     for i, row in enumerate(cost):
         for j, c in enumerate(row):
@@ -191,13 +258,13 @@ def test_transport_cost_matches_token_brute_force():
     # The solver starts from a greedy fill of the table's least-cost cells.
     # Three kinds of table: least entry 0, no entry below 2, and cheap cells
     # that tempt the fill where the optimum must send some of it back
-    # through a backward arc. None entries make some instances infeasible;
-    # on a table without them the returned potentials must prove the plan.
+    # through a backward arc. On every instance the returned potentials u,
+    # with w[j] = min_i (u[i] + cost[i][j]), must prove the plan.
     rng = random.Random(53)
-    undone = infeasible = certified = 0
-    for kind, entries in (("least-zero", [None, 0, 1, 2, 3, 4]),
-                          ("no-entry-below-2", [None, 2, 3, 4, 5]),
-                          ("greedy-undone", [None, 1, 1, 2, 3, 9])):
+    undone = 0
+    for kind, entries in (("least-zero", [0, 1, 2, 3, 4]),
+                          ("no-entry-below-2", [2, 3, 4, 5]),
+                          ("greedy-undone", [1, 1, 2, 3, 9])):
         for _ in range(300):
             total = rng.randint(1, 7)
             supply = _split(rng, total, rng.randint(1, min(4, total)))
@@ -206,25 +273,27 @@ def test_transport_cost_matches_token_brute_force():
             if kind == "least-zero":
                 cost[rng.randrange(len(supply))][rng.randrange(len(demand))] = 0
             expected = brute_transport_cost(supply, demand, cost)
-            value, plan, u, w = _transport_cost(tuple(supply), tuple(demand),
-                                                tuple(map(tuple, cost)))
+            value, plan, u = _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost)))
             assert value == expected, (kind, supply, demand, cost)
-            infeasible += expected is None
-            if not any(None in row for row in cost):
-                # the potentials prove the plan: dual feasible everywhere,
-                # tight on the plan's cells, and their dual value is the value
-                assert all(w[j] - u[i] <= c for i, row in enumerate(cost)
-                           for j, c in enumerate(row)), (supply, demand, cost, u, w)
-                assert all(w[j] - u[i] == cost[i][j] for i, j, _ in plan), (cost, plan, u, w)
-                dual = sum(wj * dj for wj, dj in zip(w, demand)) - sum(
-                    ui * si for ui, si in zip(u, supply))
-                assert dual == value, (supply, demand, cost, u, w)
-                certified += 1
-            if kind == "greedy-undone" and expected is not None:
+            # the plan is feasible and costs the value; w - u <= cost holds
+            # on every cell by w's definition, with equality on the plan's
+            # cells, and the potentials' dual value is the value
+            sent, taken = [0] * len(supply), [0] * len(demand)
+            for i, j, units in plan:
+                assert units > 0
+                sent[i] += units
+                taken[j] += units
+            assert (sent, taken) == (supply, demand), (supply, demand, plan)
+            assert sum(units * cost[i][j] for i, j, units in plan) == value
+            w = [min(ui + row[j] for ui, row in zip(u, cost)) for j in range(len(demand))]
+            assert all(w[j] - u[i] == cost[i][j] for i, j, _ in plan), (cost, plan, u, w)
+            dual = sum(wj * dj for wj, dj in zip(w, demand)) - sum(
+                ui * si for ui, si in zip(u, supply))
+            assert dual == value, (supply, demand, cost, u, w)
+            if kind == "greedy-undone":
                 filled, rest_supply, rest_demand = _greedy_start(supply, demand, cost)
-                rest = brute_transport_cost(rest_supply, rest_demand, cost)
-                undone += rest is None or filled + rest > expected
-    assert undone >= 20 and infeasible >= 20 and certified >= 300, (undone, infeasible, certified)
+                undone += filled + brute_transport_cost(rest_supply, rest_demand, cost) > expected
+    assert undone >= 20, undone
 
 
 def test_transport_cost_matches_linprog():
@@ -261,7 +330,7 @@ def test_assignment_validation():
 
 def test_assignment_against_brute_force():
     rng = random.Random(23)
-    for _ in range(200):
+    for _ in range(300):
         k = rng.randint(0, 5)
         cost = [[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
         assert assignment_cost(cost) == brute_assignment_optimum(cost)
