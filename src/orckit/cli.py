@@ -19,9 +19,9 @@ import sys
 from fractions import Fraction
 from typing import NoReturn, Optional
 
-from . import curvature, families, verify
+from . import curvature, families, formats, transport, verify
 from .formats import _quoted, parse_edge_list, parse_graph6, write_edge_list, write_graph6
-from .graphs import VERTEX_LIMIT, Graph
+from .graphs import Graph
 
 
 def rational_str(value: Fraction) -> str:
@@ -53,9 +53,10 @@ def _parse_alpha(text: str) -> Fraction:
         a = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"alpha {text} has a zero denominator") from None
-    if not (0 <= a <= 1):
-        raise ValueError(f"alpha {text} outside [0, 1]")
-    return a
+    try:
+        return transport._idleness(a)
+    except ValueError:  # the range, in the user's own text
+        raise ValueError(f"alpha {text} outside [0, 1]") from None
 
 
 _DECIMALS_MAX = 64  # largest --decimals: each decimal string is built at this precision
@@ -227,10 +228,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 def _cmd_idleness(args: argparse.Namespace) -> int:
     u, _, v = args.edge.partition(",")
-    # ASCII digits no longer than VERTEX_LIMIT's, as in parse_edge_list: int()
-    # also reads '1_0', '+1', ' 1' and '١', and refuses 4301 digits in its own words
-    if not all(part.isascii() and part.isdigit() and len(part) <= len(str(VERTEX_LIMIT))
-               for part in (u, v)):
+    if not (formats._is_vertex(u) and formats._is_vertex(v)):
         raise ValueError(f"--edge expects 'u,v', got {_quoted(args.edge)}")
     fn = curvature.idleness_function(read_graph(args.input), int(u), int(v))
     lines = ["alpha,kappa_alpha,alpha_decimal,kappa_alpha_decimal"]

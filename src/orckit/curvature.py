@@ -158,7 +158,7 @@ def _edge(g: Graph, x: int, y: int) -> _Edge:
     return last
 
 
-def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
+def kappa_alpha(g: Graph, x: int, y: int, alpha: int | Fraction) -> Fraction:
     """Transport curvature 1 - W1(mu_x^alpha, mu_y^alpha) of the edge x ~ y.
 
     With alpha = p/q and L = lcm(d_x, d_y), both measures become integers
@@ -172,12 +172,8 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     solve; it reads no matrix or solve of the assignment route, to stay
     independent of it.
     """
-    e = _edge(g, x, y)
-    alpha = Fraction(alpha)
-    p, q = alpha.numerator, alpha.denominator
-    if not (0 <= p <= q):
-        raise ValueError("idleness must lie in [0, 1]")
-    return e.solved(p, q)[4]
+    alpha = transport._idleness(alpha)
+    return _edge(g, x, y).solved(alpha.numerator, alpha.denominator)[4]
 
 
 def _cost_matrix(g: Graph, left: list[int], right: list[int]) -> transport.CostMatrix:
@@ -334,10 +330,8 @@ class PiecewiseLinearFn:
     def segments(self) -> int:
         return len(self.breakpoints) - 1
 
-    def value_at(self, alpha) -> Fraction:
-        alpha = Fraction(alpha)
-        if not (0 <= alpha.numerator <= alpha.denominator):
-            raise ValueError("alpha outside [0, 1]")
+    def value_at(self, alpha: int | Fraction) -> Fraction:
+        alpha = transport._idleness(alpha)
         bp = self.breakpoints
         for i in range(len(bp) - 1):
             if alpha <= bp[i + 1]:

@@ -20,7 +20,8 @@ from .graphs import VERTEX_LIMIT, Graph, check_size
 _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # 3-byte extended size header
 _QUOTE_MAX = 64  # longest input line quoted whole in an error message
-_SET_BITS = {b: bin(b - 63).count("1") for b in range(63, 127)}  # graph6 byte -> set bits
+_BIT_COUNT = bytes(bin(max(b - 63, 0)).count("1") for b in range(256))  # graph6 byte -> set bits
+_DIGITS = len(str(VERTEX_LIMIT))  # a longer count or vertex is refused before int() reads it
 
 # most graph6 body bytes write_graph6 allocates: a body has n(n-1)/12
 # bytes whatever the edge count, so graphs within the desk-scale limits
@@ -71,28 +72,27 @@ def parse_graph6(text: str) -> Graph:
         if data[1] == 126:
             raise ValueError("graph6: 8-byte sizes not supported")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
-        body_at = 4
+        at = 4  # where the body starts
     else:
         n = data[0] - 63
-        body = data[1:]
-        body_at = 1
+        at = 1
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) != need:
-        raise ValueError(f"graph6: n={n} needs {need} body bytes, got {len(body)}")
-    if body and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
-        raise ValueError(f"graph6: nonzero padding bit at byte {body_at + need - 1}")
+    if len(data) - at != need:
+        raise ValueError(f"graph6: n={n} needs {need} body bytes, got {len(data) - at}")
+    if need and (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise ValueError(f"graph6: nonzero padding bit at byte {at + need - 1}")
     # the edge count is the number of set body bits: refuse an oversized
     # graph before its edge list is built
-    check_size("graph6", n, sum(_SET_BITS[b] for b in body))
+    counts = data.translate(_BIT_COUNT)  # each byte replaced by its number of set bits
+    check_size("graph6", n, sum(k * counts.count(k, at) for k in range(1, 7)))
     edges = []
-    for t, b in enumerate(body):
-        v = b - 63
+    for byte in re.compile(rb"[^?]").finditer(data, at):  # '?' is a body byte with no bit set
+        t, v = byte.start(), ord(byte[0]) - 63
         while v:  # set bits only, most significant first
             top = v.bit_length() - 1
             v ^= 1 << top
-            k = 6 * t + 5 - top  # bit k is the pair (i, j), i < j, with k = j(j-1)/2 + i
+            k = 6 * (t - at) + 5 - top  # bit k is the pair (i, j), i < j, with k = j(j-1)/2 + i
             j = (1 + isqrt(1 + 8 * k)) // 2
             edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
@@ -115,12 +115,16 @@ def _is_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _is_vertex(token: str) -> bool:
+    """Whether a count or vertex is a number (_is_number) of at most _DIGITS digits."""
+    return _is_number(token) and len(token) <= _DIGITS
+
+
 def parse_edge_list(text: str) -> Graph:
     declared = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     max_v = -1
-    digits = len(str(VERTEX_LIMIT))  # a longer count or vertex is refused before int() reads it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,8 +135,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"edge list line {lineno}: malformed header {_quoted(line)}")
             if declared is not None:
                 raise ValueError(f"edge list line {lineno}: duplicate header")
-            if len(parts[1]) > digits:
-                raise ValueError(f"edge list line {lineno}: a count of more than {digits} digits "
+            if not _is_vertex(parts[1]):
+                raise ValueError(f"edge list line {lineno}: a count of more than {_DIGITS} digits "
                                  f"would exceed the desk-scale limit of {VERTEX_LIMIT}")
             declared = int(parts[1])
             continue
@@ -142,8 +146,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"edge list line {lineno}: non-integer vertex in {_quoted(line)}")
         if not all(_is_number(t) for t in parts):
             raise ValueError(f"edge list line {lineno}: negative vertex in {_quoted(line)}")
-        if len(parts[0]) > digits or len(parts[1]) > digits:
-            raise ValueError(f"edge list line {lineno}: a vertex of more than {digits} digits "
+        if not all(map(_is_vertex, parts)):
+            raise ValueError(f"edge list line {lineno}: a vertex of more than {_DIGITS} digits "
                              f"would exceed the desk-scale limit of {VERTEX_LIMIT}")
         u, v = int(parts[0]), int(parts[1])
         if u == v:

@@ -109,8 +109,7 @@ def distances_from(g: Graph, source: int, cap: Optional[int] = None) -> list:
 
 def distance(g: Graph, u: int, v: int, cap: Optional[int] = None):
     """Shortest-path hop count between u and v; INFINITY when disconnected
-    or farther than the optional cap."""
-    g.check_vertex(u)
+    or farther than the optional cap; distances_from checks u."""
     g.check_vertex(v)
     return distances_from(g, u, cap)[v]
 

@@ -39,12 +39,20 @@ class ConsistencyError(Exception):
     invariant failed."""
 
 
-def mu_alpha(g: Graph, x: int, alpha) -> Measure:
+def _idleness(alpha: int | Fraction) -> Fraction:
+    """alpha as a Fraction if it is an idleness, an int or a Fraction in
+    [0, 1]; a float, a string or a Decimal is refused, as masses are."""
+    if not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"idleness {alpha!r} is not an int or a Fraction")
+    if not 0 <= alpha.numerator <= alpha.denominator:
+        raise ValueError(f"idleness {alpha} outside [0, 1]")
+    return Fraction(alpha) if isinstance(alpha, int) else alpha
+
+
+def mu_alpha(g: Graph, x: int, alpha: int | Fraction) -> Measure:
     """Lazy random-walk measure of x: mass alpha stays at x, the rest is
     spread uniformly over the neighbors."""
-    alpha = Fraction(alpha)
-    if not (0 <= alpha <= 1):
-        raise ValueError("idleness must lie in [0, 1]")
+    alpha = _idleness(alpha)
     g.check_vertex(x)
     if alpha == 1:
         return {x: Fraction(1)}
@@ -97,7 +105,7 @@ def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
             raise ValueError("supports are not mutually reachable (infinite distance)")
         supply = {v: m for v, m in part.items() if m > 0}
         demand = {v: -m for v, m in part.items() if m < 0}
-        cost = tuple(tuple(distances_from(g, u)[v] for v in demand) for u in supply)
+        cost = tuple(tuple(map(distances_from(g, u).__getitem__, demand)) for u in supply)
         value += _transport_cost(tuple(supply.values()), tuple(demand.values()), cost)[0]
     return Fraction(value, scale)
 

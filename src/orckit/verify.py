@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Optional
@@ -71,11 +71,7 @@ class VerificationReport:
             "suite": self.suite,
             "instances": self.instances,
             "passed": self.passed,
-            "failures": [
-                {"graph": f.graph, "edge": list(f.edge) if f.edge is not None else None,
-                 "check": f.check, "expected": f.expected, "actual": f.actual}
-                for f in self.failures
-            ],
+            "failures": [asdict(f) for f in self.failures],
             "notes": self.notes,
         }
 

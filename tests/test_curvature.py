@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -35,6 +36,25 @@ def test_kappa_alpha_examples():
     for a in (F(-1, 3), F(4, 3), 2):
         with pytest.raises(ValueError, match="idleness"):
             kappa_alpha(cycle(6), 0, 1, a)
+
+
+def test_idleness_is_an_int_or_a_fraction():
+    # every function of the idleness refuses, as a ValueError, what is not an
+    # int or a Fraction, instead of rounding a float, parsing a string or
+    # overflowing on an infinity; 0, 1 and 1/3 keep their values
+    for g, values in ((cycle(5), (0, 0, F(1, 3))), (petersen(), (F(-1, 3), 0, 0))):
+        x, y = g.edges()[0]
+        fn = idleness_function(g, x, y)
+        for f in (lambda a: mu_alpha(g, x, a), lambda a: kappa_alpha(g, x, y, a), fn.value_at):
+            for a in (0.1, "1/3", Decimal("0.5"), float("inf"), float("nan")):
+                with pytest.raises(ValueError, match="is not an int or a Fraction"):
+                    f(a)
+        assert [kappa_alpha(g, x, y, a) for a in (0, 1, F(1, 3))] == list(values)
+        assert [fn.value_at(a) for a in (0, 1, F(1, 3))] == list(values)
+        d = g.degree(x)
+        assert mu_alpha(g, x, 0) == {w: F(1, d) for w in g.adj[x]}
+        assert mu_alpha(g, x, 1) == {x: 1}
+        assert mu_alpha(g, x, F(1, 3)) == {x: F(1, 3), **{w: F(2, 3 * d) for w in g.adj[x]}}
 
 
 def test_kappa_alpha_at_huge_denominators():

@@ -169,8 +169,8 @@ def _triangle_walk(text: str) -> Graph:
         n, body = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), data[4:]
     else:
         n, body = data[0] - 63, data[1:]
-    bits = [(b - 63) >> s & 1 for b in body for s in range(5, -1, -1)]
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    bits = ((b - 63) >> s & 1 for b in body for s in range(5, -1, -1))
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
     return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
@@ -207,6 +207,24 @@ def test_graph6_parser_walks_set_bits_to_the_same_graph():
         text = write_graph6(g)
         assert text == _triangle_write(g), g.edges()
         assert parse_graph6(text) == _triangle_walk(text) == Graph(g.n, g.edges()), text
+
+
+def test_graph6_parser_on_large_sparse_graphs():
+    # bodies of nearly all '?' bytes: square tori, and seeded random graphs
+    # of n >= 63 (the extended header), decode as the walk over every bit
+    # does; the 100x100 torus, 50 million bits that the walk takes about
+    # 10 s over, against the graph built from its edges
+    rng = random.Random(31)
+    graphs = [torus_grid(k, k) for k in (6, 7, 8, 30, 50)]
+    for _ in range(20):
+        n, p = rng.randint(63, 300), rng.choice((0.002, 0.02, 0.2))
+        graphs.append(Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
+    graphs.append(torus_grid(100, 100))
+    for g in graphs:
+        text = write_graph6(g)
+        got = parse_graph6(text)
+        assert got == Graph(g.n, g.edges()), g.n
+        assert g.n >= 10_000 or got == _triangle_walk(text), g.n
 
 
 def test_graph6_matches_networkx():

@@ -8,7 +8,7 @@ import pytest
 
 import orckit
 from orckit import transport
-from orckit.families import complete, cycle, path, petersen
+from orckit.families import complete, complete_bipartite, cycle, path, petersen, torus_grid
 from orckit.graphs import Graph
 from orckit.transport import (_hungarian, _transport_cost, assignment_cost, mu_alpha,
                               optimal_pair_support, validate_measure, wasserstein1)
@@ -62,6 +62,25 @@ def test_wasserstein_basics():
     assert wasserstein1(g, mu, mu) == 0
     assert wasserstein1(g, {0: F(1)}, {2: F(1)}) == 2
     assert wasserstein1(g, mu_alpha(g, 0, 0), mu_alpha(g, 1, 0)) == 1
+
+
+def test_wasserstein_searches_each_source_once(monkeypatch):
+    # one search per source with mass to send, plus one per connected
+    # component: 14 + 1 on an edge of K14,14 and 4 + 1 on the 8x8 torus, at
+    # idleness 0, and 2 + 2 on two paths
+    searches = []
+    real = transport.distances_from
+    monkeypatch.setattr(transport, "distances_from",
+                        lambda g, u, *cap: searches.append(u) or real(g, u, *cap))
+    k, torus = complete_bipartite(14, 14), torus_grid(8, 8)
+    two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    for g, mu, nu, value, count in (
+            (k, mu_alpha(k, 0, 0), mu_alpha(k, 14, 0), 1, 15),
+            (torus, mu_alpha(torus, 0, 0), mu_alpha(torus, 1, 0), 1, 5),
+            (two_paths, {0: F(1, 2), 3: F(1, 2)}, {2: F(1, 2), 5: F(1, 2)}, 2, 4)):
+        searches.clear()
+        assert wasserstein1(g, mu, nu) == value
+        assert len(searches) == count
 
 
 def test_wasserstein_disconnected():
