@@ -124,23 +124,21 @@ def _emit(text: str, out: Optional[str], end: str = "") -> None:
         sys.stdout.write(end)
 
 
+# output key -> the EdgeCurvatureRecord field it shows, in CSV column order
+_RECORD_COLUMNS = {"u": "x", "v": "y", "du": "dx", "dv": "dy", "nxy": "nxy", "kappa0": "kappa0",
+                   "kappaLLY": "kappa_lly", "gap_c": "gap_c", "supsup": "supsup",
+                   "bone_idle": "bone_idle"}
+
+
 def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction],
                 decimals: Optional[int]) -> dict:
     """One edge's output row, its keys in CSV column order."""
     x, y = edge
     rec = curvature.edge_record(g, x, y)
-    row = {
-        "u": rec.x,
-        "v": rec.y,
-        "du": rec.dx,
-        "dv": rec.dy,
-        "nxy": rec.nxy,
-        "kappa0": rational_str(rec.kappa0),
-        "kappaLLY": rational_str(rec.kappa_lly),
-        "gap_c": rec.gap_c,
-        "supsup": rec.supsup,
-        "bone_idle": rec.bone_idle,
-    }
+    row = {}
+    for key, name in _RECORD_COLUMNS.items():
+        value = getattr(rec, name)
+        row[key] = rational_str(value) if type(value) is Fraction else value
     if alphas:
         row["kappa_alpha"] = {str(a): rational_str(curvature.kappa_alpha(g, x, y, a))
                               for a in alphas}
@@ -151,17 +149,15 @@ def _record_row(g: Graph, edge: tuple[int, int], alphas: list[Fraction],
 
 
 def _worker_count() -> int:
-    """RICCI_THREADS as a positive integer; unset or empty means 1."""
+    """RICCI_THREADS as a positive integer, read as a count is
+    (formats._is_vertex: ASCII digits, no more than a vertex count has);
+    unset or empty means 1."""
     raw = os.environ.get("RICCI_THREADS", "")
     if not raw:
         return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"RICCI_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
+    if not (formats._is_vertex(raw) and int(raw) >= 1):
+        raise ValueError(f"RICCI_THREADS must be an integer >= 1, got {_quoted(raw)}")
+    return int(raw)
 
 
 def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> list[dict]:
@@ -177,8 +173,7 @@ def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> 
 
 
 def _rows_to_csv(rows: list[dict], alphas: list[Fraction], decimals: Optional[int]) -> str:
-    columns = ["u", "v", "du", "dv", "nxy", "kappa0", "kappaLLY", "gap_c", "supsup", "bone_idle"]
-    columns += [f"kappa_alpha[{a}]" for a in alphas]
+    columns = [*_RECORD_COLUMNS, *(f"kappa_alpha[{a}]" for a in alphas)]
     if decimals is not None:
         columns += ["kappa0_decimal", "kappaLLY_decimal"]
     buf = io.StringIO()

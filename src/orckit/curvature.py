@@ -11,16 +11,15 @@ call. Disagreement between routes raises ConsistencyError.
 
 Every quantity of an edge depends on B1(x) and B1(y) alone, where all
 distances are 1, 2 or 3 and follow from adjacency tests, so the work per
-edge does not grow with the size of the graph. Each edge's neighbourhood
-data, transport table, assignment matrices and transport solves are built
-once: the one transport table serves every idleness, each idleness is
-solved once with its value, plan and potentials, and each assignment
-matrix is solved once, which gives both C* and the optimal-pair support.
+edge does not grow with the size of the graph. Each edge's one transport
+table serves every idleness, each idleness is solved once, and each
+assignment matrix is solved once, which gives both C* and the
+optimal-pair support.
 
 The idleness function alpha -> kappa_alpha is built from the dual lines of
 a few solves, one strictly inside each linear piece, and the same pass
-proves it exact on all of [0, 1]: the plans at its breakpoints bound W1
-from above and each piece's dual line bounds it from below.
+proves it exact on all of [0, 1]: the certified values at its breakpoints
+bound W1 from above and each piece's dual line bounds it from below.
 """
 
 from __future__ import annotations
@@ -108,12 +107,10 @@ class _Edge:
                 _cost_matrix(g, send, take))
 
     def solved(self, p: int, q: int) -> tuple:
-        """The transport instance of alpha = p/q sliced out of the table,
-        with its solve, kept per (p, q) (hashing a Fraction costs a modular
-        inverse): (rows, supply, demand, cost, kappa, plan, u). rows index
-        the send vertices with positive supply at alpha; supply, demand and
-        cost are the tuples _transport_cost keys on; kappa is kappa_alpha,
-        plan the solve's optimal plan and u its potentials on the rows."""
+        """(rows, kappa, u): the solve of alpha = p/q, kept per (p, q)
+        (hashing a Fraction costs a modular inverse). rows index the send
+        vertices with positive supply at alpha, kappa is kappa_alpha and u
+        the solve's certified potentials on the rows."""
         if (p, q) not in self.solves:
             send, take, table = self.table
             r = q - p
@@ -127,11 +124,9 @@ class _Edge:
                 if (m := p * a + r * b) < 0:
                     cols.append(j)
                     demand.append(-m)
-            supply, demand = tuple(supply), tuple(demand)
             cost = tuple(tuple(table[i][j] for j in cols) for i in rows)
-            value, plan, u = transport._transport_cost(supply, demand, cost)
-            self.solves[p, q] = (rows, supply, demand, cost,
-                                 Fraction(q * self.lcm - value, q * self.lcm), plan, u)
+            value, _, u = transport._transport_cost(tuple(supply), tuple(demand), cost)
+            self.solves[p, q] = (rows, Fraction(q * self.lcm - value, q * self.lcm), u)
         return self.solves[p, q]
 
     @cached_property
@@ -162,28 +157,22 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha: int | Fraction) -> Fraction:
     """Transport curvature 1 - W1(mu_x^alpha, mu_y^alpha) of the edge x ~ y.
 
     With alpha = p/q and L = lcm(d_x, d_y), both measures become integers
-    when scaled by q*L: p*L at the centre and (q-p)*L/d on each neighbor.
-    Mass the two share stays in place, and the rest moves from B1(x) to
-    B1(y) by transport._transport_cost. The supplies and demands are
-    p*a_v + (q-p)*b_v from the edge's transport table (_Edge.table), whose
-    rows and columns with positive supply and demand _Edge.solved cuts out
-    as tuples, the memo key of the solve, so the table's distances are
-    built once per edge and serve every alpha. The edge context keeps each
-    solve; it reads no matrix or solve of the assignment route, to stay
+    when scaled by q*L. Mass the two share stays in place, and the rest
+    moves from B1(x) to B1(y) by transport._transport_cost, on the instance
+    that _Edge.solved slices out of the edge's one transport table and
+    keeps. It reads no matrix or solve of the assignment route, to stay
     independent of it.
     """
     alpha = transport._idleness(alpha)
-    return _edge(g, x, y).solved(alpha.numerator, alpha.denominator)[4]
+    return _edge(g, x, y).solved(alpha.numerator, alpha.denominator)[1]
 
 
 def _cost_matrix(g: Graph, left: list[int], right: list[int]) -> transport.CostMatrix:
     """Hop distances from vertices `left` of B1(x) to vertices `right` of
-    B1(y), x ~ y; the two lists may share vertices.
-
-    Such a distance is at most 3 (z - x - y - w), so adjacency tests decide
-    it: 0 for z == w, 1 for adjacent vertices, 2 for vertices with a common
-    neighbor, 3 otherwise. No search leaves the two 1-balls.
-    """
+    B1(y), x ~ y; the two lists may share vertices. Such a distance is at
+    most 3 (z - x - y - w), so adjacency tests decide it: 0 for z == w, 1
+    for adjacent vertices, 2 for vertices with a common neighbor, 3
+    otherwise. No search leaves the two 1-balls."""
     rows = []
     for z in left:
         nz = set(g.adj[z])
@@ -226,13 +215,10 @@ def _check_routes(name: str, x: int, y: int, value: Fraction, alt: Fraction) -> 
 
 
 def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
-    """Lin-Lu-Yau curvature: the idleness function is linear on
-    [1/(D+1), 1] with endpoint value 0, so kappa equals
-    kappa_alpha / (1 - alpha) evaluated at alpha = 1/(D+1), D = max degree.
-
-    On equal-degree edges the independent assignment route is computed as
-    well and must agree exactly.
-    """
+    """Lin-Lu-Yau curvature: the idleness function is kappa*(1 - alpha) on
+    [1/(D+1), 1], D = max degree, so kappa is kappa_alpha/(1 - alpha) at
+    alpha = 1/(D+1). On equal-degree edges the independent assignment
+    route is computed as well and must agree exactly."""
     e = _edge(g, x, y)
     d = max(e.dx, e.dy)
     k = kappa_alpha(g, x, y, Fraction(1, d + 1))
@@ -333,10 +319,8 @@ class PiecewiseLinearFn:
     def value_at(self, alpha: int | Fraction) -> Fraction:
         alpha = transport._idleness(alpha)
         bp = self.breakpoints
-        for i in range(len(bp) - 1):
-            if alpha <= bp[i + 1]:
-                return self.values[i] + self._slopes[i] * (alpha - bp[i])
-        raise AssertionError("unreachable")
+        i = next(i for i in range(len(bp) - 1) if alpha <= bp[i + 1])  # bp[-1] is 1
+        return self.values[i] + self._slopes[i] * (alpha - bp[i])
 
 
 def _fail(e: _Edge, alpha: Fraction, why) -> NoReturn:
@@ -347,17 +331,16 @@ def _dual_line(e: _Edge, a: Fraction) -> tuple[Fraction, Fraction]:
     """(value at 0, slope) of the dual line of the solve at a: a line that
     lies on or above kappa_alpha at every alpha and meets it at a.
 
-    The potentials u that the solve returns with its plan give a price psi
-    on every vertex of the table: psi(t) = min_i (u_i + cost[i][t]) over the
-    solve's sources for each take vertex t, then psi(s) = max_t (psi(t) -
-    cost[s][t]) for each send vertex s, so psi(t) - psi(s) <= cost[s][t] on
-    every cell. x and y lie in both lists, at cost 0 from themselves, and
-    must get one price. Then -sum_v psi(v)*(p*a_v + (q-p)*b_v) is at most
-    the optimal cost q*L*W1 at every alpha = p/q (weak LP duality), and at
-    a at least the potentials' own dual value, which is that cost when they
-    prove the plan; the line of potentials that do not is refused.
+    The solve's certified potentials u price every vertex of the table:
+    psi(t) = min_i (u_i + cost[i][t]) over the solve's sources for each
+    take vertex t, then psi(s) = max_t (psi(t) - cost[s][t]) for each send
+    vertex s, so psi(t) - psi(s) <= cost[s][t] on every cell. x and y lie
+    in both lists, at cost 0 from themselves, and must get one price. Then
+    -sum_v psi(v)*(p*a_v + (q-p)*b_v) is at most q*L*W1 at every alpha =
+    p/q (weak LP duality), and at a at least the dual value of u, which is
+    q*L*W1 there by u's certificate.
     """
-    rows, *_, u = e.solved(a.numerator, a.denominator)
+    rows, _, u = e.solved(a.numerator, a.denominator)
     send, take, table = e.table
     psi_take = [min((ui + table[i][t] for i, ui in zip(rows, u)), default=0)
                 for t in range(len(take))]
@@ -379,27 +362,15 @@ def _prove(e: _Edge, breakpoints, values, lines) -> None:
     of its k-th piece, or raise ConsistencyError naming the edge and the
     alpha where the proof fails. No point of [0, 1] is left to sampling.
 
-    From below: at each breakpoint b = p/q, 0 and 1 included, the plan of
-    the solve at b is feasible (positive cells, row and column sums equal
-    to the supplies and demands) and costs q*L*(1 - fn(b)). Both measures
-    are affine in alpha, so W1 is convex in alpha and W1 <= 1 - fn on
-    [0, 1], which is linear between the breakpoints. From above: each line
-    lies on or above kappa_alpha everywhere (_dual_line) and meets fn at
-    both ends of its piece, so kappa_alpha <= fn on the piece.
+    From below: each value is the kappa_alpha that transport._certify
+    proved at its breakpoint, 0 and 1 included, and kappa_alpha is concave
+    (both measures are affine in alpha, so W1 is convex), so kappa_alpha >=
+    fn. From above: each line lies on or above kappa_alpha (_dual_line) and
+    meets fn at both ends of its piece, so kappa_alpha <= fn on the piece.
     """
     for k, (b, v) in enumerate(zip(breakpoints, values)):
-        _, supply, demand, cost, _, plan, _ = e.solved(b.numerator, b.denominator)
-        sent, taken, spent = [0] * len(supply), [0] * len(demand), 0
-        for i, j, units in plan:
-            if not (0 <= i < len(sent) and 0 <= j < len(taken) and units > 0):
-                _fail(e, b, f"plan cell {(i, j, units)} is not a positive cell")
-            sent[i] += units
-            taken[j] += units
-            spent += units * cost[i][j]
-        if tuple(sent) != supply or tuple(taken) != demand:
-            _fail(e, b, "plan does not move the supplies to the demands")
-        if (target := b.denominator * e.lcm * (1 - v)) != spent:
-            _fail(e, b, f"plan costs {spent}, 1 - fn gives {target}")
+        if (kappa := e.solved(b.numerator, b.denominator)[1]) != v:
+            _fail(e, b, f"fn = {v}, but the certified kappa_alpha is {kappa}")
         for v0, slope in lines[max(k - 1, 0):k + 1]:
             if v0 + slope * b != v:
                 _fail(e, b, f"dual line {v0} + {slope}*alpha misses fn = {v}")

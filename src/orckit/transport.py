@@ -8,11 +8,12 @@ computation in this module.
 The transport solver, _transport_cost, takes a complete integer cost
 table (every source can reach every sink) with supplies and demands of
 the same total, and returns the value, an optimal plan and source
-potentials that prove it; wasserstein1 poses one such instance per
-connected component. It is an LRU cache over its own arguments, so
-callers pass the instance as tuples, and the _MEMO_SIZE most recently
-used instances are kept with their answers. An instance met again, as in
-the thousands of small graphs of an exhaustive suite, is solved once.
+potentials that prove it, once _certify has checked that proof;
+wasserstein1 poses one such instance per connected component. It is an
+LRU cache over its own arguments, so callers pass the instance as tuples,
+and the _MEMO_SIZE most recently used instances are kept with their
+proven answers. An instance met again, as in the thousands of small
+graphs of an exhaustive suite, is solved and checked once.
 The assignment route (_hungarian) is never memoized: it is the
 independent check on the transport route, so every equal-degree edge
 runs its own Hungarian solves.
@@ -126,11 +127,10 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
     source i to sink j, on a complete table: every source can send to every
     sink. value is the minimum cost, plan an optimal flow (one (i, j, units)
     per cell that carries flow), and u potentials on the sources that prove
-    it: with w[j] = min_i (u[i] + cost[i][j]), w[j] - u[i] equals cost[i][j]
-    on the plan's cells, and sum(w*demand) - sum(u*supply) equals value.
-    The arguments are tuples, so the instance is its own memo key (see the
-    module docstring), and so is the result, which no caller can change; a
-    solve that raises leaves no entry.
+    it. The result returns through _certify, which checks that proof, so
+    the memo holds only proven answers. The arguments are tuples, so the
+    instance is its own memo key (see the module docstring), and so is the
+    result, which no caller can change; a solve that raises leaves no entry.
 
     Successive shortest paths on the table itself: the residual arcs are
     i -> j at cost[i][j], and j -> i at -cost[i][j] while cell (i, j)
@@ -146,31 +146,28 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
     met a negative cycle, which only a start that is not min-cost can
     leave; that raises ConsistencyError instead of looping forever.
 
-    u holds the source distances of the last round, which settles with the
-    sink distances at w and equality on the cells that carry flow, then
-    pushes along a shortest path, whose cells are tight too. The table is
-    complete, so the round's first pass reaches every sink, and every
-    source that has sent its supply carries flow and is reached back. With
-    no round, u is 0 and w is c everywhere.
+    u holds the source distances of the last round, which settles tight on
+    the cells that carry flow and pushes along a shortest path, whose cells
+    are tight too; the table is complete, so every distance is finite.
     """
-    supply, demand = list(supply), list(demand)
+    have, need = list(supply), list(demand)  # what is left to send and to take
     least = min((c for row in cost for c in row), default=0)
     flow: dict[tuple[int, int], int] = {}  # only the cells that carry flow
     for i, row in enumerate(cost):
         for j, c in enumerate(row):
-            if c == least and supply[i] and demand[j]:
-                flow[i, j] = push = min(supply[i], demand[j])
-                supply[i] -= push
-                demand[j] -= push
+            if c == least and have[i] and need[j]:
+                flow[i, j] = push = min(have[i], need[j])
+                have[i] -= push
+                need[j] -= push
     value = least * sum(flow.values())
-    ds = [0] * len(supply)
-    max_passes = len(supply) + len(demand) + 1
-    while any(supply):
-        ds = [0 if s else _INT_INF for s in supply]
-        dt = [_INT_INF] * len(demand)
-        via = [-1] * len(supply)  # sink each source is reached back from; -1 at a root
-        src = [-1] * len(demand)  # source each sink is reached from
-        active = {i for i, s in enumerate(supply) if s}
+    ds = [0] * len(have)
+    max_passes = len(have) + len(need) + 1
+    while any(have):
+        ds = [0 if s else _INT_INF for s in have]
+        dt = [_INT_INF] * len(need)
+        via = [-1] * len(have)  # sink each source is reached back from; -1 at a root
+        src = [-1] * len(need)  # source each sink is reached from
+        active = {i for i, s in enumerate(have) if s}
         for _ in range(max_passes):
             if not active:
                 break
@@ -187,15 +184,15 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
         if active:
             raise ConsistencyError(f"transport round still relaxing after {max_passes} "
                                    "Bellman-Ford passes: the flow has a negative cycle")
-        sink = min((j for j, d in enumerate(demand) if d), key=dt.__getitem__)
+        sink = min((j for j, d in enumerate(need) if d), key=dt.__getitem__)
         path, j = [], sink  # (source, sink it sends to, sink it takes back from)
         while j >= 0:
             i = src[j]
             path.append((i, j, via[i]))
             j = via[i]
-        push = min(demand[sink], supply[i], *(flow[r, b] for r, _, b in path if b >= 0))
-        supply[i] -= push
-        demand[sink] -= push
+        push = min(need[sink], have[i], *(flow[r, b] for r, _, b in path if b >= 0))
+        have[i] -= push
+        need[sink] -= push
         value += push * dt[sink]
         for i, j, b in path:
             flow[i, j] = flow.get((i, j), 0) + push
@@ -203,7 +200,39 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
                 flow[i, b] -= push
                 if not flow[i, b]:
                     del flow[i, b]
-    return value, tuple((i, j, units) for (i, j), units in flow.items()), tuple(ds)
+    plan = tuple((i, j, units) for (i, j), units in flow.items())
+    return _certify(supply, demand, cost, (value, plan, tuple(ds)))
+
+
+def _certify(supply: tuple[int, ...], demand: tuple[int, ...], cost: CostTable,
+             result: tuple) -> tuple:
+    """result, a solve (value, plan, u) of the instance, if its plan is a
+    flow (positive cells, row sums the supplies, column sums the demands)
+    of cost value and its dual value is value too, which proves value
+    optimal by weak LP duality: with w[j] = min_i (u[i] + cost[i][j]), no
+    flow costs less than sum(w*demand) - sum(u*supply). Otherwise
+    ConsistencyError naming the fact that fails and the instance."""
+    value, plan, u = result
+    sent, taken, spent = [0] * len(supply), [0] * len(demand), 0
+    for i, j, units in plan:
+        if not (0 <= i < len(supply) and 0 <= j < len(demand) and units > 0):
+            why = f"plan cell {(i, j, units)} is not a positive cell"
+            break
+        sent[i] += units
+        taken[j] += units
+        spent += units * cost[i][j]
+    else:
+        if tuple(sent) != supply or tuple(taken) != demand:
+            why = "plan does not move the supplies to the demands"
+        elif spent != value:
+            why = f"plan costs {spent}, not the value {value}"
+        elif len(u) != len(supply) or value != sum(
+                d * min(ui + c for ui, c in zip(u, col)) for col, d in zip(zip(*cost), demand)
+        ) - sum(ui * s for ui, s in zip(u, supply)):
+            why = f"the potentials {u} do not prove the value {value}"
+        else:
+            return result
+    raise ConsistencyError(f"transport certificate: {why}; supplies {supply}, demands {demand}")
 
 
 def _check_square(cost: CostMatrix) -> int:

@@ -9,15 +9,15 @@ Lin-Lu-Yau curvature by the limit-free formula over integer test functions.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import orckit
-from orckit import families, transport
+from orckit import curvature, families, transport
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
                              near_cocktail, path, petersen, star)
 from orckit.graphs import INFINITY, Graph, distances_from
@@ -242,21 +242,21 @@ def corrupt_assignment_optimum(monkeypatch) -> None:
 def _moved_cell(args, result):
     """The first plan cell moved to the next sink: the row sums still hold,
     two column sums do not."""
-    value, plan, *duals = result
+    value, plan, u = result
     if not plan:
         return result
     (i, j, units), rest = plan[0], plan[1:]
-    return value, ((i, (j + 1) % len(args[1]), units),) + rest, *duals
+    return value, ((i, (j + 1) % len(args[1]), units),) + rest, u
 
 
 def _negative_cell(args, result):
     """The first plan cell doubled, and a cell of minus its units added:
     every row and column sum and the cost still hold."""
-    value, plan, *duals = result
+    value, plan, u = result
     if not plan:
         return result
     (i, j, units), rest = plan[0], plan[1:]
-    return value, ((i, j, 2 * units), (i, j, -units)) + rest, *duals
+    return value, ((i, j, 2 * units), (i, j, -units)) + rest, u
 
 
 def _lowered_potential(args, result):
@@ -268,32 +268,31 @@ def _lowered_potential(args, result):
     return value, plan, (u[0] - 1, *u[1:])
 
 
-# fault -> what the corruption makes of a _transport_cost result
+# fault -> (what the corruption makes of a _transport_cost result, the
+# start of the fact that transport._certify then finds broken)
 PROOF_FAULTS = {
-    "plan cell": _moved_cell,
-    "negative cell": _negative_cell,
-    "plan value": lambda args, result: (result[0] + 1, *result[1:]),
-    "potential": _lowered_potential,
+    "plan cell": (_moved_cell, "plan does not move the supplies to the demands"),
+    "negative cell": (_negative_cell, "plan cell "),
+    "plan value": (lambda args, result: (result[0] + 1, *result[1:]), "plan costs "),
+    "potential": (_lowered_potential, "the potentials "),
 }
 
 
 def corrupt_proof_input(monkeypatch, fault: str) -> None:
-    """Corrupt what curvature.idleness_function reads of a solve, as
-    PROOF_FAULTS names it. kappa_alpha reads only the values of solves, so a
-    plan cell or a potential is corrupted in every call, and a value only in
-    the calls made while idleness_function runs: kappa and kappa_0 solved
-    before it, as edge_record solves them, stay exact, and the routes agree."""
-    corrupt = PROOF_FAULTS[fault]
-    exact = transport._transport_cost
-
-    def patched(*args):
-        result = exact(*args)
-        frame = sys._getframe(1)
-        while fault == "plan value" and frame and frame.f_code.co_name != "idleness_function":
-            frame = frame.f_back
-        return corrupt(args, result) if frame else result
-
-    monkeypatch.setattr(transport, "_transport_cost", patched)
+    """Corrupt every solve as PROOF_FAULTS names it, in the result that
+    transport._certify checks, so it reaches _transport_cost's proof before
+    any caller. The memo and the per-edge context start empty, so no answer
+    proven before is read back; both are restored when monkeypatch undoes
+    the patch. A solve passes the check where the fault changes nothing (an
+    empty plan or potentials, a moved cell with one sink) or where a
+    lowered potential still proves the value."""
+    corrupt = PROOF_FAULTS[fault][0]
+    exact = transport._certify
+    monkeypatch.setattr(transport, "_certify", lambda supply, demand, cost, result: exact(
+        supply, demand, cost, corrupt((supply, demand, cost), result)))
+    monkeypatch.setattr(transport, "_transport_cost", functools.lru_cache(
+        maxsize=transport._MEMO_SIZE)(transport._transport_cost.__wrapped__))
+    monkeypatch.setattr(curvature, "_last", None)
 
 
 def oracle_graphs() -> list[Graph]:

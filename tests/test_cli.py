@@ -6,17 +6,18 @@ import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from orckit import cli, families, formats, graphs
 from orckit.cli import decimal_str, main, rational_str, read_graph
-from orckit.families import bi_antiprism, complete, cycle, petersen
+from orckit.families import bi_antiprism, complete, complete_bipartite, cycle, petersen
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
-from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT
+from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph
 
-from helpers import child_env, corrupt_assignment_optimum
+from helpers import PROOF_FAULTS, child_env, corrupt_assignment_optimum, corrupt_proof_input
 
 
 def run_cli(args, capsys):
@@ -382,6 +383,24 @@ def test_verify_solver_fault_fails_reports(capsys, monkeypatch):
     assert not any(r["passed"] for r in reports)
 
 
+@pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
+def test_curvature_alpha_refuses_a_corrupted_solve(tmp_path, capsys, monkeypatch, fault):
+    # a corrupted solve (helpers.corrupt_proof_input) ends `curvature
+    # --alpha` with exit 2 and one error line naming the broken fact, on a
+    # regular graph and on one with no equal-degree edge
+    monkeypatch.delenv("RICCI_THREADS", raising=False)
+    graph_file = tmp_path / "g.g6"
+    for g in (petersen(), complete_bipartite(2, 3)):
+        graph_file.write_text(write_graph6(g))
+        with monkeypatch.context() as m:
+            corrupt_proof_input(m, fault)
+            code, stdout, stderr = run_cli(["curvature", str(graph_file), "--alpha", "0,1/2"],
+                                           capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: transport certificate: " + PROOF_FAULTS[fault][1])
+        assert stderr.count("\n") == 1
+
+
 def test_verify_trials_bound_exits_2_before_building():
     # the corpus is refused before any graph is built; at 100 million trials
     # building it would outlast the timeout
@@ -399,6 +418,44 @@ def test_rational_str():
     assert rational_str(F(4, 3)) == "4/3"
 
 
+def test_curvature_rows_are_invariant_under_relabelling(tmp_path, capsys, monkeypatch):
+    # G(n, p) graphs with n <= 10 and a permutation of their vertices: the
+    # relabelled graph's `curvature` rows, mapped back through the
+    # permutation (du and dv swapped where that reverses the edge), give the
+    # original rows byte for byte. Permuted tables are new memo keys, so
+    # each relabelling also runs the certificate check on fresh instances.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.delenv("RICCI_THREADS", raising=False)
+    graph_file = tmp_path / "g.el"
+
+    def rows(g: Graph) -> str:
+        graph_file.write_text(write_edge_list(g))
+        code, stdout, stderr = run_cli(["curvature", str(graph_file), "--alpha", "0,1/3,1/2",
+                                        "--decimals", "4"], capsys)
+        assert code == 0, stderr
+        return stdout
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @hypothesis.given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2), st.permutations(range(n)))))
+    def invariant(graph):
+        n, bits, perm = graph
+        g = Graph(n, [e for e, bit in zip(combinations(range(n), 2), bits) if bit])
+        back = {perm[v]: v for v in range(n)}
+        mapped = []
+        for row in json.loads(rows(Graph(n, [(perm[u], perm[v]) for u, v in g.edges()]))):
+            row["u"], row["v"] = back[row["u"]], back[row["v"]]
+            if row["u"] > row["v"]:
+                row["u"], row["v"], row["du"], row["dv"] = row["v"], row["u"], row["dv"], row["du"]
+            mapped.append(row)
+        mapped.sort(key=lambda row: (row["u"], row["v"]))
+        assert json.dumps(mapped, indent=2) + "\n" == rows(g), (g.edges(), perm)
+
+    invariant()
+
+
 def test_threads_env_gives_identical_output(tmp_path):
     graph_file = tmp_path / "p.g6"
     graph_file.write_text(write_graph6(petersen()))
@@ -414,13 +471,22 @@ def test_threads_env_gives_identical_output(tmp_path):
 
 
 def test_threads_env_rejects_bad_values(tmp_path, capsys, monkeypatch):
+    # only ASCII digits count, as in every other count; int() would read
+    # "+2", " 2", "2_0" and a full-width digit, and refuse 5,000 digits
+    # with its own message. Each is refused before any pool starts.
+    import multiprocessing
+
+    def no_pool(method):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     graph_file = tmp_path / "k3.g6"
     graph_file.write_text(write_graph6(complete(3)))
-    for bad in ("abc", "0", "-2", "1.5"):
+    for bad in ("abc", "0", "-2", "1.5", "+2", " 2", "2_0", "\uff12", "9" * 5000):
         monkeypatch.setenv("RICCI_THREADS", bad)
         code, stdout, stderr = run_cli(["curvature", str(graph_file)], capsys)
         assert code == 2 and stdout == ""
-        assert "RICCI_THREADS" in stderr and repr(bad) in stderr
+        assert stderr == f"error: RICCI_THREADS must be an integer >= 1, got {formats._quoted(bad)}\n"
     monkeypatch.setenv("RICCI_THREADS", "")  # empty means serial, like unset
     code, stdout, _ = run_cli(["curvature", str(graph_file)], capsys)
     assert code == 0 and len(json.loads(stdout)) == 3

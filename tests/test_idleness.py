@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 from collections import Counter
 from itertools import combinations
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from orckit.curvature import (ConsistencyError, PiecewiseLinearFn, edge_record,
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
                              near_cocktail, petersen, random_regular, star)
 from orckit.graphs import Graph
+from orckit.transport import mu_alpha, wasserstein1
 
 from helpers import PROOF_FAULTS, corrupt_proof_input, random_connected_graph
 
@@ -100,10 +102,12 @@ def test_wrong_shapes_raise_consistency_error(monkeypatch):
         (TWO_PIECE, (0, 4), F(1, 7),
          r"at alpha 1/7: the dual line 0 \+ 2\*alpha makes no concave corner inside \(0, 1\) "
          r"with 0 \+ 2\*alpha$"),
-        # a breakpoint value off the cost of its plan
-        (THREE_PIECE, (0, 2), F(1, 7), r"at alpha 1/7: plan costs 18, 1 - fn gives 17904/997$"),
+        # a breakpoint value off the certified value of its solve
+        (THREE_PIECE, (0, 2), F(1, 7),
+         r"at alpha 1/7: fn = 3995/6979, but the certified kappa_alpha is 4/7$"),
         # kappa_0 off, on an unequal-degree edge, which has no assignment route
-        (complete_bipartite(2, 3), (0, 2), F(0), r"at alpha 0: plan costs 6, 1 - fn gives 5976/997$"),
+        (complete_bipartite(2, 3), (0, 2), F(0),
+         r"at alpha 0: fn = 1/997, but the certified kappa_alpha is 0$"),
     ]
     exact = curvature.kappa_alpha
     for g, (x, y), at, message in cases:
@@ -236,20 +240,19 @@ def test_proof_needs_one_price_per_vertex():
 def test_proof_refuses_a_corrupted_solve(monkeypatch, fault):
     # A plan cell moved to another sink, a cell of negative units that
     # keeps every sum and the cost, a solver value one above its plan's
-    # cost, a potential one lower (helpers.corrupt_proof_input). Each
-    # edge of petersen and cycle(5) has two sinks at alpha = 0 and more than
-    # one source where its lines are solved, so each fault breaks the proof
-    # on every edge. edge_record solves kappa and kappa_0 first, as verify
-    # does, so a corrupted value reaches only the construction.
-    for g in (petersen(), cycle(5)):
-        for x, y in g.edges():
-            idleness_function(g, x, y)
-        with monkeypatch.context() as m:
-            corrupt_proof_input(m, fault)
-            for x, y in g.edges():
-                edge_record(g, x, y)
-                with pytest.raises(ConsistencyError, match=rf"^idleness proof \({x},{y}\) at alpha "):
-                    idleness_function(g, x, y)
+    # cost, a potential one lower (helpers.corrupt_proof_input), each made
+    # in the result transport._certify checks: every path to a solve
+    # raises, naming the broken fact, on an equal-degree edge of petersen
+    # and an unequal-degree edge of K(2, 3), whose instances at alpha = 0
+    # have two sinks and two sources that the potentials must price apart.
+    corrupt_proof_input(monkeypatch, fault)
+    paths = (lambda g, x, y: kappa_alpha(g, x, y, 0), edge_record, idleness_function,
+             lambda g, x, y: wasserstein1(g, mu_alpha(g, x, 0), mu_alpha(g, y, 0)))
+    for g, (x, y) in ((petersen(), petersen().edges()[0]), (complete_bipartite(2, 3), (0, 2))):
+        for path in paths:
+            with pytest.raises(ConsistencyError, match="^transport certificate: "
+                                                       + re.escape(PROOF_FAULTS[fault][1])):
+                path(g, x, y)
 
 
 def test_proof_property_on_random_graphs(monkeypatch):

@@ -7,9 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from orckit import curvature, families, verify
+from orckit import curvature, families, transport, verify
 from orckit.curvature import ConsistencyError, PiecewiseLinearFn
-from orckit.families import cocktail_party, complete, cycle, path, petersen, torus_grid
+from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, path, petersen,
+                             torus_grid)
 from orckit.formats import parse_graph6
 from orckit.verify import (VerificationReport, bone_idle_family_instances,
                            check_bone_idle_families, check_edge_properties,
@@ -137,16 +138,35 @@ def test_edge_properties_checks_the_first_idleness_piece(monkeypatch):
 
 @pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
 def test_corrupted_solve_fails_the_idleness_proof(monkeypatch, fault):
-    # a corrupted plan cell, negative cell, solver value or potential, which
-    # only the idleness construction reads, is one idleness-reconstruction
-    # Failure on each edge, from the construction's proof, and no other
-    corpus = [("petersen", petersen()), ("cycle(5)", cycle(5))]
+    # a corrupted plan cell, negative cell, solver value or potential is
+    # refused by the certificate check of the first solve it changes, so
+    # each edge, equal-degree or not, has one Failure and no other: in
+    # edge_record's guard, or, where a lowered potential still proves both
+    # of edge_record's values (edge (0, 4) of cycle(5)), in the idleness
+    # construction's
+    corpus = [("petersen", petersen()), ("cycle(5)", cycle(5)),
+              ("complete_bipartite(2,3)", complete_bipartite(2, 3))]
     corrupt_proof_input(monkeypatch, fault)
     report = check_edge_properties(corpus)
-    assert [(f.graph, f.edge, f.check) for f in report.failures] == \
-        [(label, edge, "idleness-reconstruction") for label, g in corpus for edge in g.edges()]
-    assert all(f.actual.startswith(f"ConsistencyError: idleness proof ({f.edge[0]},{f.edge[1]})")
+    assert [(f.graph, f.edge) for f in report.failures] == \
+        [(label, edge) for label, g in corpus for edge in g.edges()]
+    assert {f.check for f in report.failures} <= {"route-agreement", "idleness-reconstruction"}
+    fact = PROOF_FAULTS[fault][1]
+    assert all(f.actual.startswith(f"ConsistencyError: transport certificate: {fact}")
                for f in report.failures)
+
+
+def test_every_solve_is_certified_once(monkeypatch):
+    # _transport_cost runs the certificate check on each memo miss, and a
+    # memo hit returns an answer proven when it was stored
+    checks = []
+    exact = transport._certify
+    monkeypatch.setattr(transport, "_certify", lambda *args: checks.append(args) or exact(*args))
+    monkeypatch.setattr(curvature, "_last", None)
+    transport._transport_cost.cache_clear()
+    assert check_edge_properties(default_corpus(1)).passed
+    info = transport._transport_cost.cache_info()
+    assert len(checks) == info.misses and info.hits > 0, (len(checks), info)
 
 
 @pytest.mark.parametrize("breakpoints, values", [
