@@ -42,10 +42,13 @@ _ALPHA_MAX_CHARS = 64
 
 
 def _parse_alpha(text: str) -> Fraction:
-    """One --alpha value as a Fraction in [0, 1]. Text with an exponent or
-    longer than _ALPHA_MAX_CHARS is refused before Fraction parses it, so
-    hostile input cannot build a huge integer."""
-    if len(text) > _ALPHA_MAX_CHARS or "e" in text.lower():
+    """One --alpha value as a Fraction in [0, 1]. Fraction reads only p/q or
+    a decimal with one point, in ASCII digits (formats._is_number), of at
+    most _ALPHA_MAX_CHARS, so hostile input cannot build a huge integer."""
+    num, slash, den = text.partition("/")
+    plain = formats._is_number(num) and formats._is_number(den) if slash else \
+        formats._is_number(text.replace(".", "", 1))
+    if len(text) > _ALPHA_MAX_CHARS or not plain:
         shown = text if len(text) <= _ALPHA_MAX_CHARS else text[:_ALPHA_MAX_CHARS] + "..."
         raise ValueError(f"alpha {shown} must be p/q or a decimal of at most "
                          f"{_ALPHA_MAX_CHARS} characters, with no exponent")

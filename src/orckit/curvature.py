@@ -125,7 +125,7 @@ class _Edge:
                     cols.append(j)
                     demand.append(-m)
             cost = tuple(tuple(table[i][j] for j in cols) for i in rows)
-            value, _, u = transport._transport_cost(tuple(supply), tuple(demand), cost)
+            value, u = transport._transport_cost(tuple(supply), tuple(demand), cost)
             self.solves[p, q] = (rows, Fraction(q * self.lcm - value, q * self.lcm), u)
         return self.solves[p, q]
 

@@ -167,10 +167,10 @@ def twisted_torus(n: int, m: int, l: int) -> Graph:
 
 def torus_grid(n: int, m: int) -> Graph:
     """Plain n x m torus (twist 0); isomorphic to C_n box C_m."""
-    if m < 6:
-        raise ValueError("torus_grid requires m >= 6")
+    if n < 6 or m < 6:
+        raise ValueError("torus_grid requires n, m >= 6")
     check_size(f"torus_grid({n},{m})", n * m, 2 * n * m)
-    return twisted_torus(n, m, 0)
+    return _wrapped_grid(n, m, [(i * m, i * m + m - 1) for i in range(n)])
 
 
 def klein_bottle(n: int, m: int) -> Graph:

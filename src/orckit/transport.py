@@ -7,8 +7,8 @@ computation in this module.
 
 The transport solver, _transport_cost, takes a complete integer cost
 table (every source can reach every sink) with supplies and demands of
-the same total, and returns the value, an optimal plan and source
-potentials that prove it, once _certify has checked that proof;
+the same total, and returns its value, the cost of the solver's flow,
+and source potentials that prove it, once _certify has checked both;
 wasserstein1 poses one such instance per connected component. It is an
 LRU cache over its own arguments, so callers pass the instance as tuples,
 and the _MEMO_SIZE most recently used instances are kept with their
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .graphs import Graph, INFINITY, distances_from
@@ -30,7 +31,6 @@ from .graphs import Graph, INFINITY, distances_from
 Measure = dict[int, Fraction]
 CostMatrix = list[list[int]]
 CostTable = tuple[tuple[int, ...], ...]  # a transport instance's costs, one row per source
-Plan = tuple[tuple[int, int, int], ...]  # (source, sink, units) per cell that carries flow
 
 _INT_INF = 1 << 60
 
@@ -121,14 +121,14 @@ _MEMO_SIZE = 1024
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: CostTable
-                    ) -> tuple[int, Plan, tuple[int, ...]]:
-    """(value, plan, u) of moving positive integer supplies to positive
-    integer demands of the same total, at cost[i][j] >= 0 per unit from
-    source i to sink j, on a complete table: every source can send to every
-    sink. value is the minimum cost, plan an optimal flow (one (i, j, units)
-    per cell that carries flow), and u potentials on the sources that prove
-    it. The result returns through _certify, which checks that proof, so
-    the memo holds only proven answers. The arguments are tuples, so the
+                    ) -> tuple[int, tuple[int, ...]]:
+    """(value, u) of moving positive integer supplies to positive integer
+    demands of the same total, at cost[i][j] >= 0 per unit from source i to
+    sink j, on a complete table: every source can send to every sink.
+    value is the minimum cost and u potentials on the sources that prove
+    it. Both come from _certify, which checks the solver's flow and
+    potentials and returns the flow's cost as the value, so the memo holds
+    only proven answers and no flow. The arguments are tuples, so the
     instance is its own memo key (see the module docstring), and so is the
     result, which no caller can change; a solve that raises leaves no entry.
 
@@ -159,7 +159,6 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
                 flow[i, j] = push = min(have[i], need[j])
                 have[i] -= push
                 need[j] -= push
-    value = least * sum(flow.values())
     ds = [0] * len(have)
     max_passes = len(have) + len(need) + 1
     while any(have):
@@ -193,45 +192,41 @@ def _transport_cost(supply: tuple[int, ...], demand: tuple[int, ...], cost: Cost
         push = min(need[sink], have[i], *(flow[r, b] for r, _, b in path if b >= 0))
         have[i] -= push
         need[sink] -= push
-        value += push * dt[sink]
         for i, j, b in path:
             flow[i, j] = flow.get((i, j), 0) + push
             if b >= 0:
                 flow[i, b] -= push
                 if not flow[i, b]:
                     del flow[i, b]
-    plan = tuple((i, j, units) for (i, j), units in flow.items())
-    return _certify(supply, demand, cost, (value, plan, tuple(ds)))
+    return _certify(supply, demand, cost, flow.items(), tuple(ds))
 
 
 def _certify(supply: tuple[int, ...], demand: tuple[int, ...], cost: CostTable,
-             result: tuple) -> tuple:
-    """result, a solve (value, plan, u) of the instance, if its plan is a
-    flow (positive cells, row sums the supplies, column sums the demands)
-    of cost value and its dual value is value too, which proves value
-    optimal by weak LP duality: with w[j] = min_i (u[i] + cost[i][j]), no
-    flow costs less than sum(w*demand) - sum(u*supply). Otherwise
-    ConsistencyError naming the fact that fails and the instance."""
-    value, plan, u = result
-    sent, taken, spent = [0] * len(supply), [0] * len(demand), 0
-    for i, j, units in plan:
+             cells: Iterable[tuple[tuple[int, int], int]], u: tuple[int, ...]) -> tuple:
+    """(value, u) for a flow of the instance, given as ((i, j), units)
+    cells, and source potentials u, if the flow is feasible (positive cells
+    inside the table, row sums the supplies, column sums the demands) and
+    u's dual value equals its cost, which is then the value: by weak LP
+    duality, with w[j] = min_i (u[i] + cost[i][j]), no flow costs less than
+    sum(w*demand) - sum(u*supply). Otherwise ConsistencyError naming the
+    fact that fails and the instance."""
+    sent, taken, value = [0] * len(supply), [0] * len(demand), 0
+    for (i, j), units in cells:
         if not (0 <= i < len(supply) and 0 <= j < len(demand) and units > 0):
             why = f"plan cell {(i, j, units)} is not a positive cell"
             break
         sent[i] += units
         taken[j] += units
-        spent += units * cost[i][j]
+        value += units * cost[i][j]
     else:
         if tuple(sent) != supply or tuple(taken) != demand:
             why = "plan does not move the supplies to the demands"
-        elif spent != value:
-            why = f"plan costs {spent}, not the value {value}"
         elif len(u) != len(supply) or value != sum(
                 d * min(ui + c for ui, c in zip(u, col)) for col, d in zip(zip(*cost), demand)
         ) - sum(ui * s for ui, s in zip(u, supply)):
             why = f"the potentials {u} do not prove the value {value}"
         else:
-            return result
+            return value, u
     raise ConsistencyError(f"transport certificate: {why}; supplies {supply}, demands {demand}")
 
 

@@ -239,57 +239,71 @@ def corrupt_assignment_optimum(monkeypatch) -> None:
     monkeypatch.setattr(transport, "_hungarian", off_by_one)
 
 
-def _moved_cell(args, result):
-    """The first plan cell moved to the next sink: the row sums still hold,
+def _moved_cell(args, cells, u):
+    """The first flow cell moved to the next sink: the row sums still hold,
     two column sums do not."""
-    value, plan, u = result
-    if not plan:
-        return result
-    (i, j, units), rest = plan[0], plan[1:]
-    return value, ((i, (j + 1) % len(args[1]), units),) + rest, u
+    if not cells:
+        return cells, u
+    ((i, j), units), rest = cells[0], cells[1:]
+    return [((i, (j + 1) % len(args[1])), units), *rest], u
 
 
-def _negative_cell(args, result):
-    """The first plan cell doubled, and a cell of minus its units added:
-    every row and column sum and the cost still hold."""
-    value, plan, u = result
-    if not plan:
-        return result
-    (i, j, units), rest = plan[0], plan[1:]
-    return value, ((i, j, 2 * units), (i, j, -units)) + rest, u
+def _negative_cell(args, cells, u):
+    """The first flow cell written as two items of one cell, twice its units
+    and minus its units: every row and column sum and the cost still hold."""
+    if not cells:
+        return cells, u
+    ((i, j), units), rest = cells[0], cells[1:]
+    return [((i, j), 2 * units), ((i, j), -units), *rest], u
 
 
-def _lowered_potential(args, result):
-    """The first source's potential one lower: the plan and value still
-    hold, the potentials no longer prove them."""
-    value, plan, u = result
+def _exchanged_cells(args, cells, u):
+    """One unit moved around the 2 x 2 exchange of the first pair of flow
+    cells that lie in distinct rows and columns and whose exchange changes
+    the cost: every row and column sum still holds, the cost does not, so
+    the potentials no longer prove it."""
+    cost = args[2]
+    flow = dict(cells)
+    for (i, j), (k, l) in combinations(flow, 2):
+        if i != k and j != l and cost[i][l] + cost[k][j] != cost[i][j] + cost[k][l]:
+            for cell, step in (((i, j), -1), ((k, l), -1), ((i, l), 1), ((k, j), 1)):
+                flow[cell] = flow.get(cell, 0) + step
+            return [(cell, units) for cell, units in flow.items() if units], u
+    return cells, u
+
+
+def _lowered_potential(args, cells, u):
+    """The first source's potential one lower: the flow still holds, the
+    potentials no longer prove its cost."""
     if not u:
-        return result
-    return value, plan, (u[0] - 1, *u[1:])
+        return cells, u
+    return cells, (u[0] - 1, *u[1:])
 
 
-# fault -> (what the corruption makes of a _transport_cost result, the
-# start of the fact that transport._certify then finds broken)
+# fault -> (what the corruption makes of the flow cells and potentials of
+# a _transport_cost solve, the start of the fact that transport._certify
+# then finds broken)
 PROOF_FAULTS = {
     "plan cell": (_moved_cell, "plan does not move the supplies to the demands"),
     "negative cell": (_negative_cell, "plan cell "),
-    "plan value": (lambda args, result: (result[0] + 1, *result[1:]), "plan costs "),
+    "exchanged cells": (_exchanged_cells, "the potentials "),
     "potential": (_lowered_potential, "the potentials "),
 }
 
 
 def corrupt_proof_input(monkeypatch, fault: str) -> None:
-    """Corrupt every solve as PROOF_FAULTS names it, in the result that
-    transport._certify checks, so it reaches _transport_cost's proof before
-    any caller. The memo and the per-edge context start empty, so no answer
-    proven before is read back; both are restored when monkeypatch undoes
-    the patch. A solve passes the check where the fault changes nothing (an
-    empty plan or potentials, a moved cell with one sink) or where a
-    lowered potential still proves the value."""
+    """Corrupt every solve as PROOF_FAULTS names it, in the flow cells and
+    potentials that transport._certify checks, so it reaches
+    _transport_cost's proof before any caller. The memo and the per-edge
+    context start empty, so no answer proven before is read back; both are
+    restored when monkeypatch undoes the patch. A solve passes the check
+    where the fault changes nothing (an empty flow or potentials, a moved
+    cell with one sink, no exchange that changes the cost) or where a
+    lowered potential still proves the cost."""
     corrupt = PROOF_FAULTS[fault][0]
     exact = transport._certify
-    monkeypatch.setattr(transport, "_certify", lambda supply, demand, cost, result: exact(
-        supply, demand, cost, corrupt((supply, demand, cost), result)))
+    monkeypatch.setattr(transport, "_certify", lambda supply, demand, cost, cells, u: exact(
+        supply, demand, cost, *corrupt((supply, demand, cost), list(cells), u)))
     monkeypatch.setattr(transport, "_transport_cost", functools.lru_cache(
         maxsize=transport._MEMO_SIZE)(transport._transport_cost.__wrapped__))
     monkeypatch.setattr(curvature, "_last", None)

@@ -59,6 +59,9 @@ def test_gen_errors(capsys):
     assert code == 2 and "unknown family" in stderr
     code, _, stderr = run_cli(["gen", "--family", "cycle"], capsys)
     assert code == 2 and "requires --n" in stderr
+    # the error names the family asked for, not the one it is built from
+    code, _, stderr = run_cli(["gen", "--family", "torus", "--n", "5", "--m", "6"], capsys)
+    assert code == 2 and stderr == "error: torus_grid requires n, m >= 6\n"
 
 
 def test_curvature_json_petersen(tmp_path, capsys):
@@ -175,7 +178,10 @@ def test_curvature_bad_alpha_exits_2(tmp_path):
     graph_file = tmp_path / "k3.g6"
     graph_file.write_text(write_graph6(complete(3)))
     long_alpha = "1/" + "3" * 10 ** 5
-    for bad in ("1/0", "abc", "3/2", "1e-1000000", long_alpha):
+    # only ASCII digits as p/q or a decimal: Fraction would read each of
+    # the five after long_alpha as 1/3 or 0
+    for bad in ("1/0", "abc", "3/2", "1e-1000000", long_alpha,
+                "\u0661/\u0663", "1_0/3_0", "+1/3", " 1/3", "-0"):
         proc = subprocess.run(
             [sys.executable, "-m", "orckit.cli", "curvature", str(graph_file), "--alpha", bad],
             capture_output=True, text=True, env=child_env(), timeout=30)
@@ -185,6 +191,7 @@ def test_curvature_bad_alpha_exits_2(tmp_path):
         shown = bad if bad != long_alpha else bad[:64] + "..."
         assert len(lines) == 1 and lines[0].startswith("error: ") and shown in lines[0]
         assert len(lines[0]) < 200
+    assert cli._parse_alphas("0,1/3,0.5,.25,1.") == [0, F(1, 3), F(1, 2), F(1, 4), 1]
 
 
 def test_bad_flags_exit_2_before_the_graph_is_read(tmp_path):

@@ -238,17 +238,20 @@ def test_proof_needs_one_price_per_vertex():
 
 @pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
 def test_proof_refuses_a_corrupted_solve(monkeypatch, fault):
-    # A plan cell moved to another sink, a cell of negative units that
-    # keeps every sum and the cost, a solver value one above its plan's
-    # cost, a potential one lower (helpers.corrupt_proof_input), each made
-    # in the result transport._certify checks: every path to a solve
-    # raises, naming the broken fact, on an equal-degree edge of petersen
-    # and an unequal-degree edge of K(2, 3), whose instances at alpha = 0
-    # have two sinks and two sources that the potentials must price apart.
+    # A flow cell moved to another sink, a cell of negative units that
+    # keeps every sum and the cost, a 2 x 2 exchange that keeps every sum
+    # but not the cost, a potential one lower (helpers.corrupt_proof_input),
+    # each made in the flow and potentials transport._certify checks:
+    # every path to a solve raises, naming the broken fact, on an
+    # equal-degree edge of petersen and the unequal-degree edge (0, 2) of
+    # THREE_PIECE, whose instances at alpha = 0 have two sinks and two
+    # sources that the potentials must price apart. No 2 x 2 exchange
+    # changes the cost of K(2, 3)'s instances at alpha = 0, whose sources
+    # are twins, so there the exchange is no fault.
     corrupt_proof_input(monkeypatch, fault)
     paths = (lambda g, x, y: kappa_alpha(g, x, y, 0), edge_record, idleness_function,
              lambda g, x, y: wasserstein1(g, mu_alpha(g, x, 0), mu_alpha(g, y, 0)))
-    for g, (x, y) in ((petersen(), petersen().edges()[0]), (complete_bipartite(2, 3), (0, 2))):
+    for g, (x, y) in ((petersen(), petersen().edges()[0]), (THREE_PIECE, (0, 2))):
         for path in paths:
             with pytest.raises(ConsistencyError, match="^transport certificate: "
                                                        + re.escape(PROOF_FAULTS[fault][1])):

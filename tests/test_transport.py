@@ -189,14 +189,14 @@ def test_wasserstein_is_metric_on_walk_measures():
 
 
 def test_transport_cost_pinned_cases():
-    # (value, plan, u). The optimum 0 -> 1, 1 -> 0 needs the first greedy
-    # unit sent back, and the last round's source distances prove it.
-    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == (3, ((0, 1, 1), (1, 0, 1)), (0, 0))
-    assert _transport_cost((3,), (1, 2), ((1, 2),)) == (5, ((0, 0, 1), (0, 1, 2)), (0,))
+    # (value, u). The optimum 0 -> 1, 1 -> 0 needs the first greedy unit
+    # sent back, and the last round's source distances prove it.
+    assert _transport_cost((1, 1), (1, 1), ((1, 2), (1, 9))) == (3, (0, 0))
+    assert _transport_cost((3,), (1, 2), ((1, 2),)) == (5, (0,))
     # the greedy fill meets every demand, no round runs: u is 0
-    assert _transport_cost((1,), (1,), ((1,),)) == (1, ((0, 0, 1),), (0,))
+    assert _transport_cost((1,), (1,), ((1,),)) == (1, (0,))
     # nothing to move, as on an edge of a complete graph at alpha = 1/n
-    assert _transport_cost((), (), ()) == (0, (), ())
+    assert _transport_cost((), (), ()) == (0, ())
 
 
 def test_transport_cost_raises_on_a_negative_cycle():
@@ -236,8 +236,7 @@ def test_transport_memo_solves_each_instance_once():
     assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
     for k in range(transport._MEMO_SIZE + 100):
-        assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == \
-            (k + 1, ((0, 0, k + 1),), (0,))
+        assert _transport_cost((k + 1,), (k + 1,), ((1,),)) == (k + 1, (0,))
     assert _transport_cost.cache_info().currsize == transport._MEMO_SIZE
     _transport_cost.cache_clear()
 
@@ -278,7 +277,9 @@ def test_transport_cost_matches_token_brute_force():
     # Three kinds of table: least entry 0, no entry below 2, and cheap cells
     # that tempt the fill where the optimum must send some of it back
     # through a backward arc. On every instance the returned potentials u,
-    # with w[j] = min_i (u[i] + cost[i][j]), must prove the plan.
+    # with w[j] = min_i (u[i] + cost[i][j]), must prove the value. That the
+    # value is the cost of a feasible flow is checked inside every solve, by
+    # transport._certify, which returns that cost as the value.
     rng = random.Random(53)
     undone = 0
     for kind, entries in (("least-zero", [0, 1, 2, 3, 4]),
@@ -292,20 +293,9 @@ def test_transport_cost_matches_token_brute_force():
             if kind == "least-zero":
                 cost[rng.randrange(len(supply))][rng.randrange(len(demand))] = 0
             expected = brute_transport_cost(supply, demand, cost)
-            value, plan, u = _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost)))
+            value, u = _transport_cost(tuple(supply), tuple(demand), tuple(map(tuple, cost)))
             assert value == expected, (kind, supply, demand, cost)
-            # the plan is feasible and costs the value; w - u <= cost holds
-            # on every cell by w's definition, with equality on the plan's
-            # cells, and the potentials' dual value is the value
-            sent, taken = [0] * len(supply), [0] * len(demand)
-            for i, j, units in plan:
-                assert units > 0
-                sent[i] += units
-                taken[j] += units
-            assert (sent, taken) == (supply, demand), (supply, demand, plan)
-            assert sum(units * cost[i][j] for i, j, units in plan) == value
             w = [min(ui + row[j] for ui, row in zip(u, cost)) for j in range(len(demand))]
-            assert all(w[j] - u[i] == cost[i][j] for i, j, _ in plan), (cost, plan, u, w)
             dual = sum(wj * dj for wj, dj in zip(w, demand)) - sum(
                 ui * si for ui, si in zip(u, supply))
             assert dual == value, (supply, demand, cost, u, w)

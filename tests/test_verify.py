@@ -138,12 +138,13 @@ def test_edge_properties_checks_the_first_idleness_piece(monkeypatch):
 
 @pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
 def test_corrupted_solve_fails_the_idleness_proof(monkeypatch, fault):
-    # a corrupted plan cell, negative cell, solver value or potential is
+    # a corrupted flow cell, negative cell, 2 x 2 exchange or potential is
     # refused by the certificate check of the first solve it changes, so
     # each edge, equal-degree or not, has one Failure and no other: in
     # edge_record's guard, or, where a lowered potential still proves both
-    # of edge_record's values (edge (0, 4) of cycle(5)), in the idleness
-    # construction's
+    # of edge_record's values (edge (0, 4) of cycle(5)) or no exchange
+    # changes the cost of their instances (every edge of K(2, 3)), in the
+    # idleness construction's
     corpus = [("petersen", petersen()), ("cycle(5)", cycle(5)),
               ("complete_bipartite(2,3)", complete_bipartite(2, 3))]
     corrupt_proof_input(monkeypatch, fault)
