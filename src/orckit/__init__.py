@@ -5,20 +5,18 @@ from .curvature import (ConsistencyError, EdgeCurvatureRecord, LocalStructure,
                         is_bone_idle, is_bone_idle_edge, is_ricci_flat, is_zero_ricci_flat,
                         kappa_alpha, kappa_lly, kappa_lly_assignment, kappa_zero,
                         kappa_zero_assignment, local_structure)
-from .graphs import (Graph, INFINITY, ball, cartesian_product, common_neighbors,
-                     diameter, distance, girth, is_connected, is_regular,
-                     min_degree, sphere)
-from .transport import mu_alpha, optimal_pair_support, wasserstein1
+from .graphs import (Graph, INFINITY, cartesian_product, diameter, girth, is_connected,
+                     is_regular, min_degree)
+from .transport import mu_alpha, wasserstein1
 
 __all__ = [
     "ConsistencyError", "EdgeCurvatureRecord", "Graph", "INFINITY",
-    "LocalStructure", "PiecewiseLinearFn", "ball", "cartesian_product",
-    "common_neighbors", "curvature_profile", "diameter", "distance", "girth",
-    "idleness_function", "is_bone_idle", "is_bone_idle_edge", "is_connected",
-    "is_regular", "is_ricci_flat", "is_zero_ricci_flat", "kappa_alpha",
-    "kappa_lly", "kappa_lly_assignment", "kappa_zero", "kappa_zero_assignment",
-    "local_structure", "min_degree", "mu_alpha", "optimal_pair_support",
-    "sphere", "wasserstein1",
+    "LocalStructure", "PiecewiseLinearFn", "cartesian_product",
+    "curvature_profile", "diameter", "girth", "idleness_function",
+    "is_bone_idle", "is_bone_idle_edge", "is_connected", "is_regular",
+    "is_ricci_flat", "is_zero_ricci_flat", "kappa_alpha", "kappa_lly",
+    "kappa_lly_assignment", "kappa_zero", "kappa_zero_assignment",
+    "local_structure", "min_degree", "mu_alpha", "wasserstein1",
 ]
 
 __version__ = "0.1.0"

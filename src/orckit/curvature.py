@@ -187,12 +187,6 @@ def assignment_instance(g: Graph, x: int, y: int):
     return list(inst.left), list(inst.right), [list(row) for row in inst.cost]
 
 
-def zero_assignment_instance(g: Graph, x: int, y: int):
-    """Moving sets S1(x)\\S1(y) and S1(y)\\S1(x) (these include y and x)."""
-    inst = _edge(g, x, y).zero_instance
-    return list(inst.left), list(inst.right), [list(row) for row in inst.cost]
-
-
 def kappa_lly_assignment(g: Graph, x: int, y: int) -> Fraction:
     """Assignment route for kappa, valid on equal-degree edges only:
     kappa = (d + 1 - C*)/d with C* the optimal assignment cost between

@@ -1,9 +1,10 @@
 """Immutable finite simple graphs and their metric queries.
 
 Vertices are dense integer indices 0..n-1; any external labelling belongs
-to the I/O layer. Distances, spheres, balls, girth and diameter are all
-derived from breadth-first search. Values that would be infinite (no path,
-no cycle) are reported as the INFINITY sentinel.
+to the I/O layer. The BFS distances from a vertex (distances_from), the
+girth and the diameter are all derived from breadth-first search. Values
+that would be infinite (no path, no cycle) are reported as the INFINITY
+sentinel.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class Graph:
         self.check_vertex(v)
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
@@ -105,38 +102,6 @@ def distances_from(g: Graph, source: int, cap: Optional[int] = None) -> list:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
-
-
-def distance(g: Graph, u: int, v: int, cap: Optional[int] = None):
-    """Shortest-path hop count between u and v; INFINITY when disconnected
-    or farther than the optional cap; distances_from checks u."""
-    g.check_vertex(v)
-    return distances_from(g, u, cap)[v]
-
-
-def sphere(g: Graph, x: int, r: int) -> set[int]:
-    """The set of vertices at hop distance exactly r from x."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    dist = distances_from(g, x, cap=r)
-    return {v for v, d in enumerate(dist) if d == r}
-
-
-def ball(g: Graph, x: int, r: int) -> set[int]:
-    """The set of vertices at hop distance at most r from x."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    dist = distances_from(g, x, cap=r)
-    return {v for v, d in enumerate(dist) if d is not INFINITY and d <= r}
-
-
-def common_neighbors(g: Graph, x: int, y: int) -> set[int]:
-    """Vertices adjacent to both x and y."""
-    g.check_vertex(x)
-    g.check_vertex(y)
-    if x == y:
-        raise ValueError("common_neighbors requires two distinct vertices")
-    return set(g.adj[x]).intersection(g.adj[y])
 
 
 def min_degree(g: Graph) -> int:

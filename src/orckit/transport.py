@@ -14,8 +14,10 @@ LRU cache over its own arguments, so callers pass the instance as tuples,
 and the _MEMO_SIZE most recently used instances are kept with their
 proven answers. An instance met again, as in the thousands of small
 graphs of an exhaustive suite, is solved and checked once.
-The assignment route (_hungarian) is never memoized: it is the
-independent check on the transport route, so every equal-degree edge
+The assignment route is the Hungarian solve (_hungarian), whose
+potentials also give the optimal-pair support (_support); curvature's
+assignment instances are its only callers. It is never memoized: it is
+the independent check on the transport route, so every equal-degree edge
 runs its own Hungarian solves.
 """
 
@@ -230,23 +232,13 @@ def _certify(supply: tuple[int, ...], demand: tuple[int, ...], cost: CostTable,
     raise ConsistencyError(f"transport certificate: {why}; supplies {supply}, demands {demand}")
 
 
-def _check_square(cost: CostMatrix) -> int:
-    k = len(cost)
-    for row in cost:
-        if len(row) != k:
-            raise ValueError("cost matrix must be square")
-        for c in row:
-            if not isinstance(c, int) or c < 0:
-                raise ValueError("cost entries must be non-negative integers")
-    return k
-
-
 def _hungarian(cost: CostMatrix) -> tuple[int, list[int], list[int], list[int]]:
     """Hungarian algorithm with row/column potentials, exact on integer
     costs. Returns (optimum, row_of, u, v): row_of[j] is the row matched to
     column j, and the potentials satisfy cost[i][j] >= u[i] + v[j]
     everywhere, with equality on matched pairs, so sum(u) + sum(v) is the
-    optimum too. The matrix is assumed square (see _check_square)."""
+    optimum too. The matrix is assumed square: curvature solves only the
+    assignment instances of equal-degree edges."""
     k = len(cost)
     u = [0] * (k + 1)
     v = [0] * (k + 1)
@@ -289,16 +281,10 @@ def _hungarian(cost: CostMatrix) -> tuple[int, list[int], list[int], list[int]]:
     return sum(cost[i][j] for j, i in enumerate(row_of)), row_of, u[1:], v[1:]
 
 
-def assignment_cost(cost: CostMatrix) -> int:
-    """Minimum total cost of a perfect matching (Hungarian algorithm with
-    row/column potentials; exact on integer costs)."""
-    _check_square(cost)
-    return _hungarian(cost)[0]
-
-
-def optimal_pair_support(cost: CostMatrix) -> set[tuple[int, int]]:
-    """All pairs (i, j) used by at least one optimal assignment, from one
-    Hungarian solve.
+def _support(cost: CostMatrix, row_of: list[int], u: list[int],
+             v: list[int]) -> set[tuple[int, int]]:
+    """All pairs (i, j) used by at least one optimal assignment, from the
+    matching and potentials of one Hungarian solve.
 
     By complementary slackness, the optimal assignments are exactly the
     perfect matchings of the tight pairs, those with cost[i][j] equal to
@@ -309,13 +295,6 @@ def optimal_pair_support(cost: CostMatrix) -> set[tuple[int, int]]:
     matched pair. That is one search per column, O(k^3) in all, with no
     further solves.
     """
-    _check_square(cost)
-    return _support(cost, *_hungarian(cost)[1:])
-
-
-def _support(cost: CostMatrix, row_of: list[int], u: list[int],
-             v: list[int]) -> set[tuple[int, int]]:
-    """optimal_pair_support from the matching and potentials of a solve."""
     k = len(cost)
     tight = [[j for j in range(k) if cost[i][j] == u[i] + v[j]] for i in range(k)]
     support = set()

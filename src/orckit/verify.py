@@ -332,7 +332,8 @@ def check_edge_properties(corpus) -> VerificationReport:
     route agreement and the gap formula, which the one curvature.edge_record per edge (the record
     `orckit curvature` prints) checks by raising; the upper curvature
     bound, the sufficient condition for equality, the assignment identity
-    2*N1 + N2 = 3k - C*, the idleness function's shape (its first piece
+    2*N1 + N2 = 3k - C* (for k <= 5 on every permutation of least cost,
+    which must be C*), the idleness function's shape (its first piece
     reaching 1/(lcm(d_x, d_y) + 1), arXiv:1704.04398, its last piece of
     slope -kappa from 1/(max(d_x, d_y) + 1) on), and the diameter bound on
     positively curved graphs. curvature.idleness_function proves the
@@ -366,9 +367,11 @@ def check_edge_properties(corpus) -> VerificationReport:
                     report.check(label, edge, "bone-idle-local", k == 0 and k0 == 0, ls.bone_idle)
                     if ls.k <= 5:
                         cost = curvature.assignment_instance(g, x, y)[2]
-                        for perm in permutations(range(ls.k)):
-                            dists = [cost[i][perm[i]] for i in range(ls.k)]
-                            if sum(dists) == ls.optimal_cost:
+                        perms = [[cost[i][j] for i, j in enumerate(p)] for p in permutations(range(ls.k))]
+                        best = min(map(sum, perms))
+                        report.check(label, edge, "assignment-identity", best, ls.optimal_cost)
+                        for dists in perms:
+                            if sum(dists) == best:
                                 report.check(label, edge, "assignment-identity", ls.two_n1_plus_n2,
                                              2 * dists.count(1) + dists.count(2))
                 if local.failed:

@@ -70,7 +70,7 @@ def forced_cost(cost, i, j) -> int:
     """Cheapest perfect matching that maps row i to column j: cost[i][j]
     plus the optimum of the minor without row i and column j."""
     minor = [[c for col, c in enumerate(r) if col != j] for row, r in enumerate(cost) if row != i]
-    return cost[i][j] + transport.assignment_cost(minor)
+    return cost[i][j] + transport._hungarian(minor)[0]
 
 
 def brute_wasserstein1(g: Graph, mu, nu, max_tokens: int = 8) -> Fraction:

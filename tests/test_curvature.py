@@ -12,8 +12,7 @@ from orckit.curvature import (ConsistencyError, assignment_instance, curvature_p
                               edge_record, idleness_function, is_bone_idle,
                               is_bone_idle_edge, is_ricci_flat, is_zero_ricci_flat,
                               kappa_alpha, kappa_lly, kappa_lly_assignment, kappa_zero,
-                              kappa_zero_assignment, local_structure,
-                              zero_assignment_instance)
+                              kappa_zero_assignment, local_structure)
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle,
                              dodecahedral, hypercube, icosidodecahedron, near_cocktail,
                              path, petersen, random_regular, star, torus_grid)
@@ -110,7 +109,8 @@ def test_petersen_kappa_zero_by_brute_force_bijections():
     # independent oracle: enumerate all bijections on the explicit 3x3 instance
     p = petersen()
     x, y = p.edges()[0]
-    left, right, cost = zero_assignment_instance(p, x, y)
+    zero = curvature._edge(p, x, y).zero_instance
+    left, right, cost = zero.left, zero.right, zero.cost
     assert len(left) == len(right) == 3
     best = min(sum(cost[i][perm[i]] for i in range(3)) for perm in permutations(range(3)))
     assert F(3 - best, 3) == F(-1, 3)
@@ -209,9 +209,8 @@ def test_local_structure_hypercube_matching():
     x, y = q3.edges()[0]
     assert not local_structure(q3, x, y).bone_idle and edge_record(q3, x, y).supsup != 3
     # kappa_0 = 0 via a perfect matching between the full 1-spheres
-    left, right, cost = zero_assignment_instance(q3, x, y)
-    from orckit.transport import assignment_cost
-    assert assignment_cost(cost) == len(left)  # every pair matched at distance 1
+    zero = curvature._edge(q3, x, y).zero_instance
+    assert transport._hungarian(zero.cost)[0] == len(zero.left)  # every pair at distance 1
     assert kappa_zero(q3, x, y) == 0
 
 
@@ -294,8 +293,9 @@ def test_local_distances_match_bfs_oracle():
             for a in sorted(alphas):
                 w1 = wasserstein1(g, mu_alpha(g, x, a), mu_alpha(g, y, a))
                 assert kappa_alpha(g, x, y, a) == 1 - w1, (g, x, y, a)
-            for instance in (assignment_instance, zero_assignment_instance):
-                left, right, cost = instance(g, x, y)
+            zero = curvature._edge(g, x, y).zero_instance
+            for left, right, cost in (assignment_instance(g, x, y),
+                                      (zero.left, zero.right, zero.cost)):
                 for z, row in zip(left, cost):
                     dist = distances_from(g, z)
                     assert row == [dist[w] for w in right], (g, x, y, z)
@@ -501,8 +501,8 @@ def test_support_feeds_cross_checked_gap(monkeypatch):
     # must catch it.
     g = torus_grid(6, 6)
     _, _, cost = assignment_instance(g, 0, 1)
-    exact = transport.optimal_pair_support
-    assert {cost[i][j] for i, j in exact(cost)} == {1, 3}
+    support = transport._support(cost, *transport._hungarian(cost)[1:])
+    assert {cost[i][j] for i, j in support} == {1, 3}
     assert edge_record(g, 0, 1).supsup == 3
     from_duals = transport._support
     monkeypatch.setattr(transport, "_support",
@@ -607,11 +607,13 @@ def test_edge_context_memo_keeps_edge_orientation():
     g = random_regular(12, 3, 1)
     for x, y in _equal_degree_edges(g):
         left, right, cost = assignment_instance(g, x, y)
-        zleft, zright, zcost = zero_assignment_instance(g, x, y)
+        zero = curvature._edge(g, x, y).zero_instance
+        zleft, zright, zcost = zero.left, zero.right, zero.cost
         values = (kappa_lly(g, x, y), kappa_zero(g, x, y), _gap(edge_record(g, x, y)))
         transposed = assignment_instance(g, y, x)
         assert transposed == (right, left, [list(col) for col in zip(*cost)])
-        assert zero_assignment_instance(g, y, x) == (zright, zleft, [list(c) for c in zip(*zcost)])
+        zero = curvature._edge(g, y, x).zero_instance
+        assert (zero.left, zero.right, zero.cost) == (zright, zleft, [list(c) for c in zip(*zcost)])
         assert (kappa_lly(g, y, x), kappa_zero(g, y, x), _gap(edge_record(g, y, x))) == values
     assert any(left != right for left, right, _ in
                (assignment_instance(g, x, y) for x, y in g.edges()))
@@ -655,13 +657,12 @@ def test_idleness_after_edge_record_solves_once(monkeypatch):
 
 def test_assignment_instances_are_copies():
     g = torus_grid(6, 6)
-    for instance in (assignment_instance, zero_assignment_instance):
-        left, right, cost = instance(g, 0, 1)
-        expected = (list(left), list(right), [list(row) for row in cost])
-        left.append(99)
-        right.clear()
-        cost[0][0] = 0
-        cost.append([])
-        assert instance(g, 0, 1) == expected
+    left, right, cost = assignment_instance(g, 0, 1)
+    expected = (list(left), list(right), [list(row) for row in cost])
+    left.append(99)
+    right.clear()
+    cost[0][0] = 0
+    cost.append([])
+    assert assignment_instance(g, 0, 1) == expected
     assert kappa_lly(g, 0, 1) == kappa_lly_assignment(g, 0, 1) == 0
     assert kappa_zero(g, 0, 1) == kappa_zero_assignment(g, 0, 1) == 0

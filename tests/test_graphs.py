@@ -4,9 +4,8 @@ import pytest
 
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle,
                              enumerate_graphs, path, petersen, star)
-from orckit.graphs import (Graph, INFINITY, ball, cartesian_product, common_neighbors,
-                           diameter, distance, distances_from, girth, is_connected,
-                           is_regular, min_degree, sphere)
+from orckit.graphs import (Graph, INFINITY, cartesian_product, diameter, distances_from,
+                           girth, is_connected, is_regular, min_degree)
 
 from helpers import brute_girth, oracle_graphs, to_networkx
 
@@ -25,43 +24,18 @@ def test_constructor_validates():
 
 def test_distance_examples():
     p3 = path(3)
-    assert distance(p3, 0, 2) == 2
-    assert distance(p3, 1, 1) == 0
+    assert distances_from(p3, 0)[2] == 2
+    assert distances_from(p3, 1)[1] == 0
     two_edges = Graph(4, [(0, 1), (2, 3)])
-    assert distance(two_edges, 0, 3) is INFINITY
+    assert distances_from(two_edges, 0)[3] is INFINITY
 
 
 def test_distance_cap():
     p = path(8)
-    assert distance(p, 0, 6, cap=3) is INFINITY
-    assert distance(p, 0, 4, cap=3) is INFINITY
-    assert distance(p, 0, 3, cap=3) == 3
+    d = distances_from(p, 0, cap=3)
+    assert d[6] is INFINITY and d[4] is INFINITY and d[3] == 3
     d = distances_from(p, 0, cap=2)
     assert d[:3] == [0, 1, 2] and d[3] is INFINITY
-
-
-def test_sphere_ball_examples():
-    c6 = cycle(6)
-    assert sphere(c6, 0, 3) == {3}
-    assert sphere(complete(4), 0, 1) == {1, 2, 3}
-    assert ball(c6, 0, 1) == {0, 1, 5}
-    assert sphere(c6, 0, 0) == {0}
-
-
-def test_sphere_ball_consistency():
-    for g in (petersen(), cycle(7), complete_bipartite(2, 3)):
-        for x in range(g.n):
-            for r in range(4):
-                assert len(ball(g, x, r)) == sum(len(sphere(g, x, i)) for i in range(r + 1))
-            assert len(sphere(g, x, 1)) == g.degree(x)
-
-
-def test_common_neighbors_examples():
-    assert common_neighbors(complete(4), 0, 1) == {2, 3}
-    assert common_neighbors(cycle(6), 0, 1) == set()
-    assert common_neighbors(complete_bipartite(3, 3), 0, 3) == set()
-    with pytest.raises(ValueError):
-        common_neighbors(cycle(6), 2, 2)
 
 
 def test_girth_examples():
@@ -104,8 +78,9 @@ def test_metric_properties_sampled():
     for g in (petersen(), cocktail_party(3), cycle(9)):
         for _ in range(40):
             u, v, w = (rng.randrange(g.n) for _ in range(3))
-            assert distance(g, u, v) == distance(g, v, u)
-            assert distance(g, u, w) <= distance(g, u, v) + distance(g, v, w)
+            du, dv = distances_from(g, u), distances_from(g, v)
+            assert du[v] == dv[u]
+            assert du[w] <= du[v] + dv[w]
 
 
 def test_cartesian_product_examples():

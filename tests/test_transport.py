@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 import subprocess
 import sys
@@ -10,8 +12,8 @@ import orckit
 from orckit import transport
 from orckit.families import complete, complete_bipartite, cycle, path, petersen, torus_grid
 from orckit.graphs import Graph
-from orckit.transport import (_hungarian, _transport_cost, assignment_cost, mu_alpha,
-                              optimal_pair_support, validate_measure, wasserstein1)
+from orckit.transport import (_hungarian, _support, _transport_cost, mu_alpha, validate_measure,
+                              wasserstein1)
 
 from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_transport_cost,
                      brute_wasserstein1, child_env, disjoint_union, forced_cost,
@@ -245,9 +247,35 @@ def test_public_api():
     assert [name for name in orckit.__all__ if not hasattr(orckit, name)] == []
     for gone in ("Assignment", "min_cost_assignment", "forced_assignment_cost",
                  "wasserstein1_oracle", "gap_formula", "curvature_gap", "equality_holds",
-                 "_potentials", "_scaled_supplies"):
-        assert not any(hasattr(m, gone) for m in (orckit, transport, orckit.curvature)), gone
+                 "_potentials", "_scaled_supplies", "assignment_cost", "optimal_pair_support",
+                 "_check_square", "distance", "sphere", "ball", "common_neighbors",
+                 "zero_assignment_instance"):
+        assert not any(hasattr(m, gone) for m in (orckit, transport, orckit.curvature,
+                                                  orckit.graphs)), gone
+    assert not hasattr(orckit.graphs.Graph, "neighbors")
     assert orckit.ConsistencyError is orckit.curvature.ConsistencyError is transport.ConsistencyError
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level function or class of the package is exported, or
+    # some other code of the package names it; anything else is a side door
+    # that only tests reach
+    src = pathlib.Path(orckit.__file__).parent
+    defined, named = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        if path.name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    unused = {name: module for name, module in defined.items()
+              if name not in named and name not in orckit.__all__}
+    assert unused == {}
 
 
 def _split(rng, total, parts):
@@ -323,18 +351,12 @@ def test_transport_cost_matches_linprog():
 
 
 def test_assignment_examples():
-    assert assignment_cost([]) == 0
-    assert assignment_cost([[1, 2], [2, 1]]) == 2
-    assert optimal_pair_support([[1, 2], [2, 1]]) == {(0, 0), (1, 1)}
+    assert _hungarian([])[0] == 0
+    swap = [[1, 2], [2, 1]]
+    assert _hungarian(swap)[0] == 2
+    assert _support(swap, *_hungarian(swap)[1:]) == {(0, 0), (1, 1)}
     ones = [[1] * 3 for _ in range(3)]
-    assert optimal_pair_support(ones) == {(i, j) for i in range(3) for j in range(3)}
-
-
-def test_assignment_validation():
-    with pytest.raises(ValueError):
-        assignment_cost([[1, 2]])
-    with pytest.raises(ValueError):
-        assignment_cost([[1, -2], [1, 1]])
+    assert _support(ones, *_hungarian(ones)[1:]) == {(i, j) for i in range(3) for j in range(3)}
 
 
 def test_assignment_against_brute_force():
@@ -342,9 +364,9 @@ def test_assignment_against_brute_force():
     for _ in range(300):
         k = rng.randint(0, 5)
         cost = [[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
-        assert assignment_cost(cost) == brute_assignment_optimum(cost)
+        assert _hungarian(cost)[0] == brute_assignment_optimum(cost)
         optimal = brute_optimal_permutations(cost)
-        assert optimal_pair_support(cost) == {(i, p[i]) for p in optimal for i in range(k)}
+        assert _support(cost, *_hungarian(cost)[1:]) == {(i, p[i]) for p in optimal for i in range(k)}
 
 
 def test_assignment_cost_invariant_under_permutation():
@@ -357,7 +379,7 @@ def test_assignment_cost_invariant_under_permutation():
         rng.shuffle(rows)
         rng.shuffle(cols)
         shuffled = [[cost[i][j] for j in cols] for i in rows]
-        assert assignment_cost(shuffled) == assignment_cost(cost)
+        assert _hungarian(shuffled)[0] == _hungarian(cost)[0]
 
 
 def test_forced_cost_definition():
@@ -365,8 +387,8 @@ def test_forced_cost_definition():
     for _ in range(50):
         k = rng.randint(1, 4)
         cost = [[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
-        best = assignment_cost(cost)
-        support = optimal_pair_support(cost)
+        best = _hungarian(cost)[0]
+        support = _support(cost, *_hungarian(cost)[1:])
         for i in range(k):
             for j in range(k):
                 forced = forced_cost(cost, i, j)
@@ -381,10 +403,10 @@ def test_support_matches_forced_resolves():
     for _ in range(300):
         k = rng.randint(0, 8)
         cost = [[rng.randint(0, 20) for _ in range(k)] for _ in range(k)]
-        best = assignment_cost(cost)
+        best = _hungarian(cost)[0]
         expected = {(i, j) for i in range(k) for j in range(k)
                     if forced_cost(cost, i, j) == best}
-        assert optimal_pair_support(cost) == expected, cost
+        assert _support(cost, *_hungarian(cost)[1:]) == expected, cost
 
 
 def test_hungarian_potentials_are_optimal_duals():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -9,8 +10,8 @@ import pytest
 
 from orckit import curvature, families, transport, verify
 from orckit.curvature import ConsistencyError, PiecewiseLinearFn
-from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, path, petersen,
-                             torus_grid)
+from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube, path,
+                             petersen, torus_grid)
 from orckit.formats import parse_graph6
 from orckit.verify import (VerificationReport, bone_idle_family_instances,
                            check_bone_idle_families, check_edge_properties,
@@ -134,6 +135,28 @@ def test_edge_properties_checks_the_first_idleness_piece(monkeypatch):
     monkeypatch.setattr(curvature, "idleness_function", lambda g, x, y: early)
     report = check_edge_properties(corpus)
     assert [(f.edge, f.check) for f in report.failures] == [((0, 1), "idleness-first-piece")]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_assignment_optimum_fails_the_identity(monkeypatch, delta):
+    # C* off by one, with 2*N1 + N2 moved to match, keeps the identity on
+    # every permutation of the reported cost; only the least cost over all
+    # permutations shows that the optimum is wrong
+    corpus = [("petersen", petersen()), ("cocktail_party(3)", cocktail_party(3)),
+              ("hypercube(3)", hypercube(3)), ("cycle(7)", cycle(7)),
+              ("torus_grid(6,6)", torus_grid(6, 6))]
+    exact = curvature.local_structure
+
+    def shifted(g, x, y):
+        ls = exact(g, x, y)
+        return dataclasses.replace(ls, optimal_cost=ls.optimal_cost + delta,
+                                   two_n1_plus_n2=ls.two_n1_plus_n2 - delta)
+
+    monkeypatch.setattr(curvature, "local_structure", shifted)
+    report = check_edge_properties(corpus)
+    assert {f.check for f in report.failures} == {"assignment-identity"}
+    assert {(f.graph, f.edge) for f in report.failures} == {
+        (label, edge) for label, g in corpus for edge in g.edges()}
 
 
 @pytest.mark.parametrize("fault", sorted(PROOF_FAULTS))
