@@ -101,18 +101,22 @@ def _build_family(args: argparse.Namespace) -> Graph:
 
 
 def read_graph(path: str) -> Graph:
-    """graph6 if the file's text parses as graph6, else an edge list: graph6
-    bytes are 63..126, and every edge-list line has whitespace, a digit or '#'."""
+    """graph6 if the file's bytes parse as graph6, else an edge list: graph6
+    bytes are 63..126, and every edge-list line has whitespace, a digit or '#'.
+    The graph6 parser reads the bytes in place; only an edge list is decoded."""
     with open(path, "rb") as fh:
         data = fh.read()
-    errors = []
-    for parse in (parse_graph6, parse_edge_list):
-        try:
-            return parse(data.decode("ascii"))
-        except ValueError as exc:  # a UnicodeDecodeError too: both formats are ASCII
-            errors.append(str(exc))
-    raise ValueError(f"{path} is neither graph6 ({errors[0]}) "
-                     f"nor an edge list ({errors[1]})")
+    try:
+        if not data.isascii():  # both formats are ASCII: the decode names the first other byte
+            data.decode("ascii")
+        return parse_graph6(data)
+    except ValueError as exc:  # a UnicodeDecodeError too
+        graph6_error = exc
+    try:
+        return parse_edge_list(data.decode("ascii"))
+    except ValueError as exc:
+        raise ValueError(f"{path} is neither graph6 ({graph6_error}) "
+                         f"nor an edge list ({exc})") from None
 
 
 def _emit(text: str, out: Optional[str], end: str = "") -> None:

@@ -13,8 +13,9 @@ Every quantity of an edge depends on B1(x) and B1(y) alone, where all
 distances are 1, 2 or 3 and follow from adjacency tests, so the work per
 edge does not grow with the size of the graph. Each edge's one transport
 table serves every idleness, each idleness is solved once, and each
-assignment matrix is solved once, which gives both C* and the
-optimal-pair support.
+assignment matrix gets one certified Hungarian solve, which gives C* and,
+through its potentials, supsup: the largest distance that some optimal
+assignment uses, found by a search that stops at the first hit.
 
 The idleness function alpha -> kappa_alpha is built from the dual lines of
 a few solves, one strictly inside each linear piece, and the same pass
@@ -38,7 +39,8 @@ from .transport import ConsistencyError
 
 class _Instance:
     """Moving sets of one assignment instance with their cost matrix, and
-    the matrix's one Hungarian solve (optimum, row_of, u, v) on first use."""
+    the matrix's one certified Hungarian solve (optimum, row_of, u, v) on
+    first use."""
 
     def __init__(self, g: Graph, left: list[int], right: list[int]) -> None:
         self.left, self.right, self.cost = left, right, _cost_matrix(g, left, right)
@@ -50,9 +52,8 @@ class _Instance:
     @cached_property
     def supsup(self) -> Optional[int]:
         """Largest pair distance used by some optimal assignment, read off
-        the same solve's potentials; None for the empty instance."""
-        support = transport._support(self.cost, *self.solution[1:])
-        return max((self.cost[i][j] for i, j in support), default=None)
+        the same solve's certified potentials; None for the empty instance."""
+        return transport._supsup(self.cost, *self.solution[1:])
 
 
 class _Edge:
@@ -268,7 +269,7 @@ class LocalStructure:
 
 def local_structure(g: Graph, x: int, y: int) -> LocalStructure:
     """Assignment statistics of an equal-degree edge; whether some optimal
-    assignment uses distance 3 is read off the optimal-pair support."""
+    assignment uses distance 3 is read off supsup."""
     e = _edge(g, x, y)
     d, k, c_star = e.d, len(e.instance.left), e.instance.solution[0]
     two_n1 = 3 * k - c_star

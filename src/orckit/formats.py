@@ -22,6 +22,11 @@ _G6_MAX = 258047  # 3-byte extended size header
 _QUOTE_MAX = 64  # longest input line quoted whole in an error message
 _BIT_COUNT = bytes(bin(max(b - 63, 0)).count("1") for b in range(256))  # graph6 byte -> set bits
 _DIGITS = len(str(VERTEX_LIMIT))  # a longer count or vertex is refused before int() reads it
+# per input type: the whitespace str.strip() removes (for bytes, its ASCII
+# part), a byte outside the graph6 range and the optional header
+_G6_TEXT = (re.compile(r"\s*"), re.compile("[^?-~]"), ">>graph6<<")
+_G6_BYTES = (re.compile(rb"[\t-\r\x1c- ]*"), re.compile(rb"[^?-~]"), b">>graph6<<")
+_G6_SET = re.compile(rb"[^?]")  # a body byte with a bit set: '?' is 63, no bit
 
 # most graph6 body bytes write_graph6 allocates: a body has n(n-1)/12
 # bytes whatever the edge count, so graphs within the desk-scale limits
@@ -55,39 +60,54 @@ def write_graph6(g: Graph) -> str:
     return data.decode("ascii")
 
 
-def parse_graph6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    if not s:
+def parse_graph6(text: str | bytes) -> Graph:
+    """The graph of a graph6 text, given as a str or as the ASCII bytes of a
+    file. Bytes are read in place, with no stripped or decoded copy: the
+    only body-sized buffer made is the count of each byte's set bits.
+    Leading and trailing whitespace, as str.strip() finds it, and a leading
+    ">>graph6<<" are skipped; positions in error messages count from the
+    first byte after them."""
+    space, outside, prefix = _G6_TEXT if isinstance(text, str) else _G6_BYTES
+    start = space.match(text).end()
+    if text.startswith(prefix, start):
+        start += len(prefix)
+    end = len(text)
+    bad = outside.search(text, start)  # an edge list fails here, within its first two characters
+    if bad and space.match(text, bad.start()).end() == end:  # the trailing whitespace
+        end, bad = bad.start(), None
+    if start == end:
         raise ValueError("graph6: empty input")
-    bad = re.search("[^?-~]", s)  # an edge list fails here, within its first two characters
     if bad:
-        raise ValueError(f"graph6: byte {ord(bad.group())} at position {bad.start()} "
+        raise ValueError(f"graph6: byte {ord(bad.group())} at position {bad.start() - start} "
                          "outside 63..126")
-    data = s.encode("ascii")
-    if data[0] == 126:  # '~': extended size
-        if len(data) < 4:
-            raise ValueError("graph6: truncated extended size header")
-        if data[1] == 126:
-            raise ValueError("graph6: 8-byte sizes not supported")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        at = 4  # where the body starts
+    if isinstance(text, str):  # only bytes are read in place
+        data, start, end = text[start:end].encode("ascii"), 0, end - start
     else:
-        n = data[0] - 63
-        at = 1
+        data = text
+    if data[start] == 126:  # '~': extended size
+        if end - start < 4:
+            raise ValueError("graph6: truncated extended size header")
+        if data[start + 1] == 126:
+            raise ValueError("graph6: 8-byte sizes not supported")
+        n = ((data[start + 1] - 63) << 12) | ((data[start + 2] - 63) << 6) | (data[start + 3] - 63)
+        at = start + 4  # where the body starts
+    else:
+        n = data[start] - 63
+        at = start + 1
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(data) - at != need:
-        raise ValueError(f"graph6: n={n} needs {need} body bytes, got {len(data) - at}")
-    if need and (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
-        raise ValueError(f"graph6: nonzero padding bit at byte {at + need - 1}")
+    if end - at != need:
+        raise ValueError(f"graph6: n={n} needs {need} body bytes, got {end - at}")
+    if need and (data[end - 1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise ValueError(f"graph6: nonzero padding bit at byte {end - 1 - start}")
     # the edge count is the number of set body bits: refuse an oversized
     # graph before its edge list is built
     counts = data.translate(_BIT_COUNT)  # each byte replaced by its number of set bits
-    check_size("graph6", n, sum(k * counts.count(k, at) for k in range(1, 7)))
+    m = sum(k * counts.count(k, at, end) for k in range(1, 7))
+    del counts  # a body-sized buffer, not kept while the edges are built
+    check_size("graph6", n, m)
     edges = []
-    for byte in re.compile(rb"[^?]").finditer(data, at):  # '?' is a body byte with no bit set
+    for byte in _G6_SET.finditer(data, at, end):
         t, v = byte.start(), ord(byte[0]) - 63
         while v:  # set bits only, most significant first
             top = v.bit_length() - 1

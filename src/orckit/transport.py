@@ -14,11 +14,19 @@ LRU cache over its own arguments, so callers pass the instance as tuples,
 and the _MEMO_SIZE most recently used instances are kept with their
 proven answers. An instance met again, as in the thousands of small
 graphs of an exhaustive suite, is solved and checked once.
-The assignment route is the Hungarian solve (_hungarian), whose
-potentials also give the optimal-pair support (_support); curvature's
-assignment instances are its only callers. It is never memoized: it is
-the independent check on the transport route, so every equal-degree edge
-runs its own Hungarian solves.
+The assignment route is the Hungarian solve (_hungarian). It starts warm,
+from row-minimum potentials and a greedy matching of tight cells, and
+augments only the rows that leaves unmatched, so a matrix that is nearly
+all tight, as dense graphs give, costs about k^2 instead of k^3. Each
+solve returns through _certify_assignment, which checks that its matching
+is a permutation and its potentials feasible, tight on the matching and of
+the optimum's value. From those potentials, _supsup finds the largest cost
+that some optimal assignment uses: it starts from the largest matched cost
+and searches only the tight pairs of higher cost, highest first, stopping
+at the first that lies on an optimal assignment. curvature's assignment
+instances are the only callers. Neither is memoized: the assignment route
+is the independent check on the transport route, so every equal-degree
+edge runs its own Hungarian solves.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import functools
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from operator import sub
+from typing import Optional
 
 from .graphs import Graph, INFINITY, distances_from
 
@@ -237,14 +247,32 @@ def _hungarian(cost: CostMatrix) -> tuple[int, list[int], list[int], list[int]]:
     costs. Returns (optimum, row_of, u, v): row_of[j] is the row matched to
     column j, and the potentials satisfy cost[i][j] >= u[i] + v[j]
     everywhere, with equality on matched pairs, so sum(u) + sum(v) is the
-    optimum too. The matrix is assumed square: curvature solves only the
-    assignment instances of equal-degree edges."""
+    optimum too; _certify_assignment checks all of that before the solve
+    returns. The matrix is assumed square: curvature solves only the
+    assignment instances of equal-degree edges.
+
+    Warm start: u[i] is row i's minimum and v is 0, which is feasible, and
+    each row in turn takes the first free column where its cost is u[i], a
+    tight cell. The augmentation loop keeps the potentials feasible and
+    tight on the matching, and runs only for the rows left unmatched. Where
+    nearly every cell is tight, as on dense graphs, few rows are left, and
+    the solve costs about k^2 instead of k^3.
+    """
     k = len(cost)
-    u = [0] * (k + 1)
+    u = [0, *map(min, cost)]  # 1-based, as are v, match and way
     v = [0] * (k + 1)
-    match = [0] * (k + 1)  # match[j] = row assigned to column j (1-based)
+    match = [0] * (k + 1)  # match[j] = row assigned to column j, 0 while it is free
     way = [0] * (k + 1)
+    free = []  # the rows the warm start leaves unmatched
     for i in range(1, k + 1):
+        row, ui = cost[i - 1], u[i]
+        for j in range(1, k + 1):
+            if not match[j] and row[j - 1] == ui:
+                match[j] = i
+                break
+        else:
+            free.append(i)
+    for i in free:
         match[0] = i
         j0 = 0
         minv = [_INT_INF] * (k + 1)
@@ -278,33 +306,72 @@ def _hungarian(cost: CostMatrix) -> tuple[int, list[int], list[int], list[int]]:
             match[j0] = match[j1]
             j0 = j1
     row_of = [r - 1 for r in match[1:]]
-    return sum(cost[i][j] for j, i in enumerate(row_of)), row_of, u[1:], v[1:]
+    return _certify_assignment(cost, sum(cost[i][j] for j, i in enumerate(row_of)), row_of,
+                               u[1:], v[1:])
 
 
-def _support(cost: CostMatrix, row_of: list[int], u: list[int],
-             v: list[int]) -> set[tuple[int, int]]:
-    """All pairs (i, j) used by at least one optimal assignment, from the
-    matching and potentials of one Hungarian solve.
+def _certify_assignment(cost: CostMatrix, optimum: int, row_of: list[int], u: list[int],
+                        v: list[int]) -> tuple[int, list[int], list[int], list[int]]:
+    """(optimum, row_of, u, v) as given, if row_of is a permutation of the
+    rows, cost[i][j] >= u[i] + v[j] on every cell with equality on the
+    matched cells (row_of[j], j), and sum(u) + sum(v) is the optimum. The
+    matching then costs sum(u) + sum(v), which by weak LP duality no
+    assignment undercuts: it is optimal, and the potentials are optimal
+    duals, which _supsup relies on. Otherwise ConsistencyError naming the
+    fact that fails. O(k^2), the size of the matrix."""
+    k = len(cost)
+    if sorted(row_of) != list(range(k)):
+        why = f"row_of {row_of} is not a permutation of the {k} rows"
+    elif len(u) != k or len(v) != k:
+        why = f"u has {len(u)} and v {len(v)} entries, not {k}"
+    elif low := [(i, j) for i, row in enumerate(cost) if min(map(sub, row, v)) < u[i]
+                 for j, c in enumerate(row) if c < u[i] + v[j]]:
+        why = f"cell {low[0]} costs less than u[i] + v[j]"
+    elif loose := [(i, j) for j, i in enumerate(row_of) if cost[i][j] != u[i] + v[j]]:
+        why = f"matched cell {loose[0]} is not tight"
+    elif (value := sum(u) + sum(v)) != optimum:
+        why = f"the potentials' value {value} is not the optimum {optimum}"
+    else:
+        return optimum, row_of, u, v
+    raise ConsistencyError(f"assignment certificate: {why}; {k}x{k} matrix")
+
+
+def _supsup(cost: CostMatrix, row_of: list[int], u: list[int], v: list[int]) -> Optional[int]:
+    """The largest cost of a pair used by some optimal assignment, from the
+    matching and certified potentials of one Hungarian solve; None for the
+    empty matrix.
 
     By complementary slackness, the optimal assignments are exactly the
     perfect matchings of the tight pairs, those with cost[i][j] equal to
-    u[i] + v[j] under the final potentials. Any two perfect matchings
-    differ by alternating cycles, so a tight pair (i, j) lies in one iff
-    row i can be reached from row_of[j] in zero or more steps, each from a
-    row r along a tight pair (r, c) to row_of[c]; zero steps give the
-    matched pair. That is one search per column, O(k^3) in all, with no
-    further solves.
+    u[i] + v[j]. Any two perfect matchings differ by alternating cycles, so
+    a tight pair (i, j) lies in one iff row i can be reached from row_of[j]
+    in zero or more steps, each from a row r along a tight pair (r, c) to
+    row_of[c]; zero steps give the matched pairs. So the answer is at least
+    the largest matched cost, and only the tight pairs of higher cost are
+    tested, highest first: the first one reached is the answer. Each
+    column's reachable rows are searched at most once, so the search costs
+    O(k^2) where no such pair is tight and O(k^3) at worst.
     """
-    k = len(cost)
-    tight = [[j for j in range(k) if cost[i][j] == u[i] + v[j]] for i in range(k)]
-    support = set()
-    for j in range(k):
-        seen = {row_of[j]}
-        stack = [row_of[j]]
-        while stack:
-            for c in tight[stack.pop()]:
-                if row_of[c] not in seen:
-                    seen.add(row_of[c])
-                    stack.append(row_of[c])
-        support.update((i, j) for i in seen if cost[i][j] == u[i] + v[j])
-    return support
+    if not row_of:
+        return None
+    best = max(cost[i][j] for j, i in enumerate(row_of))
+    higher = sorted(((c, i, j) for i, (row, ui) in enumerate(zip(cost, u)) if max(row) > best
+                     for j, (c, vj) in enumerate(zip(row, v)) if c > best and c == ui + vj),
+                    reverse=True)
+    if not higher:
+        return best
+    tight = [[j for j, (c, vj) in enumerate(zip(row, v)) if c == ui + vj]
+             for row, ui in zip(cost, u)]
+    reach: dict[int, set[int]] = {}  # column j -> the rows reachable from row_of[j]
+    for c, i, j in higher:
+        if j not in reach:
+            seen = reach[j] = {row_of[j]}
+            stack = [row_of[j]]
+            while stack:
+                for col in tight[stack.pop()]:
+                    if row_of[col] not in seen:
+                        seen.add(row_of[col])
+                        stack.append(row_of[col])
+        if i in reach[j]:
+            return c
+    return best

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles, random instance builders and two fault
+"""Shared brute-force oracles, random instance builders and three fault
 injectors for the tests.
 
 The oracles are deliberately independent of the library's own
@@ -306,6 +306,55 @@ def corrupt_proof_input(monkeypatch, fault: str) -> None:
         supply, demand, cost, *corrupt((supply, demand, cost), list(cells), u)))
     monkeypatch.setattr(transport, "_transport_cost", functools.lru_cache(
         maxsize=transport._MEMO_SIZE)(transport._transport_cost.__wrapped__))
+    monkeypatch.setattr(curvature, "_last", None)
+
+
+def _raised_potential(cost, optimum, row_of, u, v):
+    """The first row's potential one higher: its matched cell is no longer
+    feasible."""
+    if not u:
+        return optimum, row_of, u, v
+    return optimum, row_of, [u[0] + 1, *u[1:]], v
+
+
+def _swapped_match(cost, optimum, row_of, u, v):
+    """The rows of the first two columns whose exchange leaves a matched
+    cell that is not tight, exchanged: row_of stays a permutation."""
+    for j, l in combinations(range(len(row_of)), 2):
+        i, k = row_of[j], row_of[l]
+        if cost[k][j] != u[k] + v[j] or cost[i][l] != u[i] + v[l]:
+            swapped = list(row_of)
+            swapped[j], swapped[l] = k, i
+            return optimum, swapped, u, v
+    return optimum, row_of, u, v
+
+
+def _wrong_optimum(cost, optimum, row_of, u, v):
+    """The optimum one too high; the matching and potentials stay exact."""
+    return optimum + 1, row_of, u, v
+
+
+# fault -> (what the corruption makes of a Hungarian solve's (optimum,
+# row_of, u, v), the start of the fact that transport._certify_assignment
+# then finds broken)
+ASSIGNMENT_FAULTS = {
+    "potential": (_raised_potential, "cell "),
+    "swapped match": (_swapped_match, "matched cell "),
+    "optimum": (_wrong_optimum, "the potentials' value "),
+}
+
+
+def corrupt_assignment_input(monkeypatch, fault: str) -> None:
+    """Corrupt every Hungarian solve as ASSIGNMENT_FAULTS names it, in what
+    transport._certify_assignment checks, so it reaches the solve's own
+    certificate before any caller. The per-edge context starts empty, so no
+    solve made before is read back; monkeypatch restores it. A solve passes
+    the check where the fault changes nothing (no potential to raise, no
+    exchange that leaves a cell loose)."""
+    corrupt = ASSIGNMENT_FAULTS[fault][0]
+    exact = transport._certify_assignment
+    monkeypatch.setattr(transport, "_certify_assignment",
+                        lambda cost, *solve: exact(cost, *corrupt(cost, *solve)))
     monkeypatch.setattr(curvature, "_last", None)
 
 

@@ -16,7 +16,7 @@ from orckit.curvature import kappa_lly, kappa_zero
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle,
                              dodecahedral, hypercube, near_cocktail, petersen)
 from orckit.graphs import cartesian_product
-from orckit.transport import _hungarian, _support, wasserstein1
+from orckit.transport import _hungarian, _supsup, wasserstein1
 from orckit.verify import (check_bone_idle_families, check_edge_properties,
                            check_main_theorem, check_no_cubic_bone_idle,
                            check_product_formula, default_corpus)
@@ -134,8 +134,8 @@ def test_criterion_7_oracle_equivalence():
             cost = [[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
             assert _hungarian(cost)[0] == brute_assignment_optimum(cost)
             optimal = brute_optimal_permutations(cost)
-            assert _support(cost, *_hungarian(cost)[1:]) == {(i, p[i]) for p in optimal
-                                                             for i in range(k)}
+            assert _supsup(cost, *_hungarian(cost)[1:]) == max(
+                (cost[i][p[i]] for p in optimal for i in range(k)), default=None)
 
 
 def test_criterion_8_idleness_structure(edge_report):
@@ -162,17 +162,16 @@ def test_edge_report_bytes(edge_report):
 
 
 def test_criterion_7b_assignment_identity_brute():
-    # part of criterion 7's brute-force family: the optimal-pair support
-    # (_support) agrees with full enumeration on dense checks
-    with criterion("7b", "forced-pair support equals enumeration on k <= 4 grids"):
+    # part of criterion 7's brute-force family: the largest cost in the
+    # optimal-pair support (_supsup) agrees with full enumeration of the
+    # forced assignments on dense checks
+    with criterion("7b", "supsup equals the forced-pair support's largest cost on k <= 4 grids"):
         rng = random.Random(4711)
         for _ in range(120):
             k = rng.randint(1, 4)
             cost = [[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
-            support = _support(cost, *_hungarian(cost)[1:])
             best = brute_assignment_optimum(cost)
-            for i in range(k):
-                for j in range(k):
-                    forced = min(sum(cost[r][p[r]] for r in range(k))
-                                 for p in permutations(range(k)) if p[i] == j)
-                    assert ((i, j) in support) == (forced == best)
+            used = [cost[i][j] for i in range(k) for j in range(k)
+                    if min(sum(cost[r][p[r]] for r in range(k))
+                           for p in permutations(range(k)) if p[i] == j) == best]
+            assert _supsup(cost, *_hungarian(cost)[1:]) == max(used)

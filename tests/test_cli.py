@@ -13,7 +13,8 @@ import pytest
 
 from orckit import cli, families, formats, graphs
 from orckit.cli import decimal_str, main, rational_str, read_graph
-from orckit.families import bi_antiprism, complete, complete_bipartite, cycle, petersen
+from orckit.families import (bi_antiprism, complete, complete_bipartite, cycle, petersen,
+                             torus_grid)
 from orckit.formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from orckit.graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph
 
@@ -561,6 +562,27 @@ def test_gen_graph6_holds_at_most_two_bodies(tmp_path):
     edgelist_peak, _ = peak_rss("edgelist")
     assert size == 4 + body + 1  # '~' and three size bytes, then the body and a newline
     assert graph6_peak - edgelist_peak < 2.5 * body, (graph6_peak, edgelist_peak)
+
+
+def test_read_graph6_holds_at_most_two_bodies(tmp_path):
+    # the 100x100 torus's graph6 body is 8,332,500 bytes. read_graph holds
+    # the file's bytes and, until the edge count is checked, the count of
+    # each byte's set bits: two bodies, and less once the edges are built.
+    # A decoded or stripped copy would add a third. Each peak is a child's,
+    # from os.wait4, against a child that only imports the CLI.
+    path = tmp_path / "t.g6"
+    path.write_text(write_graph6(torus_grid(100, 100)) + "\n")
+
+    def peak_rss(code):
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-c", code, str(path)], child_env())
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0, code
+        return usage.ru_maxrss * 1024
+
+    body = 10_000 * 9_999 // 12
+    read = peak_rss("import sys, orckit.cli; orckit.cli.read_graph(sys.argv[1])")
+    imported = peak_rss("import sys, orckit.cli")
+    assert read - imported < 2.5 * body, (read, imported)
 
 
 def test_family_size_checks_use_exact_counts(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
@@ -20,7 +21,8 @@ from orckit.graphs import Graph, distances_from
 from orckit.transport import mu_alpha, wasserstein1
 from orckit.verify import check_edge_properties
 
-from helpers import (corrupt_assignment_optimum, mw_kappa, oracle_graphs, random_connected_graph,
+from helpers import (ASSIGNMENT_FAULTS, brute_optimal_permutations, corrupt_assignment_input,
+                     corrupt_assignment_optimum, mw_kappa, oracle_graphs, random_connected_graph,
                      to_networkx)
 
 
@@ -495,20 +497,33 @@ def test_curvature_runs_no_forced_resolve():
 
 
 def test_support_feeds_cross_checked_gap(monkeypatch):
-    # On this torus edge the optimal-pair support holds distance-3 and
-    # distance-1 pairs; a support that loses the distance-3 ones lowers
-    # supsup, and the gap formula's cross-check against kappa - kappa_0
-    # must catch it.
+    # On this torus edge some optimal assignment moves a vertex by distance
+    # 3, and every other pair of the optimal-pair support is at distance 1;
+    # a supsup that loses the distance-3 pairs reads 1, and the gap
+    # formula's cross-check against kappa - kappa_0 must catch it.
     g = torus_grid(6, 6)
     _, _, cost = assignment_instance(g, 0, 1)
-    support = transport._support(cost, *transport._hungarian(cost)[1:])
-    assert {cost[i][j] for i, j in support} == {1, 3}
+    assert transport._supsup(cost, *transport._hungarian(cost)[1:]) == 3
+    assert {cost[i][p[i]] for p in brute_optimal_permutations(cost) for i in range(3)} == {1, 3}
     assert edge_record(g, 0, 1).supsup == 3
-    from_duals = transport._support
-    monkeypatch.setattr(transport, "_support",
-                        lambda c, *duals: {(i, j) for i, j in from_duals(c, *duals) if c[i][j] != 3})
+    exact = transport._supsup
+    monkeypatch.setattr(transport, "_supsup", lambda c, *duals: min(exact(c, *duals), 1))
     with pytest.raises(ConsistencyError, match="gap"):
         edge_record(torus_grid(6, 6), 0, 1)  # a fresh graph: g's edge context holds supsup
+
+
+@pytest.mark.parametrize("fault", sorted(ASSIGNMENT_FAULTS))
+def test_corrupted_hungarian_solve_fails_its_certificate(monkeypatch, fault):
+    # a raised potential, a swapped match or a wrong optimum is refused by
+    # the solve's own certificate, before either route's value is compared,
+    # on every entry that reads an assignment instance. Edge (0, 1) of the
+    # 6 x 6 torus has a 3 x 3 and a 4 x 4 matrix, each with a swap that
+    # leaves a matched cell loose.
+    corrupt_assignment_input(monkeypatch, fault)
+    fact = "^assignment certificate: " + re.escape(ASSIGNMENT_FAULTS[fault][1])
+    for entry in (kappa_lly, kappa_zero, local_structure, edge_record):
+        with pytest.raises(ConsistencyError, match=fact):
+            entry(torus_grid(6, 6), 0, 1)  # a fresh graph each time: no solve is reused
 
 
 def _equal_degree_edges(g):

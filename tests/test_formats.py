@@ -55,6 +55,24 @@ def test_graph6_optional_prefix_and_whitespace():
     g = petersen()
     assert parse_graph6(">>graph6<<" + write_graph6(g)) == g
     assert parse_graph6(write_graph6(g) + "\n") == g
+    assert parse_graph6(" \x1c>>graph6<<" + write_graph6(g) + "\r\n\x1f") == g
+
+
+def test_graph6_bytes_parse_as_their_text():
+    # read_graph hands the parser a file's bytes: each gives the graph, or
+    # the error message, of the same text as a str
+    body = write_graph6(petersen())
+    for text in (body, body + "\n", "\t>>graph6<<" + body + " \x0b", "C~", "A_", "", " \n ",
+                 ">>graph6<<", ">>graph6<< C~", "C~ x", "C!", "C~~", "C", "B@", "~??", "~~???",
+                 "I??????!?", "I?\x7f", " >>graph6<<\n"):
+        try:
+            expected = parse_graph6(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                parse_graph6(text.encode("ascii"))
+            assert str(got.value) == str(exc), text
+        else:
+            assert parse_graph6(text.encode("ascii")) == expected, text
 
 
 def test_graph6_malformed():

@@ -110,6 +110,15 @@ CURVATURE = {
     },
 }
 
+# graph -> (gen arguments, digest of its `curvature` JSON): assignment
+# matrices of k = 5 and k = 8, where the graphs above reach only k <= 3
+DENSE = {
+    "hypercube-6": (["--family", "hypercube", "--n", "6"],
+                    "dbcabd0cce272beb8f71d6415de6ddfc0f8ebe7dd0786fdbca058dda1da76595"),
+    "complete-bipartite-9-9": (["--family", "complete-bipartite", "--m", "9", "--n", "9"],
+                               "2bc960439eceb3ccd6e5203f65809e11ea244d4367d83f37c2877c86748a3c3c"),
+}
+
 # suite -> digest of `verify --suite S --nmax 5 --trials 2` stdout; the
 # edge-properties suite is pinned by the acceptance tests instead
 SUITES = {
@@ -170,6 +179,16 @@ def test_curvature_and_idleness_bytes(name, tmp_path):
     code, out, _ = run_cli(["idleness", path, "--edge", GRAPHS[name][1]])
     assert code == 0
     assert sha(out) == CURVATURE[name]["idleness"]
+
+
+@pytest.mark.parametrize("name", sorted(DENSE))
+def test_dense_curvature_bytes(name, tmp_path):
+    params, digest = DENSE[name]
+    path = str(tmp_path / name)
+    assert run_cli(["gen", *params, "--out", path])[0] == 0
+    code, out, _ = run_cli(["curvature", path])
+    assert code == 0
+    assert sha(out) == digest
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

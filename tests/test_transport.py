@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,8 +13,8 @@ import orckit
 from orckit import transport
 from orckit.families import complete, complete_bipartite, cycle, path, petersen, torus_grid
 from orckit.graphs import Graph
-from orckit.transport import (_hungarian, _support, _transport_cost, mu_alpha, validate_measure,
-                              wasserstein1)
+from orckit.transport import (ConsistencyError, _certify_assignment, _hungarian, _supsup,
+                              _transport_cost, mu_alpha, validate_measure, wasserstein1)
 
 from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_transport_cost,
                      brute_wasserstein1, child_env, disjoint_union, forced_cost,
@@ -248,7 +249,7 @@ def test_public_api():
     for gone in ("Assignment", "min_cost_assignment", "forced_assignment_cost",
                  "wasserstein1_oracle", "gap_formula", "curvature_gap", "equality_holds",
                  "_potentials", "_scaled_supplies", "assignment_cost", "optimal_pair_support",
-                 "_check_square", "distance", "sphere", "ball", "common_neighbors",
+                 "_support", "_check_square", "distance", "sphere", "ball", "common_neighbors",
                  "zero_assignment_instance"):
         assert not any(hasattr(m, gone) for m in (orckit, transport, orckit.curvature,
                                                   orckit.graphs)), gone
@@ -352,11 +353,25 @@ def test_transport_cost_matches_linprog():
 
 def test_assignment_examples():
     assert _hungarian([])[0] == 0
+    assert _supsup([], *_hungarian([])[1:]) is None
     swap = [[1, 2], [2, 1]]
     assert _hungarian(swap)[0] == 2
-    assert _support(swap, *_hungarian(swap)[1:]) == {(0, 0), (1, 1)}
+    assert _supsup(swap, *_hungarian(swap)[1:]) == 1
     ones = [[1] * 3 for _ in range(3)]
-    assert _support(ones, *_hungarian(ones)[1:]) == {(i, j) for i in range(3) for j in range(3)}
+    assert _supsup(ones, *_hungarian(ones)[1:]) == 1
+    # both assignments cost 6, so every pair is in the support
+    even = [[1, 3], [3, 5]]
+    assert _hungarian(even)[0] == 6 and _supsup(even, *_hungarian(even)[1:]) == 5
+    # both assignments cost 4; the solve matches the 2s, so only the search
+    # finds the 3 of the other
+    hidden = [[2, 3], [1, 2]]
+    assert _hungarian(hidden)[:2] == (4, [0, 1]) and _supsup(hidden, *_hungarian(hidden)[1:]) == 3
+
+
+def _brute_supsup(cost):
+    """The largest cost of a pair that some optimal assignment uses, by enumeration."""
+    return max((cost[i][p[i]] for p in brute_optimal_permutations(cost) for i in range(len(cost))),
+               default=None)
 
 
 def test_assignment_against_brute_force():
@@ -365,8 +380,37 @@ def test_assignment_against_brute_force():
         k = rng.randint(0, 5)
         cost = [[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
         assert _hungarian(cost)[0] == brute_assignment_optimum(cost)
-        optimal = brute_optimal_permutations(cost)
-        assert _support(cost, *_hungarian(cost)[1:]) == {(i, p[i]) for p in optimal for i in range(k)}
+        assert _supsup(cost, *_hungarian(cost)[1:]) == _brute_supsup(cost)
+
+
+@pytest.mark.parametrize("top", [3, 9])
+def test_warm_start_and_supsup_property(top):
+    # the warm start leaves rows to the augmentation on 143 and 145 of these
+    # 250 matrices; the optimum, certified potentials and supsup must match
+    # full enumeration, at k up to 7 and costs 0..3 (curvature's) or 0..9
+    rng = random.Random(top)
+    for _ in range(250):
+        k = rng.randint(0, 7)
+        cost = [[rng.randint(0, top) for _ in range(k)] for _ in range(k)]
+        optimum, row_of, u, v = _hungarian(cost)
+        assert optimum == brute_assignment_optimum(cost) == sum(u) + sum(v), cost
+        assert sorted(row_of) == list(range(k))
+        assert all(cost[i][j] >= u[i] + v[j] for i in range(k) for j in range(k))
+        assert all(cost[i][j] == u[i] + v[j] for j, i in enumerate(row_of))
+        assert _supsup(cost, row_of, u, v) == _brute_supsup(cost), cost
+
+
+def test_assignment_certificate_names_the_broken_fact():
+    cost = [[1, 3], [3, 1]]
+    assert _hungarian(cost) == (2, [0, 1], [1, 1], [0, 0])
+    for solve, why in (((2, [0, 0], [1, 1], [0, 0]), "row_of [0, 0] is not a permutation"),
+                       ((2, [0, 1], [1], [0, 0]), "u has 1 and v 2 entries, not 2"),
+                       ((3, [0, 1], [2, 1], [0, 0]), "cell (0, 0) costs less"),
+                       ((2, [1, 0], [1, 1], [0, 0]), "matched cell (1, 0) is not tight"),
+                       ((1, [0, 1], [0, 1], [0, 0]), "matched cell (0, 0) is not tight"),
+                       ((3, [0, 1], [1, 1], [0, 0]), "the potentials' value 2 is not the optimum")):
+        with pytest.raises(ConsistencyError, match="^assignment certificate: " + re.escape(why)):
+            _certify_assignment(cost, *solve)
 
 
 def test_assignment_cost_invariant_under_permutation():
@@ -388,25 +432,28 @@ def test_forced_cost_definition():
         k = rng.randint(1, 4)
         cost = [[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
         best = _hungarian(cost)[0]
-        support = _support(cost, *_hungarian(cost)[1:])
+        used = set()  # the costs of the pairs some optimal assignment uses
         for i in range(k):
             for j in range(k):
                 forced = forced_cost(cost, i, j)
                 assert forced >= best
-                assert ((i, j) in support) == (forced == best)
+                if forced == best:
+                    used.add(cost[i][j])
+        assert _supsup(cost, *_hungarian(cost)[1:]) == max(used)
 
 
 def test_support_matches_forced_resolves():
     # the definition: (i, j) is in the support iff forcing i -> j and
-    # re-solving the minor still reaches the unforced optimum
+    # re-solving the minor still reaches the unforced optimum, and supsup
+    # is the largest cost in the support
     rng = random.Random(41)
     for _ in range(300):
         k = rng.randint(0, 8)
         cost = [[rng.randint(0, 20) for _ in range(k)] for _ in range(k)]
         best = _hungarian(cost)[0]
-        expected = {(i, j) for i in range(k) for j in range(k)
-                    if forced_cost(cost, i, j) == best}
-        assert _support(cost, *_hungarian(cost)[1:]) == expected, cost
+        expected = max((cost[i][j] for i in range(k) for j in range(k)
+                        if forced_cost(cost, i, j) == best), default=None)
+        assert _supsup(cost, *_hungarian(cost)[1:]) == expected, cost
 
 
 def test_hungarian_potentials_are_optimal_duals():
