@@ -11,11 +11,14 @@ call. Disagreement between routes raises ConsistencyError.
 
 Every quantity of an edge depends on B1(x) and B1(y) alone, where all
 distances are 1, 2 or 3 and follow from adjacency tests, so the work per
-edge does not grow with the size of the graph. Each edge's one transport
-table serves every idleness, each idleness is solved once, and each
-assignment matrix gets one certified Hungarian solve, which gives C* and,
-through its potentials, supsup: the largest distance that some optimal
-assignment uses, found by a search that stops at the first hit.
+edge does not grow with the size of the graph. An edge's context reads
+its neighbourhood once and derives from it the one transport table, which
+serves every idleness, each solved once, and both assignment matrices,
+each with one certified Hungarian solve, which gives C* and, through its
+potentials, supsup: the largest distance that some optimal assignment
+uses, found by a search that stops at the first hit. kappa, kappa_0 and
+the idleness function read the context's solves directly; kappa_alpha
+serves an idleness a caller gives.
 
 The idleness function alpha -> kappa_alpha is built from the dual lines of
 a few solves, one strictly inside each linear piece, and the same pass
@@ -57,18 +60,24 @@ class _Instance:
 
 
 class _Edge:
-    """The edge x ~ y of g, checked once, with its degrees, L = lcm(d_x, d_y)
-    and the transport instances solved so far, keyed by (p, q) for alpha =
-    p/q. The rest is computed once, on first use, so an edge pays only for
-    what its callers read: the transport table, nxy and the kappa and
-    kappa_0 assignment instances."""
+    """The edge x ~ y of g, checked once: its degrees, L = lcm(d_x, d_y),
+    the set of its common neighbours (nxy of them) and the sorted lists
+    x_only = N(x)\\N(y), holding y, and y_only = N(y)\\N(x), holding x,
+    the one read of its adjacency; and the transport instances solved so
+    far, keyed by (p, q) for alpha = p/q. The transport table and the kappa
+    and kappa_0 assignment instances are derived from those on first
+    use, so an edge pays only for what its callers read."""
 
     def __init__(self, g: Graph, x: int, y: int) -> None:
         if not g.has_edge(x, y):
             raise ValueError(f"({x}, {y}) is not an edge")
         self.g, self.x, self.y = g, x, y
-        self.dx, self.dy = len(g.adj[x]), len(g.adj[y])
+        nx, ny = set(g.adj[x]), set(g.adj[y])
+        self.dx, self.dy = len(nx), len(ny)
         self.lcm = math.lcm(self.dx, self.dy)
+        self.common = nx & ny
+        self.nxy = len(self.common)
+        self.x_only, self.y_only = sorted(nx - ny), sorted(ny - nx)
         self.solves: dict[tuple[int, int], tuple] = {}
 
     @property
@@ -77,10 +86,6 @@ class _Edge:
             raise ValueError(f"vertices {self.x} and {self.y} have unequal degrees "
                              f"{self.dx} != {self.dy}")
         return self.dx
-
-    @cached_property
-    def nxy(self) -> int:
-        return len(set(self.g.adj[self.x]).intersection(self.g.adj[self.y]))
 
     @cached_property
     def table(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], transport.CostMatrix]:
@@ -95,17 +100,15 @@ class _Edge:
         cost[i][j] is the distance between the i-th and the j-th of them.
         x and y lie in both lists, but at any one alpha no vertex both
         sends and takes."""
-        g, x, y, lcm = self.g, self.x, self.y, self.lcm
-        nx, ny = g.adj[x], g.adj[y]
+        x, y, lcm, common = self.x, self.y, self.lcm, self.common
         bx, by = lcm // self.dx, lcm // self.dy
-        sx, sy = set(nx), set(ny)  # y in N(x), x in N(y)
         # the pairs of x, y, a common neighbour, and one of N(x) or N(y) alone
-        px, py, common, only_x, only_y = (lcm, -by), (-lcm, bx), (0, bx - by), (0, bx), (0, -by)
-        send = sorted([x, *nx] if bx > by else [x, *sx.difference(sy)])
-        take = sorted([y, *ny] if by > bx else [y, *sy.difference(sx)])
-        return ([px if v == x else py if v == y else common if v in sy else only_x for v in send],
-                [py if v == y else px if v == x else common if v in sx else only_y for v in take],
-                _cost_matrix(g, send, take))
+        px, py, pc, only_x, only_y = (lcm, -by), (-lcm, bx), (0, bx - by), (0, bx), (0, -by)
+        send = sorted([x, *self.x_only, *(common if bx > by else ())])
+        take = sorted([y, *self.y_only, *(common if by > bx else ())])
+        return ([px if v == x else py if v == y else pc if v in common else only_x for v in send],
+                [py if v == y else px if v == x else pc if v in common else only_y for v in take],
+                _cost_matrix(self.g, send, take))
 
     def solved(self, p: int, q: int) -> tuple:
         """(rows, kappa, u): the solve of alpha = p/q, kept per (p, q)
@@ -132,13 +135,12 @@ class _Edge:
 
     @cached_property
     def instance(self) -> _Instance:  # S1(x)\B1(y) -> S1(y)\B1(x)
-        nx, ny = set(self.g.adj[self.x]), set(self.g.adj[self.y])
-        return _Instance(self.g, sorted(nx - ny - {self.y}), sorted(ny - nx - {self.x}))
+        return _Instance(self.g, [v for v in self.x_only if v != self.y],
+                         [v for v in self.y_only if v != self.x])
 
     @cached_property
     def zero_instance(self) -> _Instance:  # S1(x)\S1(y) -> S1(y)\S1(x), holding y and x
-        nx, ny = set(self.g.adj[self.x]), set(self.g.adj[self.y])
-        return _Instance(self.g, sorted(nx - ny), sorted(ny - nx))
+        return _Instance(self.g, self.x_only, self.y_only)
 
 
 _last: Optional[_Edge] = None
@@ -216,7 +218,7 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     route is computed as well and must agree exactly."""
     e = _edge(g, x, y)
     d = max(e.dx, e.dy)
-    k = kappa_alpha(g, x, y, Fraction(1, d + 1))
+    k = e.solved(1, d + 1)[1]
     value = Fraction(k.numerator * (d + 1), k.denominator * d)  # k / (1 - 1/(d+1))
     if e.dx == e.dy:
         _check_routes("kappa", x, y, value, kappa_lly_assignment(g, x, y))
@@ -227,7 +229,7 @@ def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
     """Curvature at idleness 0, cross-checked against the assignment route
     whenever both endpoints have the same degree."""
     e = _edge(g, x, y)
-    value = kappa_alpha(g, x, y, Fraction(0))
+    value = e.solved(0, 1)[1]
     if e.dx == e.dy:
         _check_routes("kappa_0", x, y, value, kappa_zero_assignment(g, x, y))
     return value
@@ -358,14 +360,13 @@ def _prove(e: _Edge, breakpoints, values, lines) -> None:
     alpha where the proof fails. No point of [0, 1] is left to sampling.
 
     From below: each value is the kappa_alpha that transport._certify
-    proved at its breakpoint, 0 and 1 included, and kappa_alpha is concave
+    proved at its breakpoint, 0 and 1 included, as idleness_function reads
+    it from the edge's solves, and kappa_alpha is concave
     (both measures are affine in alpha, so W1 is convex), so kappa_alpha >=
     fn. From above: each line lies on or above kappa_alpha (_dual_line) and
     meets fn at both ends of its piece, so kappa_alpha <= fn on the piece.
     """
     for k, (b, v) in enumerate(zip(breakpoints, values)):
-        if (kappa := e.solved(b.numerator, b.denominator)[1]) != v:
-            _fail(e, b, f"fn = {v}, but the certified kappa_alpha is {kappa}")
         for v0, slope in lines[max(k - 1, 0):k + 1]:
             if v0 + slope * b != v:
                 _fail(e, b, f"dual line {v0} + {slope}*alpha misses fn = {v}")
@@ -386,8 +387,8 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
     them there, c is the one inner breakpoint. Otherwise it lies below both
     at c, so c is strictly inside a middle piece, whose line is the dual
     line at c, and the breakpoints are where that line meets the other
-    two. The values are kappa_0 at 0 and kappa_alpha at the other
-    breakpoints, and _prove proves the result. Any failure raises
+    two. The values are kappa_0 at 0 and the solved kappa_alpha at the
+    other breakpoints, and _prove proves the result. Any failure raises
     ConsistencyError "idleness proof (x,y) at alpha ...".
     """
     e = _edge(g, x, y)
@@ -408,13 +409,13 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
         if _dual_line(e, a) != last:
             _fail(e, a, f"the dual line is not kappa*(1 - alpha), kappa = {kap}")
         c = meet(first, last, a)
-        if first[0] + first[1] * c == kappa_alpha(g, x, y, c):
+        if first[0] + first[1] * c == e.solved(c.numerator, c.denominator)[1]:
             bp, lines = (Fraction(0), c, Fraction(1)), [first, last]
         else:
             middle = _dual_line(e, c)
             bp = (Fraction(0), meet(first, middle, c), meet(middle, last, c), Fraction(1))
             lines = [first, middle, last]
-    values = (kappa_zero(g, x, y), *(kappa_alpha(g, x, y, b) for b in bp[1:]))
+    values = (kappa_zero(g, x, y), *(e.solved(b.numerator, b.denominator)[1] for b in bp[1:]))
     _prove(e, bp, values, lines)
     return PiecewiseLinearFn(bp, values)
 

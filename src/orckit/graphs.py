@@ -82,12 +82,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def distances_from(g: Graph, source: int, cap: Optional[int] = None) -> list:
-    """BFS hop distances from source to every vertex.
-
-    Unreached vertices (no path, or beyond the optional cap) get INFINITY.
-    The cap bounds traversal depth.
-    """
+def distances_from(g: Graph, source: int) -> list:
+    """BFS hop distances from source to every vertex; vertices with no
+    path from source get INFINITY."""
     g.check_vertex(source)
     dist: list = [INFINITY] * g.n
     dist[source] = 0
@@ -95,8 +92,6 @@ def distances_from(g: Graph, source: int, cap: Optional[int] = None) -> list:
     while queue:
         u = queue.popleft()
         du = dist[u]
-        if cap is not None and du >= cap:
-            continue
         for w in g.adj[u]:
             if dist[w] is INFINITY:
                 dist[w] = du + 1

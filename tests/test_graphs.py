@@ -30,14 +30,6 @@ def test_distance_examples():
     assert distances_from(two_edges, 0)[3] is INFINITY
 
 
-def test_distance_cap():
-    p = path(8)
-    d = distances_from(p, 0, cap=3)
-    assert d[6] is INFINITY and d[4] is INFINITY and d[3] == 3
-    d = distances_from(p, 0, cap=2)
-    assert d[:3] == [0, 1, 2] and d[3] is INFINITY
-
-
 def test_girth_examples():
     assert girth(petersen()) == 5
     assert girth(complete_bipartite(3, 3)) == 4

@@ -10,13 +10,13 @@ import pytest
 
 from orckit import curvature
 from orckit.curvature import (ConsistencyError, PiecewiseLinearFn, edge_record,
-                              idleness_function, kappa_alpha, kappa_lly)
+                              idleness_function, kappa_alpha, kappa_lly, kappa_zero)
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
                              near_cocktail, petersen, random_regular, star)
 from orckit.graphs import Graph
 from orckit.transport import mu_alpha, wasserstein1
 
-from helpers import PROOF_FAULTS, corrupt_proof_input, random_connected_graph
+from helpers import PROOF_FAULTS, corrupt_proof_input, oracle_graphs, random_connected_graph
 
 
 def test_bone_idle_edge_is_identically_zero():
@@ -90,30 +90,38 @@ TWO_PIECE = Graph(5, [(0, 3), (0, 4), (1, 4), (2, 3), (2, 4)])  # (0, 4) breaks 
 
 
 def test_wrong_shapes_raise_consistency_error(monkeypatch):
-    # kappa_alpha moved by 1/997 at one alpha the construction reads, so it
-    # must refuse the function it would build from that value
+    # one value the construction reads moved by 1/997 (kappa, kappa_0, or
+    # the value an edge's solve at 1/7 returns), so it must refuse the
+    # function it would build from that value
+    exact_solved = curvature._Edge.solved
+
+    def solved_off(e, p, q):
+        rows, kappa, u = exact_solved(e, p, q)
+        return rows, kappa + F(1, 997) * ((p, q) == (1, 7)), u
+
+    def off(exact):
+        return lambda g, x, y: exact(g, x, y) + F(1, 997)
+
     cases = [
-        # kappa, read at 1/(D+1) = 1/4, off the last dual line, solved at 5/8
-        (THREE_PIECE, (0, 2), F(1, 4),
-         r"at alpha 5/8: the dual line is not kappa\*\(1 - alpha\), kappa = 4993/5982$"),
+        # kappa off the last dual line, solved at 5/8
+        (THREE_PIECE, (0, 2), curvature, "kappa_lly", off(curvature.kappa_lly),
+         r"at alpha 5/8: the dual line is not kappa\*\(1 - alpha\), kappa = 4991/5982$"),
         # the value at c = 1/7 of a two-piece edge off its first line, so c
         # would lie inside a middle piece, but the dual line solved at the
         # corner 1/7 is the first line itself
-        (TWO_PIECE, (0, 4), F(1, 7),
+        (TWO_PIECE, (0, 4), curvature._Edge, "solved", solved_off,
          r"at alpha 1/7: the dual line 0 \+ 2\*alpha makes no concave corner inside \(0, 1\) "
          r"with 0 \+ 2\*alpha$"),
-        # a breakpoint value off the certified value of its solve
-        (THREE_PIECE, (0, 2), F(1, 7),
-         r"at alpha 1/7: fn = 3995/6979, but the certified kappa_alpha is 4/7$"),
+        # a breakpoint value off both dual lines that meet there
+        (THREE_PIECE, (0, 2), curvature._Edge, "solved", solved_off,
+         r"at alpha 1/7: dual line 1/3 \+ 5/3\*alpha misses fn = 3995/6979$"),
         # kappa_0 off, on an unequal-degree edge, which has no assignment route
-        (complete_bipartite(2, 3), (0, 2), F(0),
-         r"at alpha 0: fn = 1/997, but the certified kappa_alpha is 0$"),
+        (complete_bipartite(2, 3), (0, 2), curvature, "kappa_zero", off(curvature.kappa_zero),
+         r"at alpha 0: dual line 0 \+ 2\*alpha misses fn = 1/997$"),
     ]
-    exact = curvature.kappa_alpha
-    for g, (x, y), at, message in cases:
+    for g, (x, y), owner, name, wrong, message in cases:
         with monkeypatch.context() as m:
-            m.setattr(curvature, "kappa_alpha",
-                      lambda g, x, y, a, at=at: exact(g, x, y, a) + F(1, 997) * (a == at))
+            m.setattr(owner, name, wrong)
             with pytest.raises(ConsistencyError, match=rf"^idleness proof \({x},{y}\) {message}"):
                 idleness_function(Graph(g.n, g.edges()), x, y)  # a fresh twin: no solve kept
 
@@ -166,6 +174,18 @@ def test_random_probes_match_direct_evaluation():
                 a = F(draw.randint(1, q - 1), q)
                 assert fn.value_at(a) == kappa_alpha(g, x, y, a), (label, x, y, a)
     assert segments == {1, 2, 3}
+    # the public door agrees with the values curvature reads straight from
+    # an edge's solves: kappa, kappa_0 and each breakpoint value against
+    # kappa_alpha on a fresh twin, whose edge contexts hold none of them
+    for g in oracle_graphs():
+        twin = Graph(g.n, g.edges())
+        for x, y in g.edges():
+            fn, kappa, kappa0 = idleness_function(g, x, y), kappa_lly(g, x, y), kappa_zero(g, x, y)
+            big_d = max(g.degree(x), g.degree(y))
+            assert kappa == kappa_alpha(twin, x, y, F(1, big_d + 1)) * (big_d + 1) / big_d
+            assert kappa0 == kappa_alpha(twin, x, y, 0)
+            assert fn.values == tuple(kappa_alpha(twin, x, y, b) for b in fn.breakpoints), \
+                (g.edges(), x, y)
 
 
 def _proofs(monkeypatch) -> list:

@@ -74,7 +74,7 @@ def test_wasserstein_searches_each_source_once(monkeypatch):
     searches = []
     real = transport.distances_from
     monkeypatch.setattr(transport, "distances_from",
-                        lambda g, u, *cap: searches.append(u) or real(g, u, *cap))
+                        lambda g, u: searches.append(u) or real(g, u))
     k, torus = complete_bipartite(14, 14), torus_grid(8, 8)
     two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     for g, mu, nu, value, count in (
@@ -277,6 +277,38 @@ def test_every_public_definition_has_a_caller():
     unused = {name: module for name, module in defined.items()
               if name not in named and name not in orckit.__all__}
     assert unused == {}
+
+
+def test_src_holds_no_floats():
+    # the promise that no float enters orckit's arithmetic, as far as the
+    # source can show it: no float literal, no float(...) call and no math
+    # function but lcm and isqrt, except at the sites named here (a
+    # sentinel, a wall-clock time and an order-of-magnitude work estimate),
+    # each of which must still be there
+    allowed = {"graphs.INFINITY", "verify.VerificationReport.elapsed",
+               "families.random_regular"}
+    sites = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            scope = (*scope, *(t.id for t in targets if isinstance(t, ast.Name)))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+                or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "math" and node.attr not in ("lcm", "isqrt")
+                or isinstance(node, ast.ImportFrom) and node.module == "math"
+                and any(a.name not in ("lcm", "isqrt") for a in node.names)):
+            sites.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(pathlib.Path(orckit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert sites == allowed
 
 
 def _split(rng, total, parts):
