@@ -4,8 +4,10 @@ reconstruct idleness functions, and run verification suites.
 Exit codes: 0 success or all suites passed, 1 verification failure,
 2 usage or input parse error. All machine output is deterministic for
 identical inputs and flags; rationals are emitted as reduced "p/q"
-strings, never floats. RICCI_THREADS > 1 fans per-edge curvature work out
-to worker processes; output order stays canonical either way.
+strings, never floats. RICCI_THREADS > 1 splits the edges of `curvature`
+into shares, at most one per CPU this process may run on: the process
+computes one share itself and forks a child for each other share. Rows
+and errors are those of a serial run, in the same order.
 """
 
 from __future__ import annotations
@@ -167,16 +169,96 @@ def _worker_count() -> int:
     return int(raw)
 
 
-def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> list[dict]:
-    edges = g.edges()
-    # a pool starts all its workers at once, so more than one per edge or CPU is waste
-    workers = min(_worker_count(), len(edges), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (which taskset
+    narrows) where the platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.starmap(_record_row, [(g, e, alphas, decimals) for e in edges])
-    return [_record_row(g, e, alphas, decimals) for e in edges]
+
+def _share(g: Graph, edges: list[tuple[int, int]], k: int, w: int, alphas: list[Fraction],
+           decimals: Optional[int]) -> list[dict] | tuple[int, Exception]:
+    """The rows of edges[k::w], or the first error among them as (the
+    position of its edge in edges, the exception)."""
+    rows = []
+    for i in range(k, len(edges), w):
+        try:
+            rows.append(_record_row(g, edges[i], alphas, decimals))
+        except Exception as exc:  # the parent raises it unless an earlier edge failed
+            return i, exc
+    return rows
+
+
+def _send_share(write: int, *share) -> NoReturn:
+    """In a forked child: pickle _share(*share) to the pipe `write`, then
+    leave by os._exit, so the child never returns into its caller's stack,
+    runs no exit handler and flushes no stdout buffer it inherited."""
+    code = 1
+    try:
+        import pickle
+
+        data = pickle.dumps(_share(*share))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> list[dict]:
+    """The rows of every edge in edge order. With w = min(RICCI_THREADS,
+    edges, usable CPUs) > 1, the parent computes the share edges[0::w] and
+    forks one child for each share edges[k::w], 0 < k < w; striding spreads
+    a skewed graph's costly edges. A child inherits the graph through the
+    fork and pipes back only its rows. If edges fail, the error of the
+    first one is raised, as a serial run raises it. The CLI starts no
+    thread, so forking it is safe."""
+    edges = g.edges()
+    w = min(_worker_count(), len(edges), _usable_cpus())
+    if w <= 1:  # one share, or no edge
+        return [_record_row(g, e, alphas, decimals) for e in edges]
+    import pickle  # imported here so that a serial run does not pay for them
+    import signal
+
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe) of shares 1, 2, ...
+    reaped: set[int] = set()
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(write, g, edges, k, w, alphas, decimals)
+            except OSError:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)  # the child holds the only write end, so its exit reads as EOF
+            children.append((pid, read))
+        outcomes = [_share(g, edges, 0, w, alphas, decimals)]
+        for k, (pid, read) in enumerate(children, 1):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"curvature worker {k} {how} before sending its rows")
+            outcomes.append(pickle.loads(data))  # bytes this function's own child wrote
+    finally:
+        for pid, read in children:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read)
+    errors = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    rows: list = [None] * len(edges)
+    for k, part in enumerate(outcomes):
+        rows[k::w] = part
+    return rows
 
 
 def _rows_to_csv(rows: list[dict], alphas: list[Fraction], decimals: Optional[int]) -> str:

@@ -32,12 +32,27 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NoReturn, Optional
 
 from . import transport
 from .graphs import Graph
 from .transport import ConsistencyError
+
+
+class _lazy:
+    """A method read as an attribute, computed on the first read and stored
+    in the instance's __dict__, where later reads find it before this
+    non-data descriptor. functools.cached_property does the same, but
+    before Python 3.12 it takes a lock on every first read."""
+
+    def __init__(self, fn) -> None:
+        self.func, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class _Instance:
@@ -48,11 +63,11 @@ class _Instance:
     def __init__(self, g: Graph, left: list[int], right: list[int]) -> None:
         self.left, self.right, self.cost = left, right, _cost_matrix(g, left, right)
 
-    @cached_property
+    @_lazy
     def solution(self) -> tuple[int, list[int], list[int], list[int]]:
         return transport._hungarian(self.cost)
 
-    @cached_property
+    @_lazy
     def supsup(self) -> Optional[int]:
         """Largest pair distance used by some optimal assignment, read off
         the same solve's certified potentials; None for the empty instance."""
@@ -87,7 +102,7 @@ class _Edge:
                              f"{self.dx} != {self.dy}")
         return self.dx
 
-    @cached_property
+    @_lazy
     def table(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], transport.CostMatrix]:
         """The transport table of every alpha: (send, take, cost).
 
@@ -133,12 +148,12 @@ class _Edge:
             self.solves[p, q] = (rows, Fraction(q * self.lcm - value, q * self.lcm), u)
         return self.solves[p, q]
 
-    @cached_property
+    @_lazy
     def instance(self) -> _Instance:  # S1(x)\B1(y) -> S1(y)\B1(x)
         return _Instance(self.g, [v for v in self.x_only if v != self.y],
                          [v for v in self.y_only if v != self.x])
 
-    @cached_property
+    @_lazy
     def zero_instance(self) -> _Instance:  # S1(x)\S1(y) -> S1(y)\S1(x), holding y and x
         return _Instance(self.g, self.x_only, self.y_only)
 

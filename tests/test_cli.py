@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from orckit import cli, families, formats, graphs
+from orckit import cli, curvature, families, formats, graphs, transport
 from orckit.cli import decimal_str, main, rational_str, read_graph
 from orckit.families import (bi_antiprism, complete, complete_bipartite, cycle, petersen,
                              torus_grid)
@@ -282,37 +282,39 @@ def test_verify_reads_rf72_before_any_suite(tmp_path, capsys, monkeypatch):
 
 
 def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
-    # a fake fork context records each pool's size and maps serially, so no
-    # process starts; the cap is min(RICCI_THREADS, edges, CPUs)
-    import multiprocessing
+    # w = min(RICCI_THREADS, edges, usable CPUs) shares, so a run makes
+    # w - 1 forks (counted by a wrapper around the real os.fork) and gives
+    # the serial bytes. Usable CPUs are the affinity mask where the platform
+    # has one: an affinity of one CPU, as under `taskset -c 0` on a 64-CPU
+    # host, forks nothing. Without affinity masks os.cpu_count() caps.
+    forks = []
+    fork = os.fork
 
-    sizes = []
+    def counting_fork():
+        forks.append(None)
+        return fork()
 
-    class SerialPool:
-        def __init__(self, workers):
-            sizes.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, items):
-            return [fn(*item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: type("Context", (), {"Pool": SerialPool}))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     graph_file = tmp_path / "p.g6"
     graph_file.write_text(write_graph6(petersen()))  # 15 edges
     _, serial, _ = run_cli(["curvature", str(graph_file)], capsys)
+    assert forks == []
     monkeypatch.setenv("RICCI_THREADS", "100000")
-    for cpus, pool_sizes in ((4, [4]), (64, [15]), (1, []), (None, [])):
-        sizes.clear()
+    for cpus, count in ((4, 3), (64, 14), (1, 0)):
+        forks.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        code, stdout, _ = run_cli(["curvature", str(graph_file)], capsys)
+        assert code == 0 and stdout == serial
+        assert len(forks) == count, cpus
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus, count in ((4, 3), (None, 0)):
+        forks.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, stdout, _ = run_cli(["curvature", str(graph_file)], capsys)
         assert code == 0 and stdout == serial
-        assert sizes == pool_sizes, cpus
+        assert len(forks) == count, cpus
 
 
 def test_curvature_oversized_edge_list_exits_2(tmp_path, capsys, monkeypatch):
@@ -478,16 +480,119 @@ def test_threads_env_gives_identical_output(tmp_path):
     assert runs["1"] == runs["2"]
 
 
+@pytest.mark.parametrize("g", [complete_bipartite(14, 14), complete_bipartite(30, 30),
+                               torus_grid(30, 30), families.near_cocktail(9)],
+                         ids=["K14,14", "K30,30", "torus 30x30", "near-cocktail 9"])
+def test_shares_give_serial_bytes(tmp_path, capsys, monkeypatch, g):
+    # 2 and 3 shares (4 usable CPUs faked) give the serial stdout; the
+    # memo is cleared before each run, so every share solves its own edges
+    graph_file = tmp_path / "g.g6"
+    graph_file.write_text(write_graph6(g))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    runs = set()
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("RICCI_THREADS", threads)
+        transport._transport_cost.cache_clear()
+        runs.add(run_cli(["curvature", str(graph_file), "--alpha", "0,1/3"], capsys))
+    (code, _, stderr), = runs
+    assert code == 0 and stderr == ""
+
+
+@pytest.mark.parametrize("faulty", [(), (0,), (1,), (5, 6, 7)])
+def test_shares_fail_as_serial_and_reap_every_child(tmp_path, capsys, monkeypatch, faulty):
+    # edge_record raises ConsistencyError on the Petersen edges at the
+    # positions `faulty`: none, one in the parent's share (0), one in a
+    # child's (1), and 5, 6 and 7, where under 2 shares a child's 5 precedes
+    # the parent's 6 and under 3 shares 5 is in share 2, read after share
+    # 1's 7. Each run gives the serial exit code, stdout and stderr, so the
+    # first edge's error wins; and every forked pid has been reaped.
+    g = petersen()
+    bad = [g.edges()[i] for i in faulty]
+    exact = curvature.edge_record
+
+    def faulty_record(g, x, y):
+        if (x, y) in bad:
+            raise curvature.ConsistencyError(f"fault injected at ({x},{y})")
+        return exact(g, x, y)
+
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(curvature, "edge_record", faulty_record)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    graph_file = tmp_path / "p.g6"
+    graph_file.write_text(write_graph6(g))
+    runs = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("RICCI_THREADS", threads)
+        runs[threads] = run_cli(["curvature", str(graph_file)], capsys)
+    if bad:
+        assert runs["1"] == (2, "", "error: fault injected at ({},{})\n".format(*bad[0]))
+    else:
+        assert runs["1"][0] == 0 and len(json.loads(runs["1"][1])) == 15
+    assert runs["2"] == runs["3"] == runs["1"]
+    assert len(pids) == 1 + 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("death, status", [("os._exit(3)", "exited with status 3"),
+                                           ("os.kill(os.getpid(), 9)", "was killed by signal 9")])
+def test_dead_worker_exits_2(tmp_path, death, status):
+    # a child that dies before it writes its rows ends the run with exit 2
+    # and one error line naming the worker and its status: no traceback and
+    # no hang (a multiprocessing pool waits for such a worker forever)
+    graph_file = tmp_path / "p.g6"
+    graph_file.write_text(write_graph6(petersen()))
+    script = ("import os, sys\n"
+              "from orckit import cli, curvature\n"
+              "parent, exact = os.getpid(), curvature.edge_record\n"
+              "def dying(g, x, y):\n"
+              f"    if os.getpid() != parent: {death}\n"
+              "    return exact(g, x, y)\n"
+              "curvature.edge_record = dying\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "sys.exit(cli.main(['curvature', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(graph_file)], capture_output=True,
+                          text=True, env=child_env(RICCI_THREADS="2"), timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: curvature worker 1 {status} before sending its rows\n"
+
+
+def test_children_flush_no_inherited_stdout(tmp_path):
+    # text waiting in the stdout buffer at the fork is written once, by the
+    # parent: a child leaves by os._exit without flushing its copy
+    graph_file = tmp_path / "p.g6"
+    graph_file.write_text(write_graph6(petersen()))
+    script = ("import os, sys\n"
+              "from orckit import cli\n"
+              "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+              "sys.stdout.write('before the fork\\n')\n"
+              "sys.exit(cli.main(['curvature', sys.argv[1]]))\n")
+    runs = [subprocess.run([sys.executable, "-c", script, str(graph_file)], capture_output=True,
+                           text=True, env=child_env(RICCI_THREADS=threads), timeout=30)
+            for threads in ("1", "3")]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, "")] * 2
+    assert runs[0].stdout.startswith("before the fork\n[") and runs[1].stdout == runs[0].stdout
+
+
 def test_threads_env_rejects_bad_values(tmp_path, capsys, monkeypatch):
     # only ASCII digits count, as in every other count; int() would read
     # "+2", " 2", "2_0" and a full-width digit, and refuse 5,000 digits
-    # with its own message. Each is refused before any pool starts.
-    import multiprocessing
+    # with its own message. Each is refused before any fork.
+    def no_fork():
+        raise AssertionError("a process was forked")
 
-    def no_pool(method):
-        raise AssertionError("a pool started")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     graph_file = tmp_path / "k3.g6"
     graph_file.write_text(write_graph6(complete(3)))
     for bad in ("abc", "0", "-2", "1.5", "+2", " 2", "2_0", "\uff12", "9" * 5000):
