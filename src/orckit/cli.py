@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import NoReturn, Optional
 
-from . import curvature, families, formats, transport, verify
+from . import curvature, families, formats, verify
 from .formats import _quoted, parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .graphs import Graph
 
@@ -59,7 +59,7 @@ def _parse_alpha(text: str) -> Fraction:
     except ZeroDivisionError:
         raise ValueError(f"alpha {text} has a zero denominator") from None
     try:
-        return transport._idleness(a)
+        return curvature._idleness(a)
     except ValueError:  # the range, in the user's own text
         raise ValueError(f"alpha {text} outside [0, 1]") from None
 

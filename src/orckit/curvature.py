@@ -29,7 +29,6 @@ bound W1 from above and each piece's dual line bounds it from below.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn, Optional
@@ -37,6 +36,16 @@ from typing import NoReturn, Optional
 from . import transport
 from .graphs import Graph
 from .transport import ConsistencyError
+
+
+def _idleness(alpha: int | Fraction) -> Fraction:
+    """alpha as a Fraction if it is an idleness, an int or a Fraction in
+    [0, 1]; a float, a string or a Decimal is refused."""
+    if not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"idleness {alpha!r} is not an int or a Fraction")
+    if not 0 <= alpha.numerator <= alpha.denominator:
+        raise ValueError(f"idleness {alpha} outside [0, 1]")
+    return Fraction(alpha) if isinstance(alpha, int) else alpha
 
 
 class _lazy:
@@ -181,7 +190,7 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha: int | Fraction) -> Fraction:
     keeps. It reads no matrix or solve of the assignment route, to stay
     independent of it.
     """
-    alpha = transport._idleness(alpha)
+    alpha = _idleness(alpha)
     return _edge(g, x, y).solved(alpha.numerator, alpha.denominator)[1]
 
 
@@ -329,7 +338,7 @@ class PiecewiseLinearFn:
         return len(self.breakpoints) - 1
 
     def value_at(self, alpha: int | Fraction) -> Fraction:
-        alpha = transport._idleness(alpha)
+        alpha = _idleness(alpha)
         bp = self.breakpoints
         i = next(i for i in range(len(bp) - 1) if alpha <= bp[i + 1])  # bp[-1] is 1
         return self.values[i] + self._slopes[i] * (alpha - bp[i])
@@ -437,7 +446,8 @@ def idleness_function(g: Graph, x: int, y: int) -> PiecewiseLinearFn:
 
 @dataclass(frozen=True)
 class EdgeCurvatureRecord:
-    """Per-edge curvature bundle as reported by curvature_profile."""
+    """Per-edge curvature bundle, as edge_record computes it and the CLI's
+    curvature command reports it."""
 
     x: int
     y: int
@@ -469,11 +479,3 @@ def edge_record(g: Graph, x: int, y: int) -> EdgeCurvatureRecord:
             raise ConsistencyError(f"gap class {gap_c} outside {{0,1,2}} on edge ({x},{y})")
     return EdgeCurvatureRecord(x, y, e.dx, e.dy, e.nxy, k0, k, gap_c, supsup,
                                bone_idle=(k0 == 0 and k == 0))
-
-
-def curvature_profile(g: Graph) -> list[EdgeCurvatureRecord]:
-    """One record per edge, in sorted edge order."""
-    edges = g.edges()
-    if not edges:
-        warnings.warn("graph has no edges; curvature profile is empty", stacklevel=2)
-    return [edge_record(g, x, y) for x, y in edges]

@@ -2,9 +2,8 @@
 
 Vertices are dense integer indices 0..n-1; any external labelling belongs
 to the I/O layer. The BFS distances from a vertex (distances_from), the
-girth and the diameter are all derived from breadth-first search. Values
-that would be infinite (no path, no cycle) are reported as the INFINITY
-sentinel.
+diameter and connectivity are derived from breadth-first search. Values
+that would be infinite (no path) are reported as the INFINITY sentinel.
 """
 
 from __future__ import annotations
@@ -111,34 +110,6 @@ def is_regular(g: Graph) -> Optional[int]:
         return None
     degs = {len(a) for a in g.adj}
     return degs.pop() if len(degs) == 1 else None
-
-
-def girth(g: Graph):
-    """Length of a shortest cycle; INFINITY for forests.
-
-    BFS from every root: each non-tree edge (u, w) closes a walk of length
-    dist[u] + dist[w] + 1 containing a cycle no longer than that, and for a
-    root on a shortest cycle the walk is the cycle itself, so the minimum
-    over all roots is exact.
-    """
-    best = INFINITY
-    for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    length = dist[u] + dist[w] + 1
-                    if length < best:
-                        best = length
-    return best
 
 
 def diameter(g: Graph):

@@ -1,19 +1,21 @@
-"""Exact optimal transport on graphs.
+"""Exact solvers for the two routes of edge curvature: min-cost transport
+and min-cost assignment on integer cost tables.
 
-Everything here is exact: masses and results are `fractions.Fraction`,
-solver internals are arbitrary-precision integers obtained by scaling all
-masses with the common denominator. No floating point enters any
-computation in this module.
+Everything here is exact: supplies, demands, costs, values and potentials
+are arbitrary-precision integers, which curvature obtains by scaling an
+edge's masses with their common denominator. No floating point enters any
+computation in this module, and it imports no other orckit module:
+curvature poses every instance, on an edge's own B1(x) | B1(y), and is its
+only caller.
 
 The transport solver, _transport_cost, takes a complete integer cost
 table (every source can reach every sink) with supplies and demands of
 the same total, and returns its value, the cost of the solver's flow,
-and source potentials that prove it, once _certify has checked both;
-wasserstein1 poses one such instance per connected component. It is an
-LRU cache over its own arguments, so callers pass the instance as tuples,
-and the _MEMO_SIZE most recently used instances are kept with their
-proven answers. An instance met again, as in the thousands of small
-graphs of an exhaustive suite, is solved and checked once.
+and source potentials that prove it, once _certify has checked both. It
+is an LRU cache over its own arguments, so callers pass the instance as
+tuples, and the _MEMO_SIZE most recently used instances are kept with
+their proven answers. An instance met again, as in the thousands of
+small graphs of an exhaustive suite, is solved and checked once.
 The assignment route is the Hungarian solve (_hungarian). It starts warm,
 from row-minimum potentials and a greedy matching of tight cells, and
 augments only the rows that leaves unmatched, so a matrix that is nearly
@@ -32,15 +34,10 @@ edge runs its own Hungarian solves.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterable
-from fractions import Fraction
 from operator import sub
 from typing import Optional
 
-from .graphs import Graph, INFINITY, distances_from
-
-Measure = dict[int, Fraction]
 CostMatrix = list[list[int]]
 CostTable = tuple[tuple[int, ...], ...]  # a transport instance's costs, one row per source
 
@@ -50,77 +47,6 @@ _INT_INF = 1 << 60
 class ConsistencyError(Exception):
     """Two independent routes gave different values, or a solver's own
     invariant failed."""
-
-
-def _idleness(alpha: int | Fraction) -> Fraction:
-    """alpha as a Fraction if it is an idleness, an int or a Fraction in
-    [0, 1]; a float, a string or a Decimal is refused, as masses are."""
-    if not isinstance(alpha, (int, Fraction)):
-        raise ValueError(f"idleness {alpha!r} is not an int or a Fraction")
-    if not 0 <= alpha.numerator <= alpha.denominator:
-        raise ValueError(f"idleness {alpha} outside [0, 1]")
-    return Fraction(alpha) if isinstance(alpha, int) else alpha
-
-
-def mu_alpha(g: Graph, x: int, alpha: int | Fraction) -> Measure:
-    """Lazy random-walk measure of x: mass alpha stays at x, the rest is
-    spread uniformly over the neighbors."""
-    alpha = _idleness(alpha)
-    g.check_vertex(x)
-    if alpha == 1:
-        return {x: Fraction(1)}
-    d = len(g.adj[x])
-    if d == 0:
-        raise ValueError(f"vertex {x} is isolated; only idleness 1 is defined")
-    out: Measure = {}
-    if alpha > 0:
-        out[x] = alpha
-    share = (1 - alpha) / d
-    for w in g.adj[x]:
-        out[w] = share
-    return out
-
-
-def validate_measure(g: Graph, mu: Measure) -> None:
-    if not mu:
-        raise ValueError("measure has empty support")
-    total = Fraction(0)
-    for v, mass in mu.items():
-        g.check_vertex(v)
-        if not isinstance(mass, (int, Fraction)):
-            raise ValueError(f"mass {mass!r} at vertex {v} is not an int or a Fraction")
-        if mass <= 0:
-            raise ValueError(f"non-positive mass {mass} at vertex {v}")
-        total += mass
-    if total != 1:
-        raise ValueError(f"masses sum to {total}, not 1")
-
-
-def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
-    """Exact Wasserstein-1 distance between two probability measures.
-
-    Mass shared by both measures stays in place, as it does in some
-    optimal plan. The rest is scaled once to integers, and each connected
-    component's part of it is a balanced transportation problem over hop
-    distances, solved exactly by _transport_cost; a component whose part
-    does not sum to 0 makes the distance infinite.
-    """
-    validate_measure(g, mu)
-    validate_measure(g, nu)
-    excess = {v: r for v in set(mu) | set(nu) if (r := mu.get(v, 0) - nu.get(v, 0))}
-    scale = math.lcm(*(r.denominator for r in excess.values()))
-    left = {v: r.numerator * (scale // r.denominator) for v, r in excess.items()}
-    value = 0
-    while left:
-        reach = distances_from(g, min(left))
-        part = {v: left.pop(v) for v in sorted(left) if reach[v] is not INFINITY}
-        if sum(part.values()):
-            raise ValueError("supports are not mutually reachable (infinite distance)")
-        supply = {v: m for v, m in part.items() if m > 0}
-        demand = {v: -m for v, m in part.items() if m < 0}
-        cost = tuple(tuple(map(distances_from(g, u).__getitem__, demand)) for u in supply)
-        value += _transport_cost(tuple(supply.values()), tuple(demand.values()), cost)[0]
-    return Fraction(value, scale)
 
 
 # Most instances _transport_cost keeps answers for: over three times the

@@ -1,10 +1,15 @@
-"""Shared brute-force oracles, random instance builders and three fault
-injectors for the tests.
+"""The definition route of the curvature, brute-force oracles that check
+it, random instance builders and three fault injectors for the tests.
 
-The oracles are deliberately independent of the library's own
-algorithms: girth by explicit cycle enumeration, connectivity by plain
-DFS, optimal assignments and W1 by full permutation scans, and the
-Lin-Lu-Yau curvature by the limit-free formula over integer test functions.
+The definition route computes what the paper defines on the whole graph,
+where orckit works on each edge's own B1(x) | B1(y): the lazy random-walk
+measure mu_x^alpha (mu_alpha), the Wasserstein-1 distance between two
+measures over BFS distances (wasserstein1, on transport._transport_cost)
+and the girth by BFS from every root (girth). The brute-force oracles are
+deliberately independent of the library's own algorithms: girth by
+explicit cycle enumeration, connectivity by plain DFS, optimal
+assignments and W1 by full permutation scans, and the Lin-Lu-Yau
+curvature by the limit-free formula over integer test functions.
 """
 
 from __future__ import annotations
@@ -13,20 +18,114 @@ import functools
 import math
 import os
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import orckit
-from orckit import curvature, families, transport
+from orckit import curvature, families, graphs, transport
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
                              near_cocktail, path, petersen, star)
 from orckit.graphs import INFINITY, Graph, distances_from
+
+Measure = dict[int, Fraction]
+
+
+def mu_alpha(g: Graph, x: int, alpha: int | Fraction) -> Measure:
+    """Lazy random-walk measure of x: mass alpha stays at x, the rest is
+    spread uniformly over the neighbors."""
+    alpha = curvature._idleness(alpha)
+    g.check_vertex(x)
+    if alpha == 1:
+        return {x: Fraction(1)}
+    d = len(g.adj[x])
+    if d == 0:
+        raise ValueError(f"vertex {x} is isolated; only idleness 1 is defined")
+    out: Measure = {}
+    if alpha > 0:
+        out[x] = alpha
+    share = (1 - alpha) / d
+    for w in g.adj[x]:
+        out[w] = share
+    return out
+
+
+def validate_measure(g: Graph, mu: Measure) -> None:
+    if not mu:
+        raise ValueError("measure has empty support")
+    total = Fraction(0)
+    for v, mass in mu.items():
+        g.check_vertex(v)
+        if not isinstance(mass, (int, Fraction)):
+            raise ValueError(f"mass {mass!r} at vertex {v} is not an int or a Fraction")
+        if mass <= 0:
+            raise ValueError(f"non-positive mass {mass} at vertex {v}")
+        total += mass
+    if total != 1:
+        raise ValueError(f"masses sum to {total}, not 1")
+
+
+def wasserstein1(g: Graph, mu: Measure, nu: Measure) -> Fraction:
+    """Exact Wasserstein-1 distance between two probability measures.
+
+    Mass shared by both measures stays in place, as it does in some
+    optimal plan. The rest is scaled once to integers, and each connected
+    component's part of it is a balanced transportation problem over hop
+    distances, solved exactly by transport._transport_cost; a component
+    whose part does not sum to 0 makes the distance infinite. BFS runs as
+    graphs.distances_from, looked up on the module at each call, so a
+    patch of graphs alone reaches it.
+    """
+    validate_measure(g, mu)
+    validate_measure(g, nu)
+    excess = {v: r for v in set(mu) | set(nu) if (r := mu.get(v, 0) - nu.get(v, 0))}
+    scale = math.lcm(*(r.denominator for r in excess.values()))
+    left = {v: r.numerator * (scale // r.denominator) for v, r in excess.items()}
+    value = 0
+    while left:
+        reach = graphs.distances_from(g, min(left))
+        part = {v: left.pop(v) for v in sorted(left) if reach[v] is not INFINITY}
+        if sum(part.values()):
+            raise ValueError("supports are not mutually reachable (infinite distance)")
+        supply = {v: m for v, m in part.items() if m > 0}
+        demand = {v: -m for v, m in part.items() if m < 0}
+        cost = tuple(tuple(map(graphs.distances_from(g, u).__getitem__, demand)) for u in supply)
+        value += transport._transport_cost(tuple(supply.values()), tuple(demand.values()),
+                                           cost)[0]
+    return Fraction(value, scale)
+
+
+def girth(g: Graph):
+    """Length of a shortest cycle; INFINITY for forests.
+
+    BFS from every root: each non-tree edge (u, w) closes a walk of length
+    dist[u] + dist[w] + 1 containing a cycle no longer than that, and for a
+    root on a shortest cycle the walk is the cycle itself, so the minimum
+    over all roots is exact.
+    """
+    best = INFINITY
+    for s in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    length = dist[u] + dist[w] + 1
+                    if length < best:
+                        best = length
+    return best
 
 
 def brute_girth(g: Graph):
     """Shortest cycle length by checking every vertex subset for an
     induced-or-not cycle ordering. Exponential; fine for n <= 8."""
-    best = None
     for length in range(3, g.n + 1):
         for subset in combinations(range(g.n), length):
             first = subset[0]
@@ -35,8 +134,6 @@ def brute_girth(g: Graph):
                 ring = (first,) + order
                 if all(g.has_edge(ring[i], ring[(i + 1) % length]) for i in range(length)):
                     return length
-        if best is not None:
-            break
     return float("inf")
 
 
@@ -76,8 +173,8 @@ def forced_cost(cost, i, j) -> int:
 def brute_wasserstein1(g: Graph, mu, nu, max_tokens: int = 8) -> Fraction:
     """W1 by brute force: scale both measures to unit tokens and try every
     bijection between the two token multisets."""
-    transport.validate_measure(g, mu)
-    transport.validate_measure(g, nu)
+    validate_measure(g, mu)
+    validate_measure(g, nu)
     scale = math.lcm(*(m.denominator for m in mu.values()),
                      *(m.denominator for m in nu.values()))
     if scale > max_tokens:

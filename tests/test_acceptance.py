@@ -16,13 +16,13 @@ from orckit.curvature import kappa_lly, kappa_zero
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle,
                              dodecahedral, hypercube, near_cocktail, petersen)
 from orckit.graphs import cartesian_product
-from orckit.transport import _hungarian, _supsup, wasserstein1
+from orckit.transport import _hungarian, _supsup
 from orckit.verify import (check_bone_idle_families, check_edge_properties,
                            check_main_theorem, check_no_cubic_bone_idle,
                            check_product_formula, default_corpus)
 
 from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_wasserstein1,
-                     random_connected_graph, random_token_measure)
+                     random_connected_graph, random_token_measure, wasserstein1)
 
 
 @contextmanager

@@ -480,6 +480,30 @@ def test_threads_env_gives_identical_output(tmp_path):
     assert runs["1"] == runs["2"]
 
 
+def test_curvature_on_an_edgeless_graph(tmp_path):
+    # no edge gives no row: JSON is the empty list and CSV the header
+    # alone, the header a one-edge graph's CSV starts with, serial and with
+    # 2 workers, and no warning is raised (the child runs under -W error)
+    k2 = tmp_path / "k2.g6"
+    k2.write_text(write_graph6(complete(2)))
+    header = subprocess.run(
+        [sys.executable, "-m", "orckit.cli", "curvature", str(k2), "--format", "csv"],
+        capture_output=True, env=child_env(), timeout=30).stdout.splitlines(True)[0]
+    assert header.startswith(b"u,v,")
+    inputs = [tmp_path / "n3.txt", tmp_path / "empty.g6"]
+    inputs[0].write_text("n 3\n")
+    inputs[1].write_text("?\n")  # graph6 of the graph on 0 vertices
+    for path in inputs:
+        for fmt, expected in (("json", b"[]\n"), ("csv", header)):
+            for threads in ("1", "2"):
+                proc = subprocess.run(
+                    [sys.executable, "-W", "error", "-m", "orckit.cli", "curvature", str(path),
+                     "--format", fmt],
+                    capture_output=True, env=child_env(RICCI_THREADS=threads), timeout=30)
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b""), \
+                    (path.name, fmt, threads)
+
+
 @pytest.mark.parametrize("g", [complete_bipartite(14, 14), complete_bipartite(30, 30),
                                torus_grid(30, 30), families.near_cocktail(9)],
                          ids=["K14,14", "K30,30", "torus 30x30", "near-cocktail 9"])

@@ -9,8 +9,8 @@ from itertools import combinations, permutations
 import pytest
 
 from orckit import curvature, graphs, transport
-from orckit.curvature import (ConsistencyError, assignment_instance, curvature_profile,
-                              edge_record, idleness_function, is_bone_idle,
+from orckit.curvature import (ConsistencyError, assignment_instance, edge_record,
+                              idleness_function, is_bone_idle,
                               is_bone_idle_edge, is_ricci_flat, is_zero_ricci_flat,
                               kappa_alpha, kappa_lly, kappa_lly_assignment, kappa_zero,
                               kappa_zero_assignment, local_structure)
@@ -18,12 +18,16 @@ from orckit.families import (cocktail_party, complete, complete_bipartite, cycle
                              dodecahedral, hypercube, icosidodecahedron, near_cocktail,
                              path, petersen, random_regular, star, torus_grid)
 from orckit.graphs import Graph, distances_from
-from orckit.transport import mu_alpha, wasserstein1
 from orckit.verify import check_edge_properties
 
 from helpers import (ASSIGNMENT_FAULTS, brute_optimal_permutations, corrupt_assignment_input,
-                     corrupt_assignment_optimum, mw_kappa, oracle_graphs, random_connected_graph,
-                     to_networkx)
+                     corrupt_assignment_optimum, mu_alpha, mw_kappa, oracle_graphs,
+                     random_connected_graph, to_networkx, wasserstein1)
+
+
+def _profile(g):
+    """The record of every edge of g, in sorted edge order."""
+    return [edge_record(g, x, y) for x, y in g.edges()]
 
 
 def test_kappa_alpha_examples():
@@ -236,26 +240,21 @@ def test_local_structure_identity_enumerated():
 
 
 def test_curvature_profile():
-    records = curvature_profile(cycle(6))
+    records = _profile(cycle(6))
     assert len(records) == 6 and all(r.bone_idle for r in records)
-    records = curvature_profile(petersen())
+    records = _profile(petersen())
     assert len(records) == 15
     assert all(r.kappa_lly == 0 and r.kappa0 == F(-1, 3) for r in records)
     assert all(r.gap_c == 1 and r.supsup == 2 for r in records)
-    records = curvature_profile(complete(4))
+    records = _profile(complete(4))
     assert len(records) == 6 and all(r.kappa_lly == F(4, 3) for r in records)
     assert all(r.gap_c == 2 and r.supsup is None for r in records)
 
 
 def test_curvature_profile_unequal_degrees():
-    rec = curvature_profile(star(3))[0]
+    rec = _profile(star(3))[0]
     assert rec.gap_c is None and rec.supsup is None
     assert rec.kappa0 == 0
-
-
-def test_curvature_profile_empty_graph_warns():
-    with pytest.warns(UserWarning, match="no edges"):
-        assert curvature_profile(Graph(4)) == []
 
 
 def test_upper_bound_on_sample():
@@ -456,7 +455,7 @@ def test_per_edge_work_runs_no_graph_search(monkeypatch):
     p = petersen()
     with pytest.raises(AssertionError, match="whole graph"):
         wasserstein1(p, mu_alpha(p, 0, 0), mu_alpha(p, 1, 0))  # the patch is live
-    records = curvature_profile(torus_grid(8, 8))
+    records = _profile(torus_grid(8, 8))
     assert len(records) == 128 and all(r.bone_idle for r in records)
     fn = idleness_function(p, *p.edges()[0])
     assert fn.values[0] == F(-1, 3) and fn.values[-1] == 0
@@ -475,24 +474,24 @@ def test_deduplicated_cross_checks_still_fire(monkeypatch):
             with pytest.raises(ConsistencyError, match=r"gap\(0,1\)"):
                 edge_record(cycle(6), 0, 1)
             with pytest.raises(ConsistencyError, match="gap"):
-                curvature_profile(cycle(6))
+                _profile(cycle(6))
     for route, label in (("kappa_zero_assignment", r"kappa_0\("),
                          ("kappa_lly_assignment", r"kappa\(")):
         exact_route = getattr(curvature, route)
         with monkeypatch.context() as m:
             m.setattr(curvature, route, lambda g, u, v, f=exact_route: f(g, u, v) + 1)
             with pytest.raises(ConsistencyError, match=label):
-                curvature_profile(p)
+                _profile(p)
     # a fresh graph: p's last edge context already holds exact solves
     corrupt_assignment_optimum(monkeypatch)
     with pytest.raises(ConsistencyError):
-        curvature_profile(petersen())
+        _profile(petersen())
 
 
 def test_curvature_runs_no_forced_resolve():
     # gap_c, supsup and the equality condition all read the optimal-pair
     # support off the one Hungarian solve of each assignment matrix.
-    records = curvature_profile(complete_bipartite(6, 6))
+    records = _profile(complete_bipartite(6, 6))
     assert len(records) == 36 and all((r.gap_c, r.supsup) == (2, 1) for r in records)
 
 

@@ -11,10 +11,10 @@ from orckit.families import (bi_antiprism, cocktail_party, complete, complete_bi
                              cycle, dodecahedral, enumerate_graphs, hypercube,
                              icosidodecahedron, klein_bottle, near_cocktail, path,
                              petersen, random_regular, star, torus_grid, twisted_torus)
-from orckit.graphs import Graph, diameter, girth, is_connected, is_regular
+from orckit.graphs import Graph, diameter, is_connected, is_regular
 from orckit.verify import default_corpus
 
-from helpers import brute_connected, child_env, stdlib_random_regular, to_networkx
+from helpers import brute_connected, child_env, girth, stdlib_random_regular, to_networkx
 
 
 def test_basic_families():

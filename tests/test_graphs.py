@@ -5,9 +5,9 @@ import pytest
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle,
                              enumerate_graphs, path, petersen, star)
 from orckit.graphs import (Graph, INFINITY, cartesian_product, diameter, distances_from,
-                           girth, is_connected, is_regular, min_degree)
+                           is_connected, is_regular, min_degree)
 
-from helpers import brute_girth, oracle_graphs, to_networkx
+from helpers import brute_girth, girth, oracle_graphs, to_networkx
 
 
 def test_constructor_validates():

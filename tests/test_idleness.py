@@ -14,9 +14,9 @@ from orckit.curvature import (ConsistencyError, PiecewiseLinearFn, edge_record,
 from orckit.families import (cocktail_party, complete, complete_bipartite, cycle, hypercube,
                              near_cocktail, petersen, random_regular, star)
 from orckit.graphs import Graph
-from orckit.transport import mu_alpha, wasserstein1
 
-from helpers import PROOF_FAULTS, corrupt_proof_input, oracle_graphs, random_connected_graph
+from helpers import (PROOF_FAULTS, corrupt_proof_input, mu_alpha, oracle_graphs,
+                     random_connected_graph, wasserstein1)
 
 
 def test_bone_idle_edge_is_identically_zero():

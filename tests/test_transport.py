@@ -10,15 +10,16 @@ from fractions import Fraction as F
 import pytest
 
 import orckit
-from orckit import transport
+from orckit import graphs, transport
 from orckit.families import complete, complete_bipartite, cycle, path, petersen, torus_grid
 from orckit.graphs import Graph
 from orckit.transport import (ConsistencyError, _certify_assignment, _hungarian, _supsup,
-                              _transport_cost, mu_alpha, validate_measure, wasserstein1)
+                              _transport_cost)
 
 from helpers import (brute_assignment_optimum, brute_optimal_permutations, brute_transport_cost,
-                     brute_wasserstein1, child_env, disjoint_union, forced_cost,
-                     random_connected_graph, random_token_measure)
+                     brute_wasserstein1, child_env, disjoint_union, forced_cost, mu_alpha,
+                     random_connected_graph, random_token_measure, validate_measure,
+                     wasserstein1)
 
 
 def test_mu_alpha_examples():
@@ -72,8 +73,8 @@ def test_wasserstein_searches_each_source_once(monkeypatch):
     # component: 14 + 1 on an edge of K14,14 and 4 + 1 on the 8x8 torus, at
     # idleness 0, and 2 + 2 on two paths
     searches = []
-    real = transport.distances_from
-    monkeypatch.setattr(transport, "distances_from",
+    real = graphs.distances_from
+    monkeypatch.setattr(graphs, "distances_from",
                         lambda g, u: searches.append(u) or real(g, u))
     k, torus = complete_bipartite(14, 14), torus_grid(8, 8)
     two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -250,33 +251,84 @@ def test_public_api():
                  "wasserstein1_oracle", "gap_formula", "curvature_gap", "equality_holds",
                  "_potentials", "_scaled_supplies", "assignment_cost", "optimal_pair_support",
                  "_support", "_check_square", "distance", "sphere", "ball", "common_neighbors",
-                 "zero_assignment_instance"):
+                 "zero_assignment_instance", "mu_alpha", "validate_measure", "wasserstein1",
+                 "girth", "curvature_profile"):
         assert not any(hasattr(m, gone) for m in (orckit, transport, orckit.curvature,
                                                   orckit.graphs)), gone
     assert not hasattr(orckit.graphs.Graph, "neighbors")
     assert orckit.ConsistencyError is orckit.curvature.ConsistencyError is transport.ConsistencyError
 
 
-def test_every_public_definition_has_a_caller():
-    # a public top-level function or class of the package is exported, or
-    # some other code of the package names it; anything else is a side door
-    # that only tests reach
+def _src_trees():
+    """(module name, parsed source) of each module of the package."""
     src = pathlib.Path(orckit.__file__).parent
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(src.glob("*.py"))]
+
+
+def test_every_public_definition_has_a_caller():
+    # some other code of the package names each public top-level function or
+    # class; an export alone is no caller, so anything else is a side door
+    # that only tests reach
     defined, named = {}, set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _src_trees():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.name
-        if path.name != "__init__.py":
+                defined[node.name] = module
+        if module != "__init__":
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     named.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     named.add(node.attr)
-    unused = {name: module for name, module in defined.items()
-              if name not in named and name not in orckit.__all__}
+    unused = {name: module for name, module in defined.items() if name not in named}
     assert unused == {}
+
+
+def _orckit_imports(tree) -> set[str]:
+    """The orckit modules a module imports anywhere in its source, relative
+    or absolute: `from . import m`, `from .m import x`, `from orckit import
+    m`, `from orckit.m import x` and `import orckit.m` all name m."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "orckit"
+                                                 or node.module.startswith("orckit.")):
+            parts = (node.module or "").split(".")
+            inner = parts[1:] if parts[0] == "orckit" else parts
+            found |= {inner[0]} if inner and inner[0] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("orckit.")}
+    return found
+
+
+def test_transport_is_reached_through_curvature_alone():
+    # the solvers take integer tables and know nothing of graphs or
+    # measures: transport imports no orckit module, and curvature, which
+    # poses every instance, is the only module that imports transport
+    imports = {name: _orckit_imports(tree) for name, tree in _src_trees()}
+    assert imports["transport"] == set()
+    assert [name for name, found in imports.items() if "transport" in found] == ["curvature"]
+    assert _orckit_imports(ast.parse("from . import a, b\nfrom .c import x\n"
+                                     "from orckit import d\nfrom orckit.e import y\n"
+                                     "import orckit.f\nimport os\n")) == set("abcdef")
+
+
+def test_every_module_level_import_is_read():
+    # a stdlib lint: each name a module binds by a top-level import (other
+    # than __future__'s) is read as a Name somewhere in that module; the
+    # package's __init__ only re-exports, so it is left out
+    unread = {}
+    for name, tree in _src_trees():
+        if name == "__init__":
+            continue
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if bound - read:
+            unread[name] = sorted(bound - read)
+    assert unread == {}
 
 
 def test_src_holds_no_floats():
@@ -306,8 +358,8 @@ def test_src_holds_no_floats():
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    for path in sorted(pathlib.Path(orckit.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    for module, tree in _src_trees():
+        visit(tree, (module,))
     assert sites == allowed
 
 
