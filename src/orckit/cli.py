@@ -4,10 +4,11 @@ reconstruct idleness functions, and run verification suites.
 Exit codes: 0 success or all suites passed, 1 verification failure,
 2 usage or input parse error. All machine output is deterministic for
 identical inputs and flags; rationals are emitted as reduced "p/q"
-strings, never floats. RICCI_THREADS > 1 splits the edges of `curvature`
-into shares, at most one per CPU this process may run on: the process
-computes one share itself and forks a child for each other share. Rows
-and errors are those of a serial run, in the same order.
+strings, never floats. One function, _fan_out, maps a function over a
+list of items, here the edges of `curvature`: RICCI_THREADS > 1 splits the
+items into shares, at most one per CPU this process may run on, and the
+process computes one share itself and forks a child for each other share.
+Results and errors are those of a serial run, in the same order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import NoReturn, Optional
+from typing import Callable, NoReturn, Optional
 
 from . import curvature, families, formats, verify
 from .formats import _quoted, parse_edge_list, parse_graph6, write_edge_list, write_graph6
@@ -177,49 +178,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _share(g: Graph, edges: list[tuple[int, int]], k: int, w: int, alphas: list[Fraction],
-           decimals: Optional[int]) -> list[dict] | tuple[int, Exception]:
-    """The rows of edges[k::w], or the first error among them as (the
-    position of its edge in edges, the exception)."""
-    rows = []
-    for i in range(k, len(edges), w):
-        try:
-            rows.append(_record_row(g, edges[i], alphas, decimals))
-        except Exception as exc:  # the parent raises it unless an earlier edge failed
-            return i, exc
-    return rows
-
-
-def _send_share(write: int, *share) -> NoReturn:
-    """In a forked child: pickle _share(*share) to the pipe `write`, then
-    leave by os._exit, so the child never returns into its caller's stack,
-    runs no exit handler and flushes no stdout buffer it inherited."""
-    code = 1
-    try:
-        import pickle
-
-        data = pickle.dumps(_share(*share))
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> list[dict]:
-    """The rows of every edge in edge order. With w = min(RICCI_THREADS,
-    edges, usable CPUs) > 1, the parent computes the share edges[0::w] and
-    forks one child for each share edges[k::w], 0 < k < w; striding spreads
-    a skewed graph's costly edges. A child inherits the graph through the
-    fork and pipes back only its rows. If edges fail, the error of the
-    first one is raised, as a serial run raises it. The CLI starts no
-    thread, so forking it is safe."""
-    edges = g.edges()
-    w = min(_worker_count(), len(edges), _usable_cpus())
-    if w <= 1:  # one share, or no edge
-        return [_record_row(g, e, alphas, decimals) for e in edges]
+def _fan_out(items: list, fn: Callable) -> list:
+    """[fn(item) for item in items]. With w = min(RICCI_THREADS, items,
+    usable CPUs) > 1, this process computes the share items[0::w] and forks
+    one child for each share items[k::w], 0 < k < w; striding spreads a
+    skewed input's costly items. A child inherits items and fn through the
+    fork, pipes back one pickle of its results, or of its first (position,
+    error), and leaves by os._exit, so it never returns into its caller's
+    stack, runs no exit handler and flushes no stdout buffer it inherited.
+    If items fail, the error of the first one is raised, as a serial run
+    raises it. The CLI starts no thread, so forking it is safe."""
+    w = min(_worker_count(), len(items), _usable_cpus())
+    if w <= 1:  # one share, or no item
+        return [fn(item) for item in items]
     import pickle  # imported here so that a serial run does not pay for them
     import signal
+
+    def share(k: int) -> list | tuple[int, Exception]:
+        """The results of items[k::w], or their first error as (its position, the exception)."""
+        part = []
+        for i in range(k, len(items), w):
+            try:
+                part.append(fn(items[i]))
+            except Exception as exc:  # raised unless an earlier item failed
+                return i, exc
+        return part
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe) of shares 1, 2, ...
     reaped: set[int] = set()
@@ -229,14 +212,21 @@ def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> 
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _send_share(write, g, edges, k, w, alphas, decimals)
+                    code = 1
+                    try:
+                        data = pickle.dumps(share(k))
+                        with open(write, "wb") as pipe:
+                            pipe.write(data)
+                        code = 0
+                    finally:
+                        os._exit(code)
             except OSError:
                 os.close(read)
                 raise
             finally:
                 os.close(write)  # the child holds the only write end, so its exit reads as EOF
             children.append((pid, read))
-        outcomes = [_share(g, edges, 0, w, alphas, decimals)]
+        outcomes = [share(0)]
         for k, (pid, read) in enumerate(children, 1):
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -255,10 +245,10 @@ def _profile_rows(g: Graph, alphas: list[Fraction], decimals: Optional[int]) -> 
     errors = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    rows: list = [None] * len(edges)
+    results: list = [None] * len(items)
     for k, part in enumerate(outcomes):
-        rows[k::w] = part
-    return rows
+        results[k::w] = part
+    return results
 
 
 def _rows_to_csv(rows: list[dict], alphas: list[Fraction], decimals: Optional[int]) -> str:
@@ -303,10 +293,12 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     alphas = _parse_alphas(args.alpha)
     if args.decimals is not None and not 0 <= args.decimals <= _DECIMALS_MAX:
         raise ValueError(f"--decimals must be from 0 to {_DECIMALS_MAX}, got {args.decimals}")
-    rows = _profile_rows(read_graph(args.input), alphas, args.decimals)
-    text = (_rows_to_csv(rows, alphas, args.decimals) if args.format == "csv"
-            else json.dumps(rows, indent=2) + "\n")
-    _emit(text, args.out)
+    g = read_graph(args.input)
+    rows = _fan_out(g.edges(), lambda edge: _record_row(g, edge, alphas, args.decimals))
+    if args.format == "csv":
+        _emit(_rows_to_csv(rows, alphas, args.decimals), args.out)
+    else:
+        _emit(json.dumps(rows, indent=2), args.out, end="\n")
     return 0
 
 
@@ -318,7 +310,7 @@ def _cmd_idleness(args: argparse.Namespace) -> int:
     lines = ["alpha,kappa_alpha,alpha_decimal,kappa_alpha_decimal"]
     for a, val in zip(fn.breakpoints, fn.values):
         lines.append(f"{a},{rational_str(val)},{decimal_str(a, 6)},{decimal_str(val, 6)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines), args.out, end="\n")
     return 0
 
 
@@ -343,8 +335,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = [_SUITES[name](args) for name in names] + [verify.check_rf72(g) for g in rf72]
     for report in reports:
         print(report.summary(), file=sys.stderr)
-    payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-    _emit(payload, args.out)
+    _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.out, end="\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

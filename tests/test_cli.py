@@ -298,6 +298,7 @@ def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     graph_file = tmp_path / "p.g6"
     graph_file.write_text(write_graph6(petersen()))  # 15 edges
+    monkeypatch.delenv("RICCI_THREADS", raising=False)  # a serial baseline in any environment
     _, serial, _ = run_cli(["curvature", str(graph_file)], capsys)
     assert forks == []
     monkeypatch.setenv("RICCI_THREADS", "100000")
@@ -315,6 +316,66 @@ def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
         code, stdout, _ = run_cli(["curvature", str(graph_file)], capsys)
         assert code == 0 and stdout == serial
         assert len(forks) == count, cpus
+
+
+def test_fan_out_is_generic_over_items(monkeypatch):
+    # _fan_out maps any function over any list; here plain integers, each
+    # mapped to a tuple, so a share's results are never read as its error.
+    # 4 usable CPUs are faked, so it forks even on a 1-CPU host. Under 1, 2
+    # and 3 shares the results come back in item order; with failures at
+    # positions 5, 6 and 7, in three different shares when w = 3, position
+    # 5's error is raised; every forked pid has been reaped; and an unset
+    # RICCI_THREADS forks nothing
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def mapped(*bad):
+        def fn(i):
+            if i in bad:
+                raise ValueError(f"item {i}")
+            return i, -i
+        return fn
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    items = list(range(10))
+    expected = [(i, -i) for i in items]
+    monkeypatch.delenv("RICCI_THREADS", raising=False)
+    assert cli._fan_out(items, mapped()) == expected and pids == []
+    for threads, forks in (("1", 0), ("2", 1), ("3", 2)):
+        monkeypatch.setenv("RICCI_THREADS", threads)
+        pids.clear()
+        assert cli._fan_out(items, mapped()) == expected
+        with pytest.raises(ValueError, match="^item 5$"):
+            cli._fan_out(items, mapped(5, 6, 7))
+        assert len(pids) == 2 * forks, threads
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+    assert cli._fan_out([], mapped()) == []
+
+
+def test_serial_fan_out_imports_no_process_module():
+    # pickle and signal are imported only on the forked path, so a serial
+    # run, RICCI_THREADS unset or 1, pays for neither
+    script = ("import sys\n"
+              "from orckit import cli\n"
+              "assert cli._fan_out([1, 2, 3], str) == ['1', '2', '3']\n"
+              "print(sorted({'pickle', 'signal'} & set(sys.modules)))\n")
+    env = child_env()
+    for threads in (None, "1"):
+        env.pop("RICCI_THREADS", None)
+        if threads:
+            env["RICCI_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", ""), threads
 
 
 def test_curvature_oversized_edge_list_exits_2(tmp_path, capsys, monkeypatch):

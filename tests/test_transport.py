@@ -313,6 +313,27 @@ def test_transport_is_reached_through_curvature_alone():
                                      "import orckit.f\nimport os\n")) == set("abcdef")
 
 
+def test_processes_are_handled_in_one_function():
+    # cli._fan_out holds every process concern: no other code in src
+    # forks, pipes, waits for or kills a process, imports pickle or signal,
+    # or reads the worker count or the CPU cap
+    calls = {"fork", "pipe", "waitpid", "kill"}
+    helpers, modules = {"_worker_count", "_usable_cpus"}, {"pickle", "signal"}
+    sites = set()
+    for module, tree in _src_trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in calls
+                        and isinstance(node.value, ast.Name) and node.value.id == "os"
+                        or isinstance(node, ast.Name) and node.id in helpers
+                        and isinstance(node.ctx, ast.Load)
+                        or isinstance(node, ast.Import)
+                        and any(a.name in modules for a in node.names)
+                        or isinstance(node, ast.ImportFrom) and node.module in modules):
+                    sites.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    assert sites == {"cli._fan_out"}
+
+
 def test_every_module_level_import_is_read():
     # a stdlib lint: each name a module binds by a top-level import (other
     # than __future__'s) is read as a Name somewhere in that module; the
